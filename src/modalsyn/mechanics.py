@@ -127,34 +127,6 @@ class PositionMap:
         return cls(shape, coeffs, dom)
 
 
-def pm_vstack(maps):
-    """Stack PositionMaps vertically (shared columns)."""
-    maps = list(maps)
-    n_cols = maps[0].shape[1]
-    if any(m.shape[1] != n_cols for m in maps):
-        raise ModelError("vstack: column counts differ")
-    exps = set().union(*[m.coeffs.keys() for m in maps])
-    coeffs = {}
-    for e in exps:
-        coeffs[e] = np.vstack([m.coeffs.get(e, np.zeros(m.shape)) for m in maps])
-    total = sum(m.shape[0] for m in maps)
-    return PositionMap((total, n_cols), coeffs, maps[0].domain)
-
-
-def pm_hstack(maps):
-    """Stack PositionMaps horizontally (shared rows)."""
-    maps = list(maps)
-    n_rows = maps[0].shape[0]
-    if any(m.shape[0] != n_rows for m in maps):
-        raise ModelError("hstack: row counts differ")
-    exps = set().union(*[m.coeffs.keys() for m in maps])
-    coeffs = {}
-    for e in exps:
-        coeffs[e] = np.hstack([m.coeffs.get(e, np.zeros(m.shape)) for m in maps])
-    total = sum(m.shape[1] for m in maps)
-    return PositionMap((n_rows, total), coeffs, maps[0].domain)
-
-
 def _check_sym(name, mat, tol=1e-9):
     if not np.allclose(mat, mat.T, atol=tol * max(1.0, np.linalg.norm(mat))):
         raise ModelError(f"{name} must be symmetric")

@@ -17,8 +17,8 @@ from modalsyn.statespace import (
     NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
+    connect,
     is_hurwitz,
-    route,
 )
 
 
@@ -190,19 +190,11 @@ def sigma_subsystem(obs: ModalObserver, kfm: RationalDiagonalFilter) -> StateSpa
         raise ModelError("sigma_subsystem requires an error-based observer")
     if kfm.n_channels != obs.Psi.shape[0]:
         raise ModelError("K_FM channel count must match the controlled modes")
-    K = kfm.to_ss()
-    n_fm, n_e = obs.n_u, obs.n_meas
-    n_ctrl = K.n_outputs
-    # embedding of controlled channels into the flexible input slots
-    E = np.zeros((n_fm, n_ctrl))
-    for col, j in enumerate(obs.controlled):
-        E[j, col] = 1.0
-    O = obs.realization
-    # block inputs: [u_fm; e] for O, eta_hat for K; external input: e
-    E_w = np.vstack([np.zeros((n_fm, n_e)), np.eye(n_e), np.zeros((n_ctrl, n_e))])
-    E_y = np.vstack([np.hstack([np.zeros((n_fm, n_ctrl)), E]),
-                     np.zeros((n_e, n_ctrl + n_ctrl)),
-                     np.hstack([np.eye(n_ctrl), np.zeros((n_ctrl, n_ctrl))])])
-    F_w = np.zeros((n_fm, n_e))
-    F_y = np.hstack([np.zeros((n_fm, n_ctrl)), E])
-    return route([O, K], E_w, E_y, F_w, F_y)
+    n_fm, n_e, n_ctrl = obs.n_u, obs.n_meas, kfm.n_channels
+    embed = np.eye(n_fm)[:, list(obs.controlled)]
+    return connect(
+        [("O", obs.realization, [("u_fm", n_fm), ("e", n_e)], [("eta", n_ctrl)]),
+         ("K_FM", kfm.to_ss(), [("eta", n_ctrl)], [("u", n_ctrl)])],
+        [("O.u_fm", "K_FM.u", embed), ("O.e", "e", 1),
+         ("K_FM.eta", "O.eta", 1), ("u_fm", "K_FM.u", embed)],
+        inputs=[("e", n_e)], outputs=[("u_fm", n_fm)])

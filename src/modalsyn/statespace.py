@@ -36,11 +36,8 @@ class NumericError(RuntimeError):
     """Raised when a numerical routine cannot produce a certified result."""
 
 
-def _as_matrix(x, rows=None, cols=None):
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    if rows is not None and a.size == 0:
-        a = a.reshape(rows if rows is not None else 0, cols if cols is not None else 0)
-    return a
+def _as_matrix(x):
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,6 @@ class StateSpaceModel:
             return self.D.astype(complex)
         X = _solve_quiet(s * np.eye(self.n_states) - self.A, self.B)
         return self.C @ X + self.D
-
-    def select_outputs(self, idx):
-        idx = list(idx)
-        return StateSpaceModel(self.A, self.B, self.C[idx, :], self.D[idx, :])
 
     def select_inputs(self, idx):
         idx = list(idx)
@@ -311,14 +304,6 @@ class RationalDiagonalFilter:
                                for s in sections) for sections in doc["channels"]))
 
 
-def filter_blockdiag(filters):
-    """Concatenate diagonal filters into one larger diagonal filter."""
-    chans = []
-    for f in filters:
-        chans.extend(f.channels)
-    return RationalDiagonalFilter(tuple(chans))
-
-
 # ---------------------------------------------------------------------------
 # interconnection
 # ---------------------------------------------------------------------------
@@ -334,17 +319,6 @@ def series(g1: StateSpaceModel, g2: StateSpaceModel) -> StateSpaceModel:
     C = np.hstack([g2.D @ g1.C, g2.C])
     D = g2.D @ g1.D
     return StateSpaceModel(A, B, C, D)
-
-
-def parallel(g1: StateSpaceModel, g2: StateSpaceModel) -> StateSpaceModel:
-    """Sum of two systems sharing the same input and output dimensions."""
-    if g1.n_inputs != g2.n_inputs or g1.n_outputs != g2.n_outputs:
-        raise ModelError("parallel: input/output dimensions must match")
-    n1, n2 = g1.n_states, g2.n_states
-    A = la.block_diag(g1.A, g2.A)
-    B = np.vstack([g1.B, g2.B])
-    C = np.hstack([g1.C, g2.C])
-    return StateSpaceModel(A, B, C, g1.D + g2.D)
 
 
 def blockdiag(systems) -> StateSpaceModel:
@@ -375,37 +349,13 @@ def rmul(g: StateSpaceModel, M) -> StateSpaceModel:
     return StateSpaceModel(g.A, g.B @ M, g.C, g.D @ M)
 
 
-def feedback(g: StateSpaceModel, h: StateSpaceModel = None,
-             sign: int = -1) -> StateSpaceModel:
-    """Close the loop y = G(r + sign * H y); returns the map r -> y.
-
-    ``h=None`` means unit feedback (H = I).
-    """
-    if h is None:
-        h = StateSpaceModel.identity(g.n_outputs)
-    if g.n_outputs != h.n_inputs or h.n_outputs != g.n_inputs:
-        raise ModelError("feedback: loop dimensions do not conform")
-    loop_D = np.eye(g.n_outputs) - sign * (g.D @ h.D)
-    if np.linalg.cond(loop_D) > 1e12:
-        raise NumericError("singular algebraic loop in feedback connection")
-    gh = blockdiag([g, h])
-    n_r = g.n_inputs
-    # block inputs [u_g; u_h], block outputs [y_g; y_h]
-    E_w = np.vstack([np.eye(n_r), np.zeros((h.n_inputs, n_r))])
-    E_y = np.block([[np.zeros((g.n_inputs, g.n_outputs)), sign * np.eye(g.n_inputs)],
-                    [np.eye(h.n_inputs), np.zeros((h.n_inputs, h.n_outputs))]])
-    F_w = np.zeros((g.n_outputs, n_r))
-    F_y = np.hstack([np.eye(g.n_outputs), np.zeros((g.n_outputs, h.n_outputs))])
-    return route([g, h], E_w, E_y, F_w, F_y)
-
-
 def route(blocks, E_w, E_y, F_w, F_y) -> StateSpaceModel:
     """Close static signal routing around a collection of LTI blocks.
 
     With stacked block inputs u_b and outputs y_b, imposes
     u_b = E_w w + E_y y_b and returns the system from external input w to
-    z = F_w w + F_y y_b.  This is the single interconnection primitive that
-    series/feedback/loop-closure helpers reduce to.
+    z = F_w w + F_y y_b.  This is the single interconnection primitive;
+    :func:`connect` declares the same routing by signal name.
     """
     gg = blockdiag(list(blocks))
     E_w, E_y, F_w, F_y = map(_as_matrix, (E_w, E_y, F_w, F_y))
@@ -425,15 +375,60 @@ def route(blocks, E_w, E_y, F_w, F_y) -> StateSpaceModel:
     return StateSpaceModel(A, B, C, D)
 
 
-def ss_inverse(g: StateSpaceModel) -> StateSpaceModel:
-    """Inverse of a square system with invertible feed-through."""
-    if g.n_inputs != g.n_outputs:
-        raise ModelError("inverse requires a square system")
-    if g.n_inputs and np.linalg.cond(g.D) > 1e12:
-        raise NumericError("system feed-through is singular; inverse is improper")
-    Dinv = la.solve(g.D, np.eye(g.n_inputs)) if g.n_inputs else g.D
-    return StateSpaceModel(g.A - g.B @ Dinv @ g.C, g.B @ Dinv,
-                           -Dinv @ g.C, Dinv)
+def _add_ports(table, kind, prefix, groups, start):
+    """Register ``(group, width)`` groups in ``table`` from offset ``start``;
+    returns the offset after the last group."""
+    for group, width in groups:
+        name = prefix + group
+        if name in table:
+            raise ModelError(f"connect: signal {name!r} is declared twice")
+        table[name] = (kind, start, int(width))
+        start += int(width)
+    return start
+
+
+def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
+    """Interconnect blocks by named signals; lowers to :func:`route`.
+
+    ``blocks`` is a sequence of ``(name, model, input_groups,
+    output_groups)``; the groups are ``(group, width)`` pairs in the model's
+    port order and are addressed as ``"name.group"``.  ``inputs`` and
+    ``outputs`` are the ordered ``(signal, width)`` groups of the result.
+    Each connection ``(destination, source, gain)`` adds ``gain`` times the
+    source to the destination, where a destination is a block input port or
+    an external output and a source is a block output port or an external
+    input.  A scalar gain scales the identity; a matrix gain has shape
+    (destination width, source width).  Unconnected block inputs are zero.
+    """
+    dst, src = {}, {}
+    n_u = n_y = 0
+    for name, model, in_groups, out_groups in blocks:
+        u0, y0 = n_u, n_y
+        n_u = _add_ports(dst, "u", f"{name}.", in_groups, n_u)
+        n_y = _add_ports(src, "y", f"{name}.", out_groups, n_y)
+        if (n_u - u0, n_y - y0) != (model.n_inputs, model.n_outputs):
+            raise ModelError(
+                f"connect: block {name!r} declares {n_u - u0} inputs and "
+                f"{n_y - y0} outputs, its model has {model.n_inputs} and "
+                f"{model.n_outputs}")
+    n_w = _add_ports(src, "w", "", inputs, 0)
+    n_z = _add_ports(dst, "z", "", outputs, 0)
+    routing = {("u", "w"): np.zeros((n_u, n_w)), ("u", "y"): np.zeros((n_u, n_y)),
+               ("z", "w"): np.zeros((n_z, n_w)), ("z", "y"): np.zeros((n_z, n_y))}
+    for to, frm, gain in connections:
+        for port, table in ((to, dst), (frm, src)):
+            if port not in table:
+                raise ModelError(f"connect: unknown signal {port!r}")
+        (dk, r, nr), (sk, c, nc) = dst[to], src[frm]
+        g = np.asarray(gain, dtype=float)
+        if g.ndim == 0 and nr == nc:
+            g = g * np.eye(nr)
+        if g.shape != (nr, nc):
+            raise ModelError(f"connect: gain of shape {g.shape} from {frm!r} "
+                             f"({nc} wide) to {to!r} ({nr} wide)")
+        routing[dk, sk][r:r + nr, c:c + nc] += g
+    return route([model for _, model, _, _ in blocks], routing["u", "w"],
+                 routing["u", "y"], routing["z", "w"], routing["z", "y"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """Structured H-infinity synthesis of diag(K_RB, L, K_FM).
 
-Assembles the scaled uncertain plant, the output-based 2x3 ("6-block") and
-the error-based 2x2 ("4-block") weighted closed-loop maps, and minimizes the
-closed-loop H-infinity norm over the structured parameter set with a
-derivative-free pattern search.  A grid certificate closes the full loop at
-every frozen scheduling point and checks local stability.
+Declares the output-based 2x3 ("6-block") and the error-based 2x2
+("4-block") weighted closed-loop maps as named-signal interconnections, and
+minimizes the closed-loop H-infinity norm over the structured parameter set
+with a derivative-free pattern search.  A grid certificate closes the full
+loop at every frozen scheduling point and checks local stability.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
 
-from modalsyn.mechanics import PartitionedModalModel, evaluate_local
+from modalsyn.mechanics import evaluate_local
 from modalsyn.observer import (
     ModalObserver,
     build_error_observer,
@@ -28,7 +27,6 @@ from modalsyn.observer import (
 from modalsyn.shaping import (
     FlexControllerParams,
     ScalingSet,
-    ShapingFilterSet,
     make_kfm,
     regularize_integral_filter,
 )
@@ -38,112 +36,16 @@ from modalsyn.statespace import (
     RationalDiagonalFilter,
     StateSpaceModel,
     care_solve,
+    connect,
     freq_response,
     hinf_norm,
-    is_hurwitz,
     lmul,
     rmul,
-    route,
     spectral_abscissa,
 )
 
 STABILITY_MARGIN = 0.0
 PENALTY_BASE = 1e6
-
-
-# ---------------------------------------------------------------------------
-# uncertain plant
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UncertainPlant:
-    """Nominal scaled plant plus an additive output uncertainty bound.
-
-    ``weight`` over-bounds, per output channel, the largest deviation of any
-    grid model from the nominal; ``None`` means the grid shows no deviation.
-    """
-
-    nominal: StateSpaceModel
-    grid: tuple                 # ((p, StateSpaceModel), ...)
-    nominal_index: int
-    weight: RationalDiagonalFilter | None
-    delta_in: int
-    delta_out: int
-
-
-def _verification_freqs(grid_ss, f_lo, f_hi, n):
-    """Log grid augmented with every model's resonance frequencies, so
-    narrow lightly damped deviation peaks cannot slip between samples."""
-    freqs = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
-    extra = []
-    for g in grid_ss:
-        fi = np.abs(g.poles().imag) / (2 * np.pi)
-        extra.append(fi[(fi > f_lo) & (fi < f_hi)])
-    return np.unique(np.concatenate([freqs] + extra))
-
-
-def _deviation_bound(grid_ss, nominal, freqs):
-    """Per-output-channel worst deviation magnitude over the grid."""
-    nom = freq_response(nominal, freqs).values
-    dev = np.zeros((nominal.n_outputs, freqs.size))
-    for g in grid_ss:
-        d = freq_response(g, freqs).values - nom
-        dev = np.maximum(dev, np.linalg.norm(d, axis=2).T)
-    return dev
-
-
-def build_uncertain_plant(grid, nominal_index, n_verify: int = 200,
-                          f_lo: float = 1e-1, f_hi: float = 1e4) -> UncertainPlant:
-    """Fit a per-channel second-order peak filter dominating the grid deviation.
-
-    ``grid`` is a sequence of ``(p, StateSpaceModel)`` frozen local models.
-    The fitted weight is inflated until it dominates the deviation at every
-    verification frequency; failure to dominate raises with the worst
-    frequency reported.
-    """
-    grid = tuple(grid)
-    if len(grid) < 2:
-        raise ModelError("uncertainty fit needs at least two grid points")
-    nominal = grid[nominal_index][1]
-    shapes = {(g.n_outputs, g.n_inputs) for _, g in grid}
-    if len(shapes) != 1:
-        raise ModelError("grid models must share input/output dimensions")
-    freqs = _verification_freqs([g for _, g in grid], f_lo, f_hi, n_verify)
-    dev = _deviation_bound([g for _, g in grid], nominal, freqs)
-    if dev.max() < 1e-14:
-        return UncertainPlant(nominal, grid, nominal_index, None,
-                              nominal.n_inputs, nominal.n_outputs)
-    chans = []
-    for i in range(nominal.n_outputs):
-        d = dev[i]
-        if d.max() < 1e-14:
-            chans.append([(np.array([0.0]), np.array([1.0]))])
-            continue
-        k = int(np.argmax(d))
-        w_pk = 2 * np.pi * freqs[k]
-        base = max(d[0], d[-1], 1e-8 * d.max())
-        beta2 = 0.05
-        beta1 = min(beta2 * d[k] / base, 50.0)
-        num = base * np.array([1.0 / w_pk ** 2, 2 * beta1 / w_pk, 1.0])
-        den = np.array([1.0 / w_pk ** 2, 2 * beta2 / w_pk, 1.0])
-        # inflate until the filter dominates everywhere on the grid
-        scale = 1.05
-        for _ in range(60):
-            mag = np.abs(np.polyval(scale * num, 2j * np.pi * freqs)
-                         / np.polyval(den, 2j * np.pi * freqs))
-            short = d - mag
-            if short.max() <= 0:
-                break
-            scale *= 1.15
-        else:
-            worst = freqs[int(np.argmax(short))]
-            raise NumericError(
-                f"uncertainty weight fit fails to dominate channel {i} "
-                f"(worst at {worst:.3g} Hz)")
-        chans.append([(scale * num, den)])
-    return UncertainPlant(nominal, grid, nominal_index,
-                          RationalDiagonalFilter(tuple(chans)),
-                          nominal.n_inputs, nominal.n_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +177,94 @@ def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
 # generalized plant assembly
 # ---------------------------------------------------------------------------
 
-def _embedding(n_flex, controlled):
-    E = np.zeros((n_flex, len(controlled)))
-    for col, j in enumerate(controlled):
-        E[j, col] = 1.0
-    return E
+@dataclass(frozen=True)
+class _Interconnection:
+    """A :func:`connect` declaration whose blocks with model ``None`` depend
+    on the controller parameters and are realized on every :meth:`close`."""
+
+    blocks: tuple        # (name, model or None, input groups, output groups)
+    connections: tuple
+    inputs: tuple
+    outputs: tuple
+
+    def close(self, realize) -> StateSpaceModel:
+        """Interconnect, realizing each missing model as ``realize[name]()``."""
+        blocks = [(name, realize[name]() if model is None else model, ins, outs)
+                  for name, model, ins, outs in self.blocks]
+        return connect(blocks, self.connections, self.inputs, self.outputs)
+
+
+def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
+    """Declare the three interconnections of a ``kind`` problem.
+
+    Returns the observer inner loop of ``g_delta`` (``None`` for the
+    error-based problem, whose plant is used as is), the weighted map M from
+    the disturbances w to the weighted errors z, and the physical full loop
+    from the output and flexible-input disturbances (d, d_fm) to the tracking
+    error e.  ``embed`` routes the K_FM channels into the flexible inputs.
+    Block and port orders fix the state order of each realization.
+    """
+    plant_in, y, eta = ((("u_rb", n_rb), ("u_fm", n_flex)), (("y", n_rb),),
+                        (("eta", n_ctrl),))
+    G = ("G", None, plant_in, y)
+    K_RB = ("K_RB", None, (("e", n_rb),), (("u", n_rb),))
+    W = {name: (name, model, (("u", model.n_inputs),), (("y", model.n_outputs),))
+         for name, model in weights.items()}
+    observer = (("O", None, plant_in + y, eta),
+                ("K_FM", None, eta, (("u", n_ctrl),)))
+    z = (("z1", n_rb), ("z2", n_rb))
+    weighted_errors = (("K_RB.e", "G.y", 1), ("W_z1.u", "G.y", 1),
+                       ("W_z2.u", "K_RB.u", 1), ("G.u_rb", "K_RB.u", -1),
+                       ("W_w1.u", "w1", 1), ("W_w2.u", "w2", 1),
+                       ("z1", "W_z1.y", 1), ("z2", "W_z2.y", 1))
+    d = (("d", n_rb), ("d_fm", n_flex))
+    loop = (("G.u_rb", "K_RB.u", -1), ("G.u_fm", "d_fm", 1),
+            ("K_RB.e", "d", 1), ("K_RB.e", "G.y", 1),
+            ("e", "d", 1), ("e", "G.y", 1))
+    if kind == "6block":
+        inner = _Interconnection(
+            (("G", plant, plant_in, y), *observer),
+            (("G.u_rb", "u_rb", 1), ("G.u_fm", "u_fm", 1),
+             ("G.u_fm", "K_FM.u", embed), ("O.u_rb", "u_rb", 1),
+             ("O.u_fm", "K_FM.u", embed), ("O.y", "G.y", 1),
+             ("K_FM.eta", "O.eta", 1), ("y", "G.y", 1)),
+            plant_in, y)
+        # w1 enters as an output disturbance, w2 at the rigid-body input and
+        # w3 at the flexible input
+        weighted = _Interconnection(
+            (G, K_RB, W["W_z1"], W["W_z2"], W["W_w1"], W["W_w2"], W["W_w3"]),
+            weighted_errors + (
+                ("K_RB.e", "W_w1.y", 1), ("W_z1.u", "W_w1.y", 1),
+                ("G.u_rb", "W_w2.y", 1), ("G.u_fm", "W_w3.y", 1),
+                ("W_w3.u", "w3", 1)),
+            (("w1", n_rb), ("w2", n_rb), ("w3", n_flex)), z)
+        full = _Interconnection(
+            (G, K_RB, *observer),
+            loop + (("G.u_fm", "K_FM.u", embed), ("O.u_rb", "K_RB.u", -1),
+                    ("O.u_fm", "K_FM.u", embed), ("O.y", "G.y", 1),
+                    ("K_FM.eta", "O.eta", 1)),
+            d, (("e", n_rb),))
+        return inner, weighted, full
+    sigma = ("Sigma", None, (("e", n_rb),), (("u", n_flex),))
+    # w1 enters at the rigid-body input and w2 at the flexible input
+    weighted = _Interconnection(
+        (G, K_RB, sigma, W["W_z1"], W["W_z2"], W["W_w1"], W["W_w2"]),
+        weighted_errors + (
+            ("G.u_rb", "W_w1.y", 1), ("G.u_fm", "W_w2.y", 1),
+            ("G.u_fm", "Sigma.u", -1), ("Sigma.e", "G.y", 1)),
+        (("w1", n_rb), ("w2", n_flex)), z)
+    full = _Interconnection(
+        (G, K_RB, sigma),
+        loop + (("G.u_fm", "Sigma.u", -1), ("Sigma.e", "d", 1),
+                ("Sigma.e", "G.y", 1)),
+        d, (("e", n_rb),))
+    return None, weighted, full
+
+
+def _spans(groups):
+    """``{signal: (start, stop)}`` of consecutive ``(signal, width)`` groups."""
+    stops = np.cumsum([width for _, width in groups]).tolist()
+    return {name: (stop - width, stop) for (name, width), stop in zip(groups, stops)}
 
 
 class ClosedLoopMap:
@@ -291,7 +276,7 @@ class ClosedLoopMap:
     """
 
     def __init__(self, kind, pm, p_star, scalings, weights, controlled_modes,
-                 Q, f_bw, uncertain=None):
+                 Q, f_bw):
         if kind not in ("6block", "4block"):
             raise ModelError(f"unknown interconnection kind {kind!r}")
         self.kind = kind
@@ -303,7 +288,6 @@ class ClosedLoopMap:
         self.controlled_modes = tuple(int(i) for i in controlled_modes)
         self.Q = float(Q)
         self.f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
-        self.uncertain = uncertain
         self.n_rb = pm.n_rb
         self.n_flex = pm.n_flex
         self.n_ctrl = len(self.controlled_modes)
@@ -317,14 +301,18 @@ class ClosedLoopMap:
             self.Psi = selection_matrix(pm, self.controlled_modes, kind="output")
         else:
             self.Psi = selection_matrix(pm, self.controlled_modes, kind="error")
-        nrb, nfl = self.n_rb, self.n_flex
-        if kind == "6block":
-            self.channel_map = {"z1": (0, nrb), "z2": (nrb, 2 * nrb),
-                                "w1": (0, nrb), "w2": (nrb, 2 * nrb),
-                                "w3": (2 * nrb, 2 * nrb + nfl)}
-        else:
-            self.channel_map = {"z1": (0, nrb), "z2": (nrb, 2 * nrb),
-                                "w1": (0, nrb), "w2": (nrb, nrb + nfl)}
+        filters = {"W_z1": self.wz1_reg, "W_z2": weights.wz2,
+                   "W_w1": weights.ww1, "W_w2": weights.ww2,
+                   "W_w3": weights.ww3}
+        embed = np.eye(self.n_flex)[:, [pm.retained.index(i)
+                                        for i in self.controlled_modes]]
+        self._inner, self._map, self._loop = _interconnections(
+            kind, self.plant,
+            {name: f.to_ss() for name, f in filters.items() if f is not None},
+            embed, self.n_rb, self.n_flex, self.n_ctrl)
+        self.channel_map = {**_spans(self._map.outputs), **_spans(self._map.inputs)}
+        # the flexible injection is the last disturbance group of M
+        self._flex_columns = range(*self.channel_map[self._map.inputs[-1][0]])
 
     # -- observers and inner loops -------------------------------------
     def observer(self, params) -> ModalObserver:
@@ -346,28 +334,11 @@ class ClosedLoopMap:
         sc = self.scalings
         left = np.diag(sc.wz)
         right = la.block_diag(np.diag(sc.ww1), np.diag(sc.ww2[:self.n_flex]))
-        if self.kind == "4block":
+        if self._inner is None:
             return lmul(left, rmul(self.plant, right))
-        obs = self.observer(params)
-        kf = params.kfm_filter().to_ss()
-        G = self.plant
-        nrb, nfl, nc = self.n_rb, self.n_flex, self.n_ctrl
-        ny = G.n_outputs
-        E = _embedding(nfl, obs.controlled)
-        n_w = nrb + nfl
-        # block input stack: u_G (nrb+nfl), u_O (nrb+nfl+ny), u_K (nc)
-        # block output stack: y_G (ny), y_O (nc), y_K (nc)
-        E_w = np.vstack([np.eye(n_w),
-                         np.hstack([np.eye(nrb), np.zeros((nrb, nfl))]),
-                         np.zeros((nfl + ny + nc, n_w))])
-        E_y = np.zeros((n_w + (n_w + ny) + nc, ny + 2 * nc))
-        E_y[nrb:n_w, ny + nc:] = E                     # plant flex input += E y_K
-        E_y[n_w + nrb:n_w + n_w, ny + nc:] = E         # observer sees E y_K
-        E_y[n_w + n_w:n_w + n_w + ny, :ny] = np.eye(ny)  # observer sees y_G
-        E_y[n_w + n_w + ny:, ny:ny + nc] = np.eye(nc)    # K_FM sees eta_hat
-        F_w = np.zeros((ny, n_w))
-        F_y = np.hstack([np.eye(ny), np.zeros((ny, 2 * nc))])
-        g_phys = route([G, obs.realization, kf], E_w, E_y, F_w, F_y)
+        g_phys = self._inner.close({
+            "O": lambda: self.observer(params).realization,
+            "K_FM": lambda: params.kfm_filter().to_ss()})
         return lmul(left, rmul(g_phys, right))
 
     def sigma(self, params) -> StateSpaceModel:
@@ -380,94 +351,15 @@ class ClosedLoopMap:
 
     # -- M assembly ----------------------------------------------------
     def evaluate(self, params) -> StateSpaceModel:
-        if self.kind == "6block":
-            return self._evaluate_6block(params)
-        return self._evaluate_4block(params)
-
-    def _evaluate_6block(self, params):
-        nrb, nfl = self.n_rb, self.n_flex
-        Gd = self.g_delta(params)
-        K = params.krb_filter().to_ss()
-        Wz1 = self.wz1_reg.to_ss()
-        Wz2 = self.weights.wz2.to_ss()
-        Ww1 = self.weights.ww1.to_ss()
-        Ww2 = self.weights.ww2.to_ss()
-        Ww3 = self.weights.ww3.to_ss()
-        blocks = [Gd, K, Wz1, Wz2, Ww1, Ww2, Ww3]
-        n_w = 2 * nrb + nfl
-        # output stack: yG(nrb) yK(nrb) yz1 yz2 yw1 yw2 (nrb each) yw3(nfl)
-        oG, oK, oz1, oz2, ow1, ow2, ow3 = _offsets(
-            [nrb, nrb, nrb, nrb, nrb, nrb, nfl])
-        n_y = 6 * nrb + nfl
-        # input stack: uG(nrb+nfl) uK uz1 uz2 uw1 uw2 (nrb each) uw3(nfl)
-        iG, iK, iz1, iz2, iw1, iw2, iw3 = _offsets(
-            [nrb + nfl, nrb, nrb, nrb, nrb, nrb, nfl])
-        n_u = 5 * nrb + 2 * nfl + nrb
-        E_w = np.zeros((n_u, n_w))
-        E_y = np.zeros((n_u, n_y))
-        # plant RB channel: W_w2 w2 - K_RB eps
-        _put(E_y, iG, ow2, np.eye(nrb))
-        _put(E_y, iG, oK, -np.eye(nrb))
-        # plant flexible channel: W_w3 w3
-        _put(E_y, iG + nrb, ow3, np.eye(nfl))
-        # eps = y_Ww1 + y_G feeds K_RB and W_z1
-        for row in (iK, iz1):
-            _put(E_y, row, ow1, np.eye(nrb))
-            _put(E_y, row, oG, np.eye(nrb))
-        _put(E_y, iz2, oK, np.eye(nrb))
-        _put(E_w, iw1, 0, np.eye(nrb))
-        _put(E_w, iw2, nrb, np.eye(nrb))
-        _put(E_w, iw3, 2 * nrb, np.eye(nfl))
-        F_w = np.zeros((2 * nrb, n_w))
-        F_y = np.zeros((2 * nrb, n_y))
-        _put(F_y, 0, oz1, np.eye(nrb))
-        _put(F_y, nrb, oz2, np.eye(nrb))
-        return route(blocks, E_w, E_y, F_w, F_y)
-
-    def _evaluate_4block(self, params):
-        nrb, nfl = self.n_rb, self.n_flex
-        Gt = self.g_delta(params)
-        K = params.krb_filter().to_ss()
-        Sig = self.sigma(params)
-        Wz1 = self.wz1_reg.to_ss()
-        Wz2 = self.weights.wz2.to_ss()
-        Ww1 = self.weights.ww1.to_ss()
-        Ww2 = self.weights.ww2.to_ss()
-        blocks = [Gt, K, Sig, Wz1, Wz2, Ww1, Ww2]
-        n_w = nrb + nfl
-        # outputs: yG(nrb) yK(nrb) ySig(nfl) yz1 yz2 yw1 (nrb each) yw2(nfl)
-        oG, oK, oS, oz1, oz2, ow1, ow2 = _offsets(
-            [nrb, nrb, nfl, nrb, nrb, nrb, nfl])
-        n_y = 5 * nrb + 2 * nfl
-        # inputs: uG(nrb+nfl) uK(nrb) uSig(nrb) uz1 uz2 (nrb) uw1(nrb) uw2(nfl)
-        iG, iK, iS, iz1, iz2, iw1, iw2 = _offsets(
-            [nrb + nfl, nrb, nrb, nrb, nrb, nrb, nfl])
-        n_u = 6 * nrb + 2 * nfl
-        E_w = np.zeros((n_u, n_w))
-        E_y = np.zeros((n_u, n_y))
-        # plant RB channel: W_w1 w1 - K_RB eps; flexible: W_w2 w2 - Sigma eps
-        _put(E_y, iG, ow1, np.eye(nrb))
-        _put(E_y, iG, oK, -np.eye(nrb))
-        _put(E_y, iG + nrb, ow2, np.eye(nfl))
-        _put(E_y, iG + nrb, oS, -np.eye(nfl))
-        # eps = y_G feeds K_RB, Sigma and W_z1
-        for row in (iK, iS, iz1):
-            _put(E_y, row, oG, np.eye(nrb))
-        _put(E_y, iz2, oK, np.eye(nrb))
-        _put(E_w, iw1, 0, np.eye(nrb))
-        _put(E_w, iw2, nrb, np.eye(nfl))
-        F_w = np.zeros((2 * nrb, n_w))
-        F_y = np.zeros((2 * nrb, n_y))
-        _put(F_y, 0, oz1, np.eye(nrb))
-        _put(F_y, nrb, oz2, np.eye(nrb))
-        return route(blocks, E_w, E_y, F_w, F_y)
+        """Weighted closed-loop map M from the disturbances w to z."""
+        return self._map.close({
+            "G": lambda: self.g_delta(params),
+            "K_RB": lambda: params.krb_filter().to_ss(),
+            "Sigma": lambda: self.sigma(params)})
 
     def flexible_column(self, params) -> StateSpaceModel:
         """Sub-map of M carrying the flexible injection channel."""
-        M = self.evaluate(params)
-        key = "w3" if self.kind == "6block" else "w2"
-        lo, hi = self.channel_map[key]
-        return M.select_inputs(range(lo, hi))
+        return self.evaluate(params).select_inputs(self._flex_columns)
 
 
 class ConventionalView:
@@ -485,20 +377,8 @@ class ConventionalView:
         return getattr(self._cl, name)
 
     def evaluate(self, params) -> StateSpaceModel:
-        n = 2 * self._cl.n_rb if self._cl.kind == "6block" else self._cl.n_rb
+        n = self._cl._flex_columns.start
         return self._cl.evaluate(params).select_inputs(range(n))
-
-
-def _offsets(sizes):
-    out, acc = [], 0
-    for s in sizes:
-        out.append(acc)
-        acc += s
-    return out
-
-
-def _put(M, r, c, block):
-    M[r:r + block.shape[0], c:c + block.shape[1]] += block
 
 
 # ---------------------------------------------------------------------------
@@ -521,58 +401,16 @@ def close_full_loop(g_local: StateSpaceModel, cl: ClosedLoopMap,
     removed.  Inputs are (output disturbance, flexible-input disturbance);
     the output is the tracking error, so the A matrix carries the local
     closed-loop poles and the response doubles as the validation model.
+    For the error-based problem the flexible input is -Sigma eps in
+    physical coordinates.
     """
-    nrb, nfl, nc = cl.n_rb, cl.n_flex, cl.n_ctrl
-    ny = g_local.n_outputs
-    n_w = ny + nfl
-    Kp = physical_rb_controller(params, cl.scalings).to_ss()
-    if cl.kind == "6block":
-        obs = cl.observer(params)
-        kf = params.kfm_filter().to_ss()
-        E = _embedding(nfl, obs.controlled)
-        blocks = [g_local, Kp, obs.realization, kf]
-        # outputs: yG(ny) yKp(nrb) yO(nc) yKf(nc)
-        oG, oKp, oO, oKf = _offsets([ny, nrb, nc, nc])
-        n_y = ny + nrb + 2 * nc
-        # inputs: uG(nrb+nfl) uKp(ny) uO(nrb+nfl+ny) uKf(nc)
-        iG, iKp, iO, iKf = _offsets([nrb + nfl, ny, nrb + nfl + ny, nc])
-        n_u = (nrb + nfl) + ny + (nrb + nfl + ny) + nc
-        E_w = np.zeros((n_u, n_w))
-        E_y = np.zeros((n_u, n_y))
-        _put(E_y, iG, oKp, -np.eye(nrb))          # u1 = -K_RB eps
-        _put(E_y, iG + nrb, oKf, E)               # u2 = E K_FM eta_hat + d_fm
-        _put(E_w, iG + nrb, ny, np.eye(nfl))
-        _put(E_w, iKp, 0, np.eye(ny))             # eps = d + y
-        _put(E_y, iKp, oG, np.eye(ny))
-        _put(E_y, iO, oKp, -np.eye(nrb))          # observer sees u1 ...
-        _put(E_y, iO + nrb, oKf, E)               # ... and the K_FM part of u2
-        _put(E_y, iO + nrb + nfl, oG, np.eye(ny))  # ... and y
-        _put(E_y, iKf, oO, np.eye(nc))
-        F_w = np.zeros((ny, n_w))
-        _put(F_w, 0, 0, np.eye(ny))
-        F_y = np.hstack([np.eye(ny), np.zeros((ny, nrb + 2 * nc))])
-        return route(blocks, E_w, E_y, F_w, F_y)
-    # error-based: u2 = -Sigma eps in physical coordinates
-    obs = cl.observer(params)
-    sig = sigma_subsystem(obs, params.kfm_filter())
-    blocks = [g_local, Kp, sig]
-    oG, oKp, oS = _offsets([ny, nrb, nfl])
-    n_y = ny + nrb + nfl
-    iG, iKp, iS = _offsets([nrb + nfl, ny, ny])
-    n_u = (nrb + nfl) + 2 * ny
-    E_w = np.zeros((n_u, n_w))
-    E_y = np.zeros((n_u, n_y))
-    _put(E_y, iG, oKp, -np.eye(nrb))
-    _put(E_y, iG + nrb, oS, -np.eye(nfl))
-    _put(E_w, iG + nrb, ny, np.eye(nfl))
-    _put(E_w, iKp, 0, np.eye(ny))
-    _put(E_y, iKp, oG, np.eye(ny))
-    _put(E_w, iS, 0, np.eye(ny))
-    _put(E_y, iS, oG, np.eye(ny))
-    F_w = np.zeros((ny, n_w))
-    _put(F_w, 0, 0, np.eye(ny))
-    F_y = np.hstack([np.eye(ny), np.zeros((ny, nrb + nfl))])
-    return route(blocks, E_w, E_y, F_w, F_y)
+    return cl._loop.close({
+        "G": lambda: g_local,
+        "K_RB": lambda: physical_rb_controller(params, cl.scalings).to_ss(),
+        "O": lambda: cl.observer(params).realization,
+        "K_FM": lambda: params.kfm_filter().to_ss(),
+        "Sigma": lambda: sigma_subsystem(cl.observer(params),
+                                         params.kfm_filter())})
 
 
 def rb_crossover(cl: ClosedLoopMap, params, n_points: int = 300) -> np.ndarray:

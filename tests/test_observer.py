@@ -28,6 +28,7 @@ from modalsyn.statespace import (
     ModelError,
     NumericError,
     care_solve,
+    connect,
     freq_response,
     is_hurwitz,
     simulate,
@@ -43,15 +44,14 @@ def partitioned(model, retain=None):
 
 def _joint_system(plant, obs):
     """Plant and observer sharing the input, measurement wired internally."""
-    from modalsyn.statespace import route
     n_u, n_y = plant.n_inputs, plant.n_outputs
     n_eta = obs.realization.n_outputs
-    E_w = np.vstack([np.eye(n_u), np.eye(n_u), np.zeros((n_y, n_u))])
-    E_y = np.vstack([np.zeros((2 * n_u, n_y + n_eta)),
-                     np.hstack([np.eye(n_y), np.zeros((n_y, n_eta))])])
-    F_w = np.zeros((n_eta, n_u))
-    F_y = np.hstack([np.zeros((n_eta, n_y)), np.eye(n_eta)])
-    return route([plant, obs.realization], E_w, E_y, F_w, F_y)
+    return connect(
+        [("P", plant, [("u", n_u)], [("y", n_y)]),
+         ("O", obs.realization, [("u", n_u), ("y", n_y)], [("eta", n_eta)])],
+        [("P.u", "u", 1), ("O.u", "u", 1), ("O.y", "P.y", 1),
+         ("eta", "O.eta", 1)],
+        inputs=[("u", n_u)], outputs=[("eta", n_eta)])
 
 
 def decoupled_two_mass(p=0.3):

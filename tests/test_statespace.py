@@ -11,12 +11,11 @@ from modalsyn.statespace import (
     StateSpaceModel,
     blockdiag,
     care_solve,
-    feedback,
+    connect,
     freq_response,
     hinf_norm,
     hinf_norm_grid,
     is_hurwitz,
-    parallel,
     series,
     simulate,
     spectral_abscissa,
@@ -35,6 +34,15 @@ def random_stable(rng, n, m=1, p=1):
 def first_order():
     # G(s) = 1/(s+1)
     return StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+def siso_loop(g, h, sign=-1):
+    """r -> y of y = G (r + sign H y), declared by signal name."""
+    return connect([("G", g, [("u", 1)], [("y", 1)]),
+                    ("H", h, [("u", 1)], [("y", 1)])],
+                   [("G.u", "r", 1), ("G.u", "H.y", sign),
+                    ("H.u", "G.y", 1), ("y", "G.y", 1)],
+                   inputs=[("r", 1)], outputs=[("y", 1)])
 
 
 class TestConstruction:
@@ -69,7 +77,7 @@ class TestConnect:
 
     def test_unit_feedback_integrator(self):
         integ = StateSpaceModel([[0.0]], [[1.0]], [[1.0]], [[0.0]])
-        cl = feedback(integ)  # 1/(s+1)
+        cl = siso_loop(integ, StateSpaceModel.identity(1))  # 1/(s+1)
         f = np.logspace(-2, 2, 30)
         expect = 1.0 / (2j * np.pi * f + 1.0)
         got = freq_response(cl, f).values[:, 0, 0]
@@ -87,20 +95,11 @@ class TestConnect:
         err = np.abs(rs - prod) / np.maximum(np.abs(prod), 1e-12)
         assert err.max() < 1e-10
 
-    def test_parallel_sum_oracle(self):
-        rng = np.random.default_rng(3)
-        g1 = random_stable(rng, 2, 1, 1)
-        g2 = random_stable(rng, 4, 1, 1)
-        f = np.logspace(-1, 2, 25)
-        got = freq_response(parallel(g1, g2), f).values
-        want = freq_response(g1, f).values + freq_response(g2, f).values
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
     def test_feedback_oracle(self):
         rng = np.random.default_rng(4)
         g = random_stable(rng, 3, 1, 1)
         h = random_stable(rng, 2, 1, 1)
-        cl = feedback(g, h, sign=-1)
+        cl = siso_loop(g, h, sign=-1)
         f = np.logspace(-1, 2, 25)
         gv = freq_response(g, f).values[:, 0, 0]
         hv = freq_response(h, f).values[:, 0, 0]
@@ -111,7 +110,43 @@ class TestConnect:
     def test_singular_algebraic_loop(self):
         g = StateSpaceModel.from_gain([[1.0]])
         with pytest.raises(NumericError):
-            feedback(g, StateSpaceModel.from_gain([[1.0]]), sign=+1)
+            siso_loop(g, StateSpaceModel.from_gain([[1.0]]), sign=+1)
+
+    def test_unknown_signal_is_named(self):
+        block = [("G", first_order(), [("u", 1)], [("y", 1)])]
+        with pytest.raises(ModelError, match="'G.v'"):
+            connect(block, [("G.v", "r", 1)], [("r", 1)], [])
+        with pytest.raises(ModelError, match="'q'"):
+            connect(block, [("G.u", "q", 1)], [("r", 1)], [])
+        with pytest.raises(ModelError, match="'z'"):
+            connect(block, [("z", "G.y", 1)], [("r", 1)], [("y", 1)])
+        with pytest.raises(ModelError, match="'r'.*twice"):
+            connect(block, [], [("r", 1), ("r", 1)], [])
+
+    def test_gain_shape_must_fit_ports(self):
+        g = random_stable(np.random.default_rng(5), 2, 2, 2)
+        block = [("G", g, [("u", 2)], [("y", 2)])]
+        for gain in (1.0, np.ones((2, 2)), np.ones((3, 2))):
+            with pytest.raises(ModelError, match="'r'.*'G.u'"):
+                connect(block, [("G.u", "r", gain)], [("r", 3)], [])
+
+    def test_declared_widths_must_fit_model(self):
+        g = random_stable(np.random.default_rng(6), 2, 2, 1)
+        with pytest.raises(ModelError, match="'G'"):
+            connect([("G", g, [("u", 1)], [("y", 1)])], [], [], [])
+
+    def test_matrix_gain_and_summed_sources(self):
+        """y = [1 2] r + 3 G(r1): a matrix gain and two sources summed."""
+        g = first_order()
+        cl = connect([("G", g, [("u", 1)], [("y", 1)])],
+                     [("G.u", "r", [[1.0, 0.0]]), ("y", "r", [[1.0, 2.0]]),
+                      ("y", "G.y", 3.0)],
+                     inputs=[("r", 2)], outputs=[("y", 1)])
+        f = np.logspace(-1, 2, 10)
+        gv = 1.0 / (2j * np.pi * f + 1.0)
+        got = freq_response(cl, f).values[:, 0, :]
+        np.testing.assert_allclose(got[:, 0], 1.0 + 3.0 * gv, atol=1e-12)
+        np.testing.assert_allclose(got[:, 1], 2.0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)

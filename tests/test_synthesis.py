@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from modalsyn.benchplant import by_name, make_two_mass
 from modalsyn.decoupling import (
@@ -7,6 +8,7 @@ from modalsyn.decoupling import (
     extended_input_decoupling,
 )
 from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
+from modalsyn.observer import sigma_subsystem
 from modalsyn.shaping import (
     compute_scalings,
     design_weights_4block,
@@ -15,7 +17,6 @@ from modalsyn.shaping import (
 from modalsyn.statespace import (
     ModelError,
     NumericError,
-    freq_response,
     is_hurwitz,
     spectral_abscissa,
 )
@@ -24,7 +25,6 @@ from modalsyn.synthesis import (
     ConventionalView,
     StructuredControllerParams,
     _compass_search,
-    build_uncertain_plant,
     close_full_loop,
     grid_stability_check,
     initial_params,
@@ -76,6 +76,19 @@ def _diag_eval(filt, s):
     return filt.evaluate(np.array([s]))[:, 0]
 
 
+def _observer_loop_blocks(cl, params, s):
+    """Observer transfer split by input group, and E K_FM, at one point;
+    E is the 0/1 map from the controlled channels into the flexible inputs."""
+    obs = cl.observer(params)
+    O = obs.realization.transfer_at(s)
+    nrb, nfl = cl.n_rb, cl.n_flex
+    E = np.zeros((nfl, cl.n_ctrl))
+    for col, j in enumerate(obs.controlled):
+        E[j, col] = 1.0
+    EK = E @ np.diag(_diag_eval(params.kfm_filter(), s))
+    return O[:, :nrb], O[:, nrb:nrb + nfl], O[:, nrb + nfl:], EK
+
+
 class TestClosedLoopFormulas:
     """The routed interconnection must reproduce the textbook block formulas
     computed independently, frequency point by frequency point."""
@@ -121,6 +134,28 @@ class TestClosedLoopFormulas:
                 [wz1 * S * g1 * ww1, wz1 * S * g2 * ww2],
                 [k * S * g1 * ww1, k * S * g2 * ww2]])
             np.testing.assert_allclose(M.transfer_at(s), oracle, rtol=1e-8,
+                                       atol=1e-12)
+
+    def test_output_based_inner_loop_matches_block_formula(self, cl6):
+        """g_delta with K_FM active solves y = G [w_rb; w_fm + E K_FM eta],
+        eta = O [w_rb; E K_FM eta; y] at every frequency."""
+        params = _active_params(cl6)
+        gd = cl6.g_delta(params)
+        sc = cl6.scalings
+        nrb, nfl, nc = cl6.n_rb, cl6.n_flex, cl6.n_ctrl
+        right = np.diag(np.concatenate([sc.ww1, sc.ww2[:nfl]]))
+        for f in np.logspace(-1, 3, 60):
+            s = 2j * np.pi * f
+            G = cl6.plant.transfer_at(s)
+            Gr, Gf = G[:, :nrb], G[:, nrb:]
+            O1, O2, O3, EK = _observer_loop_blocks(cl6, params, s)
+            ny = G.shape[0]
+            lhs = np.block([[np.eye(ny), -Gf @ EK],
+                            [-O3, np.eye(nc) - O2 @ EK]])
+            rhs = np.block([[Gr, Gf], [O1, np.zeros((nc, nfl))]])
+            y = la.solve(lhs, rhs)[:ny]
+            want = np.diag(sc.wz) @ y @ right
+            np.testing.assert_allclose(gd.transfer_at(s), want, rtol=1e-8,
                                        atol=1e-12)
 
     def test_zero_xi_gdelta_is_scaled_plant(self, cl6):
@@ -219,6 +254,41 @@ class TestPhysicalController:
         assert abs(closed.transfer_at(2j * np.pi * 1e4)[0, 0]) \
             == pytest.approx(1.0, rel=1e-3)
 
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_full_loop_matches_block_formula(self, cl6, cl4, kind):
+        """Off the design point and with K_FM active, the closed loop from
+        (d, d_fm) to e = d + y solves the loop equations at every frequency."""
+        cl = cl6 if kind == "6block" else cl4
+        params = _active_params(cl)
+        g = evaluate_local(cl.pm, 0.8)
+        closed = close_full_loop(g, cl, params)
+        kp = physical_rb_controller(params, cl.scalings)
+        nrb, nfl, nc = cl.n_rb, cl.n_flex, cl.n_ctrl
+        ny = g.n_outputs
+        for f in np.logspace(-1, 3, 60):
+            s = 2j * np.pi * f
+            G = g.transfer_at(s)
+            Gr, Gf = G[:, :nrb], G[:, nrb:]
+            Kp = np.diag(_diag_eval(kp, s))
+            if kind == "6block":
+                # y = Gr u1 + Gf (E K_FM eta + d_fm), u1 = -Kp (d + y),
+                # eta = O [u1; E K_FM eta; y]
+                O1, O2, O3, EK = _observer_loop_blocks(cl, params, s)
+                lhs = np.block([[np.eye(ny) + Gr @ Kp, -Gf @ EK],
+                                [O1 @ Kp - O3, np.eye(nc) - O2 @ EK]])
+                rhs = np.block([[-Gr @ Kp, Gf],
+                                [-O1 @ Kp, np.zeros((nc, nfl))]])
+                y = la.solve(lhs, rhs)[:ny]
+                want = np.hstack([np.eye(ny), np.zeros((ny, nfl))]) + y
+            else:
+                # e = d + Gr u1 + Gf (d_fm - Sigma e), u1 = -Kp e
+                sig = sigma_subsystem(cl.observer(params), params.kfm_filter())
+                Sg = sig.transfer_at(s)
+                want = la.solve(np.eye(ny) + Gr @ Kp + Gf @ Sg,
+                                np.hstack([np.eye(ny), Gf]))
+            np.testing.assert_allclose(closed.transfer_at(s), want, rtol=1e-8,
+                                       atol=1e-12)
+
     def test_full_loop_stable_both_kinds(self, cl6, cl4):
         for cl in (cl6, cl4):
             params = initial_params(cl)
@@ -245,31 +315,6 @@ class TestGridCertificate:
             init.L, init.xi, init.omega, init.Q)
         cert = grid_stability_check(cl6, hot, [np.array([0.3])])
         assert not cert.all_stable
-
-
-class TestUncertainPlant:
-    def test_identical_grid_gives_no_weight(self, cl6):
-        g = evaluate_local(cl6.pm, cl6.p_star)
-        up = build_uncertain_plant([(0.3, g), (0.7, g), (1.0, g)], 0)
-        assert up.weight is None
-
-    def test_weight_dominates_grid_deviation(self):
-        dpm = _decoupled_two_mass(0.3)
-        grid = [(p, evaluate_local(dpm, p)) for p in (0.0, 0.3, 0.6, 1.0)]
-        up = build_uncertain_plant(grid, 1)
-        assert up.weight is not None
-        freqs = np.logspace(-1, 4, 600)
-        nom = freq_response(up.nominal, freqs).values
-        bound = np.abs(up.weight.evaluate(2j * np.pi * freqs))
-        for _, g in grid:
-            dev = np.linalg.norm(
-                freq_response(g, freqs).values - nom, axis=2).T
-            assert np.all(dev <= bound * (1 + 1e-9))
-
-    def test_needs_two_points(self, cl6):
-        g = evaluate_local(cl6.pm, cl6.p_star)
-        with pytest.raises(ModelError):
-            build_uncertain_plant([(0.3, g)], 0)
 
 
 class TestOptimizer:
