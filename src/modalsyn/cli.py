@@ -235,21 +235,23 @@ def cmd_synth4(args):
 
 
 def _load_results(args):
+    """The results document and its problem, rebuilt for the results' kind
+    from ``--config`` or else the config stored in the results."""
     try:
         with open(args.results) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"results file not found: {args.results}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"results file is not valid JSON: {exc}")
-
-
-def cmd_analyze(args):
-    doc = _load_results(args)
     config = _load_config(args.config) if args.config else doc.get("config")
     if config is None:
         raise ConfigError("no config available (pass --config)")
-    prob = build_problem(config, args, doc.get("kind", "6block"))
+    return doc, build_problem(config, args, doc.get("kind", "6block"))
+
+
+def cmd_analyze(args):
+    doc, prob = _load_results(args)
     out = _out_dir(args)
     for label in ("proposed", "conventional"):
         if label not in doc:
@@ -277,13 +279,9 @@ def _band_disturbance(n, dt, f_center, seed, q=5.0, amplitude=1.0):
 
 
 def cmd_simulate(args):
-    doc = _load_results(args)
-    config = _load_config(args.config) if args.config else doc.get("config")
-    if config is None:
-        raise ConfigError("no config available (pass --config)")
-    prob = build_problem(config, args, doc.get("kind", "6block"))
+    doc, prob = _load_results(args)
     cl = prob.cl
-    sim = config.get("simulate", {})
+    sim = prob.config.get("simulate", {})
     dt = float(sim.get("dt", 1e-4))
     duration = float(sim.get("duration", 2.0))
     f_dist = float(sim.get("f_disturbance", 50.0))
@@ -321,11 +319,7 @@ def cmd_simulate(args):
 
 
 def cmd_gridcheck(args):
-    doc = _load_results(args)
-    config = _load_config(args.config) if args.config else doc.get("config")
-    if config is None:
-        raise ConfigError("no config available (pass --config)")
-    prob = build_problem(config, args, doc.get("kind", "6block"))
+    doc, prob = _load_results(args)
     params = StructuredControllerParams.from_dict(doc["proposed"]["params"])
     cert = grid_stability_check(prob.cl, params, prob.grid)
     out = _out_dir(args)

@@ -119,7 +119,7 @@ class ModalObserver:
                    int(doc["n_u"]), tuple(doc["controlled"]))
 
 
-def _controlled_positions(pm, Psi, offset):
+def _controlled_positions(Psi, offset):
     pos = []
     for row in Psi:
         idx = np.flatnonzero(row)
@@ -147,7 +147,7 @@ def build_output_observer(tm: TruncatedModel, L, Psi) -> ModalObserver:
         warnings.warn("output-based observer error dynamics are not Hurwitz",
                       stacklevel=2)
     return ModalObserver("output", real, L, Psi, tm.ss.n_inputs,
-                         _controlled_positions(None, Psi, tm.n_rb))
+                         _controlled_positions(Psi, tm.n_rb))
 
 
 def build_error_observer(pm: PartitionedModalModel, p, L, Psi) -> ModalObserver:
@@ -177,7 +177,7 @@ def build_error_observer(pm: PartitionedModalModel, p, L, Psi) -> ModalObserver:
         warnings.warn("error-based observer error dynamics are not Hurwitz; "
                       "synthesis may still proceed", stacklevel=2)
     return ModalObserver("error", real, L, Psi, pm.n_flex,
-                         _controlled_positions(None, Psi, 0))
+                         _controlled_positions(Psi, 0))
 
 
 def sigma_subsystem(obs: ModalObserver, kfm: RationalDiagonalFilter) -> StateSpaceModel:

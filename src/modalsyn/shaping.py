@@ -48,10 +48,6 @@ class ScalingSet:
     def Ww1(self):
         return np.diag(self.ww1)
 
-    @property
-    def Ww2(self):
-        return np.diag(self.ww2)
-
 
 def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error,
                      n_flex: int = 0) -> ScalingSet:
@@ -196,15 +192,12 @@ class ShapingFilterSet:
         return dict(self.params)
 
 
-def design_weights_6block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
-                          alpha=DEFAULT_ALPHA, beta1=DEFAULT_BETA1,
-                          beta2=DEFAULT_BETA2, eps=1.0,
-                          f_int=None, f_roll=None) -> ShapingFilterSet:
-    """Output-based path: W_z1 integral, W_z2 roll-off, W_w1 = W_w2 = I,
-    W_w3 the damping weight on the flexible injection channel."""
+def _weight_filters(f_bw, f_flex, K_s, K_r, alpha, beta1, beta2, eps,
+                    f_int, f_roll):
+    """Integral, roll-off, damping and identity filters with the parameter
+    record shared by both weight layouts."""
     f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
     f_flex = np.atleast_1d(np.asarray(f_flex, dtype=float))
-    n_rb = f_bw.size
     params = {"K_s": K_s, "K_r": K_r, "alpha": alpha,
               "f_bw": f_bw.tolist(),
               "f_I": (f_bw / 4 if f_int is None else np.atleast_1d(f_int)).tolist(),
@@ -213,13 +206,22 @@ def design_weights_6block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
                         "eps": float(e)}
                        for f, e in zip(f_flex, np.broadcast_to(
                            np.atleast_1d(eps), f_flex.shape))]}
-    return ShapingFilterSet(
-        wz1=make_integral_filter(f_bw, K_s, f_int),
-        wz2=make_rolloff_filter(f_bw, K_r, alpha, f_roll),
-        ww1=RationalDiagonalFilter.identity(n_rb),
-        ww2=RationalDiagonalFilter.identity(n_rb),
-        ww3=make_damping_filter(f_flex, beta1, beta2, eps),
-        params=params)
+    return (make_integral_filter(f_bw, K_s, f_int),
+            make_rolloff_filter(f_bw, K_r, alpha, f_roll),
+            make_damping_filter(f_flex, beta1, beta2, eps),
+            RationalDiagonalFilter.identity(f_bw.size), params)
+
+
+def design_weights_6block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
+                          alpha=DEFAULT_ALPHA, beta1=DEFAULT_BETA1,
+                          beta2=DEFAULT_BETA2, eps=1.0,
+                          f_int=None, f_roll=None) -> ShapingFilterSet:
+    """Output-based path: W_z1 integral, W_z2 roll-off, W_w1 = W_w2 = I,
+    W_w3 the damping weight on the flexible injection channel."""
+    integral, rolloff, damping, eye, params = _weight_filters(
+        f_bw, f_flex, K_s, K_r, alpha, beta1, beta2, eps, f_int, f_roll)
+    return ShapingFilterSet(wz1=integral, wz2=rolloff, ww1=eye, ww2=eye,
+                            ww3=damping, params=params)
 
 
 def design_weights_4block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
@@ -228,21 +230,7 @@ def design_weights_4block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
                           f_int=None, f_roll=None) -> ShapingFilterSet:
     """Error-based path: W_z1 integral, W_w1 roll-off, W_z2 = I, W_w2 the
     damping weight on the flexible channel."""
-    f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
-    f_flex = np.atleast_1d(np.asarray(f_flex, dtype=float))
-    n_rb = f_bw.size
-    params = {"K_s": K_s, "K_r": K_r, "alpha": alpha,
-              "f_bw": f_bw.tolist(),
-              "f_I": (f_bw / 4 if f_int is None else np.atleast_1d(f_int)).tolist(),
-              "f_r": (4 * f_bw if f_roll is None else np.atleast_1d(f_roll)).tolist(),
-              "flex": [{"f": float(f), "beta1": beta1, "beta2": beta2,
-                        "eps": float(e)}
-                       for f, e in zip(f_flex, np.broadcast_to(
-                           np.atleast_1d(eps), f_flex.shape))]}
-    return ShapingFilterSet(
-        wz1=make_integral_filter(f_bw, K_s, f_int),
-        wz2=RationalDiagonalFilter.identity(n_rb),
-        ww1=make_rolloff_filter(f_bw, K_r, alpha, f_roll),
-        ww2=make_damping_filter(f_flex, beta1, beta2, eps),
-        ww3=None,
-        params=params)
+    integral, rolloff, damping, eye, params = _weight_filters(
+        f_bw, f_flex, K_s, K_r, alpha, beta1, beta2, eps, f_int, f_roll)
+    return ShapingFilterSet(wz1=integral, wz2=eye, ww1=rolloff, ww2=damping,
+                            params=params)

@@ -10,22 +10,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-
-
-def _solve_quiet(M, rhs):
-    """``la.solve`` without ill-conditioning warnings.
-
-    Frequency responses are routinely evaluated arbitrarily close to poles
-    (integrators, lightly damped modes); the resolvent is then legitimately
-    near-singular and the resulting large response is the correct answer.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        return la.solve(M, rhs)
 
 
 class ModelError(ValueError):
@@ -120,11 +108,9 @@ class StateSpaceModel:
         return la.eigvals(self.A)
 
     def transfer_at(self, s):
-        """Transfer matrix C (sI - A)^{-1} B + D at a single complex point."""
-        if self.n_states == 0:
-            return self.D.astype(complex)
-        X = _solve_quiet(s * np.eye(self.n_states) - self.A, self.B)
-        return self.C @ X + self.D
+        """Transfer matrix C (sI - A)^{-1} B + D at a single complex point;
+        raises :class:`NumericError` on or next to a pole."""
+        return next(_responses(self, [s]))[0]
 
     def select_inputs(self, idx):
         idx = list(idx)
@@ -261,10 +247,6 @@ class RationalDiagonalFilter:
     @classmethod
     def identity(cls, n):
         return cls.from_gains([1.0] * n)
-
-    @classmethod
-    def zero(cls, n):
-        return cls.from_gains([0.0] * n)
 
     def evaluate(self, s_values):
         """Complex diagonal values, shape (n_channels, len(s_values))."""
@@ -435,6 +417,52 @@ def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
 # analysis
 # ---------------------------------------------------------------------------
 
+# Resolvent entries (n^2 per point) solved in one batch: bounds the memory of
+# a chunk for any grid length and state dimension.
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _responses(g: StateSpaceModel, s):
+    """C (s I - A)^{-1} B + D at the complex points ``s``, chunk by chunk.
+
+    Yields (n_points, n_y, n_u) arrays in the order of ``s``; each chunk is
+    one batched solve on the stacked resolvents.  Responses are routinely
+    evaluated close to poles (integrators, lightly damped modes), where the
+    large value is the correct answer, so ill-conditioning warnings are
+    silenced; a resolvent that is singular, gives a non-finite solution or
+    leaves a residual above 1e-6 max(1, |B|) raises :class:`NumericError`.
+    """
+    s = np.asarray(s, dtype=complex).ravel()
+    n = g.n_states
+    step = max(1, _CHUNK_ENTRIES // max(1, n * n))
+    tol = 1e-6 * max(1.0, np.linalg.norm(g.B))
+    for k in range(0, s.size, step):
+        sk = s[k:k + step, None, None]
+        if n == 0:
+            yield np.tile(g.D.astype(complex), (sk.size, 1, 1))
+            continue
+        M = sk * np.eye(n) - g.A
+        B = np.broadcast_to(g.B, (sk.size,) + g.B.shape)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", la.LinAlgWarning)
+                X = la.solve(M, B)
+        except la.LinAlgError as exc:
+            raise NumericError(f"a point in s = {sk[0, 0, 0]:.6g} .. "
+                               f"{sk[-1, 0, 0]:.6g} coincides with a system pole") from exc
+        bad = ~np.all(np.isfinite(X), axis=(1, 2)) \
+            | (np.linalg.norm(M @ X - B, axis=(1, 2)) > tol)
+        if bad.any():
+            raise NumericError(f"near-singular resolvent at s = {sk[bad.argmax(), 0, 0]:.6g}")
+        yield g.C @ X + g.D
+
+
+def _sigma_max(g: StateSpaceModel, s) -> float:
+    """Largest singular value of the transfer matrix over the points ``s``."""
+    return max(float(np.linalg.svd(H, compute_uv=False).max())
+               for H in _responses(g, s))
+
+
 def freq_response(g: StateSpaceModel, freqs_hz) -> FrequencyResponse:
     """Evaluate C (j 2 pi f I - A)^{-1} B + D on an ascending Hz grid."""
     f = np.asarray(freqs_hz, dtype=float).ravel()
@@ -442,26 +470,7 @@ def freq_response(g: StateSpaceModel, freqs_hz) -> FrequencyResponse:
         raise ModelError("frequency grid must be nonnegative")
     if f.size > 1 and not np.all(np.diff(f) > 0):
         raise ModelError("frequency grid must be strictly ascending")
-    vals = np.empty((f.size, g.n_outputs, g.n_inputs), dtype=complex)
-    n = g.n_states
-    I = np.eye(n)
-    for k, fk in enumerate(f):
-        if n == 0:
-            vals[k] = g.D
-            continue
-        s = 2j * np.pi * fk
-        M = s * I - g.A
-        try:
-            X = _solve_quiet(M, g.B)
-        except la.LinAlgError as exc:
-            raise NumericError(f"frequency {fk} Hz coincides with a system pole") from exc
-        if g.B.size and not np.all(np.isfinite(X)):
-            raise NumericError(f"frequency {fk} Hz coincides with a system pole")
-        res = np.linalg.norm(M @ X - g.B)
-        if res > 1e-6 * max(1.0, np.linalg.norm(g.B)):
-            raise NumericError(f"near-singular resolvent at {fk} Hz")
-        vals[k] = g.C @ X + g.D
-    return FrequencyResponse(f, vals)
+    return FrequencyResponse(f, np.concatenate(list(_responses(g, 2j * np.pi * f))))
 
 
 def spectral_abscissa(g) -> float:
@@ -484,35 +493,14 @@ def _default_freq_grid(g: StateSpaceModel, n_points: int):
     return np.logspace(np.log10(lo), np.log10(hi), n_points)
 
 
-def _sigma_max(g: StateSpaceModel, f_hz: float) -> float:
-    return float(la.svdvals(g.transfer_at(2j * np.pi * f_hz)).max()) \
-        if min(g.n_inputs, g.n_outputs) else 0.0
-
-
 def hinf_norm_grid(g: StateSpaceModel, n_points: int = 100_000) -> float:
     """Dense log-grid fallback: max over the grid of the largest singular value."""
     if not is_hurwitz(g):
         raise NumericError("H-infinity norm undefined: system is not Hurwitz")
     if min(g.n_inputs, g.n_outputs) == 0:
         return 0.0
-    if g.n_states == 0:
-        return float(la.svdvals(g.D).max()) if g.D.size else 0.0
     freqs = np.concatenate([[0.0], _default_freq_grid(g, n_points)])
-    s = 2j * np.pi * freqs
-    # diagonalize once so the whole grid is a batched outer product; fall
-    # back to per-frequency solves when the eigenbasis is ill-conditioned
-    lam, T = la.eig(g.A)
-    if np.linalg.cond(T) < 1e8:
-        Bt = la.solve(T, g.B.astype(complex))
-        Ct = g.C.astype(complex) @ T
-        H = np.einsum("ik,fk,kj->fij", Ct, 1.0 / (s[:, None] - lam), Bt)
-        H += g.D
-        return float(np.linalg.svd(H, compute_uv=False).max())
-    best = 0.0
-    for sk in s:
-        H = g.C @ _solve_quiet(sk * np.eye(g.n_states) - g.A, g.B) + g.D
-        best = max(best, float(la.svdvals(H).max()))
-    return best
+    return _sigma_max(g, 2j * np.pi * freqs)
 
 
 def _hamiltonian_has_imag_eig(g: StateSpaceModel, gamma: float) -> bool:
@@ -535,7 +523,8 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6) -> float:
     """H-infinity norm by bisection on a Hamiltonian imaginary-eigenvalue test.
 
     Falls back to a dense frequency grid if the Hamiltonian solve misbehaves.
-    Raises :class:`NumericError` for non-Hurwitz systems.
+    Raises :class:`NumericError` for non-Hurwitz systems and where a pole sits
+    numerically on the imaginary axis (a near-singular resolvent).
     """
     if not is_hurwitz(g):
         raise NumericError("H-infinity norm undefined: system is not Hurwitz")
@@ -546,7 +535,7 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6) -> float:
     # lower bound from candidate frequencies: DC, pole frequencies, feed-through
     cand = [0.0] + list(np.abs(g.poles().imag) / (2 * np.pi)) \
         + list(np.abs(g.poles()) / (2 * np.pi))
-    lo = max(_sigma_max(g, f) for f in cand)
+    lo = _sigma_max(g, 2j * np.pi * np.array(cand))
     lo = max(lo, float(la.svdvals(g.D).max()))
     if lo == 0.0:
         lo = 1e-14

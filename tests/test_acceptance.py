@@ -38,7 +38,6 @@ from modalsyn.statespace import (
     freq_response,
     hinf_norm,
     hinf_norm_grid,
-    is_hurwitz,
     simulate,
 )
 from modalsyn.synthesis import (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modalsyn.benchplant import make_mmpa_lite, make_two_mass, mmpa_lite_spec
+from modalsyn.benchplant import make_two_mass, mmpa_lite_spec
 from modalsyn.decoupling import (
     DecouplingPair,
     apply_decoupling,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from modalsyn.benchplant import make_two_mass
 from modalsyn.mechanics import (

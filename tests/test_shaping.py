@@ -18,7 +18,7 @@ from modalsyn.shaping import (
     make_rolloff_filter,
     regularize_integral_filter,
 )
-from modalsyn.statespace import ModelError, freq_response, hinf_norm
+from modalsyn.statespace import ModelError, hinf_norm
 
 
 def mag(filt, f_hz):

@@ -4,7 +4,6 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 from modalsyn.statespace import (
-    FrequencyResponse,
     ModelError,
     NumericError,
     RationalDiagonalFilter,
@@ -20,6 +19,7 @@ from modalsyn.statespace import (
     simulate,
     spectral_abscissa,
 )
+from modalsyn.statespace import _CHUNK_ENTRIES
 
 
 def random_stable(rng, n, m=1, p=1):
@@ -174,19 +174,29 @@ class TestFreqResponse:
 
     def test_dense_solve_oracle(self):
         rng = np.random.default_rng(5)
-        g = random_stable(rng, 4, 2, 3)
-        f = np.logspace(-1, 2, 10)
-        got = freq_response(g, f).values
-        for k, fk in enumerate(f):
-            s = 2j * np.pi * fk
-            want = g.C @ np.linalg.solve(s * np.eye(4) - g.A, g.B) + g.D
-            np.testing.assert_allclose(got[k], want, atol=1e-12)
+        # the 40-state grid spans four full chunks and a partial fifth
+        for n, n_freq, tol in ((4, 10, {"atol": 1e-12}),
+                               (40, 4 * (_CHUNK_ENTRIES // 40 ** 2) + 3,
+                                {"rtol": 1e-12})):
+            g = random_stable(rng, n, 2, 3)
+            f = np.logspace(-1, 2, n_freq)
+            got = freq_response(g, f).values
+            for k, fk in enumerate(f):
+                s = 2j * np.pi * fk
+                want = g.C @ np.linalg.solve(s * np.eye(n) - g.A, g.B) + g.D
+                np.testing.assert_allclose(got[k], want, **tol)
 
     def test_pole_on_grid_raises(self):
         # undamped oscillator: poles at +-j
         g = StateSpaceModel([[0, 1], [-1, 0]], [[0], [1]], [[1, 0]], [[0]])
+        f_pole = 1.0 / (2 * np.pi)
         with pytest.raises(NumericError):
-            freq_response(g, [1.0 / (2 * np.pi)])
+            freq_response(g, [f_pole])
+        # the pole in a later chunk than the first
+        chunk = _CHUNK_ENTRIES // g.n_states ** 2
+        f = np.append(np.linspace(0.01, 0.1, chunk + 5), f_pole)
+        with pytest.raises(NumericError):
+            freq_response(g, f)
 
     def test_descending_grid_rejected(self):
         with pytest.raises(ModelError):
@@ -244,8 +254,16 @@ class TestHinfNorm:
 
     def test_bisection_vs_grid(self):
         rng = np.random.default_rng(7)
-        for _ in range(8):
-            g = random_stable(rng, int(rng.integers(1, 11)), 2, 2)
+        systems = [random_stable(rng, int(rng.integers(1, 11)), 2, 2)
+                   for _ in range(8)]
+        # lightly damped pair in a 3-fold real Jordan block: the eigenbasis
+        # is numerically singular, so no diagonalization can evaluate it
+        R = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+        A = np.kron(np.eye(3), R) + np.kron(np.eye(3, k=1), np.eye(2))
+        assert np.linalg.cond(la.eig(A)[1]) > 1e8
+        systems.append(StateSpaceModel(A, rng.standard_normal((6, 2)),
+                                       rng.standard_normal((2, 6)), np.zeros((2, 2))))
+        for g in systems:
             gb = hinf_norm(g, rel_tol=1e-6)
             gd = hinf_norm_grid(g, 20_000)
             assert abs(gb - gd) <= 0.005 * gb

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from modalsyn.benchplant import by_name, make_two_mass
+from modalsyn.benchplant import make_two_mass
 from modalsyn.decoupling import (
     apply_decoupling_partitioned,
     extended_input_decoupling,
@@ -16,7 +16,6 @@ from modalsyn.shaping import (
 )
 from modalsyn.statespace import (
     ModelError,
-    NumericError,
     is_hurwitz,
     spectral_abscissa,
 )
