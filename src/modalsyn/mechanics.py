@@ -327,9 +327,6 @@ class PartitionedModalModel:
     def omega_retained(self):
         return self.omega[list(self.retained)]
 
-    def zeta_retained(self):
-        return self.zeta[list(self.retained)]
-
 
 def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,
                         n_rb: int, retain) -> PartitionedModalModel:

@@ -69,7 +69,7 @@ def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error,
             raise ModelError(f"zero diagonal response at {f} Hz in channel {i}; "
                              "scaling is ill-posed")
     ww1 = 1.0 / (gains * wz[:n_rb])
-    return ScalingSet(wz, ww1, np.ones(max(n_flex, 1)) if n_flex else np.ones(1))
+    return ScalingSet(wz, ww1, np.ones(max(n_flex, 1)))
 
 
 def make_integral_filter(f_bw, K_s: float = DEFAULT_KS,

@@ -10,6 +10,7 @@ loop at every frozen scheduling point and checks local stability.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,12 +124,6 @@ class StructuredControllerParams:
                        L=vec[nk:nk + nl].reshape(self.L.shape),
                        xi=vec[nk + nl:])
 
-    @property
-    def log_mask(self):
-        """True for coordinates stored in log10 scale."""
-        return np.concatenate([np.ones(self.krb.size, bool),
-                               np.zeros(self.L.size + self.xi.size, bool)])
-
     def to_dict(self):
         return {"krb": self.krb.tolist(), "L": self.L.tolist(),
                 "xi": self.xi.tolist(), "omega": self.omega.tolist(),
@@ -180,16 +175,16 @@ def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
 @dataclass(frozen=True)
 class _Interconnection:
     """A :func:`connect` declaration whose blocks with model ``None`` depend
-    on the controller parameters and are realized on every :meth:`close`."""
+    on the controller parameters and are supplied on every :meth:`close`."""
 
     blocks: tuple        # (name, model or None, input groups, output groups)
     connections: tuple
     inputs: tuple
     outputs: tuple
 
-    def close(self, realize) -> StateSpaceModel:
-        """Interconnect, realizing each missing model as ``realize[name]()``."""
-        blocks = [(name, realize[name]() if model is None else model, ins, outs)
+    def close(self, models) -> StateSpaceModel:
+        """Interconnect, taking each missing model from ``models[name]``."""
+        blocks = [(name, models[name] if model is None else model, ins, outs)
                   for name, model, ins, outs in self.blocks]
         return connect(blocks, self.connections, self.inputs, self.outputs)
 
@@ -272,7 +267,10 @@ class ClosedLoopMap:
     closed-loop matrix M for the structured controller parameters.
 
     The channel map records which rows/columns of M carry which weighted
-    signal block.
+    signal block.  The blocks that depend on the parameters are realized
+    once for the last ``params`` object seen and shared by M, the grid
+    closure and the crossover check, so a parameter set must not be
+    mutated in place.
     """
 
     def __init__(self, kind, pm, p_star, scalings, weights, controlled_modes,
@@ -313,15 +311,41 @@ class ClosedLoopMap:
         self.channel_map = {**_spans(self._map.outputs), **_spans(self._map.inputs)}
         # the flexible injection is the last disturbance group of M
         self._flex_columns = range(*self.channel_map[self._map.inputs[-1][0]])
+        self._columns = None              # columns of M kept by evaluate
+        self._left = np.diag(scalings.wz)
+        self._right = la.block_diag(np.diag(scalings.ww1),
+                                    np.diag(scalings.ww2[:self.n_flex]))
+        # the error-based problem synthesizes around the scaled plant itself
+        self._g_plant = lmul(self._left, rmul(self.plant, self._right))
+        self._realized = (None, {}, {})
 
-    # -- observers and inner loops -------------------------------------
+    # -- parameter-dependent blocks ------------------------------------
     def observer(self, params) -> ModalObserver:
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # instability is scored, not fatal
             if self.kind == "6block":
                 return build_output_observer(self.tm, params.L, self.Psi)
             return build_error_observer(self.pm, self.p_star, params.L, self.Psi)
+
+    def _realize(self, params):
+        """Blocks of M (scaled) and of the full loop (physical, all but the
+        plant) for ``params``, realized only when ``params`` is not the
+        object seen last; the entry holds that object, so its id stays taken."""
+        if self._realized[0] is not params:
+            obs = self.observer(params)
+            loop = {"K_RB": physical_rb_controller(params, self.scalings).to_ss()}
+            if self._inner is None:
+                loop["Sigma"] = sigma_subsystem(obs, params.kfm_filter())
+                scaled = {"G": self._g_plant, "Sigma": lmul(
+                    np.diag(1.0 / self.scalings.ww2[:self.n_flex]),
+                    rmul(loop["Sigma"], np.diag(1.0 / self.scalings.wz)))}
+            else:
+                loop.update(O=obs.realization, K_FM=params.kfm_filter().to_ss())
+                scaled = {"G": lmul(self._left, rmul(self._inner.close(loop),
+                                                     self._right))}
+            scaled["K_RB"] = params.krb_filter().to_ss()
+            self._realized = (params, scaled, loop)
+        return self._realized[1:]
 
     def g_delta(self, params) -> StateSpaceModel:
         """Scaled plant seen by the synthesis loop.
@@ -331,54 +355,35 @@ class ClosedLoopMap:
         K_FM contribution of the flexible channel (not exogenous injections).
         For the error-based problem it is the scaled nominal plant itself.
         """
-        sc = self.scalings
-        left = np.diag(sc.wz)
-        right = la.block_diag(np.diag(sc.ww1), np.diag(sc.ww2[:self.n_flex]))
-        if self._inner is None:
-            return lmul(left, rmul(self.plant, right))
-        g_phys = self._inner.close({
-            "O": lambda: self.observer(params).realization,
-            "K_FM": lambda: params.kfm_filter().to_ss()})
-        return lmul(left, rmul(g_phys, right))
+        return self._realize(params)[0]["G"]
 
     def sigma(self, params) -> StateSpaceModel:
         """Scaled flexible-loop subsystem (error-based problems only)."""
-        obs = self.observer(params)
-        sig = sigma_subsystem(obs, params.kfm_filter())
-        sc = self.scalings
-        return lmul(np.diag(1.0 / sc.ww2[:self.n_flex]),
-                    rmul(sig, np.diag(1.0 / sc.wz)))
+        return self._realize(params)[0]["Sigma"]
 
     # -- M assembly ----------------------------------------------------
     def evaluate(self, params) -> StateSpaceModel:
         """Weighted closed-loop map M from the disturbances w to z."""
-        return self._map.close({
-            "G": lambda: self.g_delta(params),
-            "K_RB": lambda: params.krb_filter().to_ss(),
-            "Sigma": lambda: self.sigma(params)})
+        M = self._map.close(self._realize(params)[0])
+        return M if self._columns is None else M.select_inputs(self._columns)
 
     def flexible_column(self, params) -> StateSpaceModel:
         """Sub-map of M carrying the flexible injection channel."""
-        return self.evaluate(params).select_inputs(self._flex_columns)
+        M = self._map.close(self._realize(params)[0])
+        return M.select_inputs(self._flex_columns)
 
 
-class ConventionalView:
+class ConventionalView(ClosedLoopMap):
     """Synthesis objective restricted to the rigid-body disturbance columns.
 
     Mirrors the classical mixed-sensitivity comparison design: the flexible
     injection channel is dropped from the norm, everything else (structure,
-    weights, grid closure) is shared with the wrapped problem.
+    weights, grid closure) is shared with the given problem.
     """
 
     def __init__(self, cl: ClosedLoopMap):
-        self._cl = cl
-
-    def __getattr__(self, name):
-        return getattr(self._cl, name)
-
-    def evaluate(self, params) -> StateSpaceModel:
-        n = self._cl._flex_columns.start
-        return self._cl.evaluate(params).select_inputs(range(n))
+        vars(self).update(vars(cl))
+        self._columns = range(cl._flex_columns.start)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +409,7 @@ def close_full_loop(g_local: StateSpaceModel, cl: ClosedLoopMap,
     For the error-based problem the flexible input is -Sigma eps in
     physical coordinates.
     """
-    return cl._loop.close({
-        "G": lambda: g_local,
-        "K_RB": lambda: physical_rb_controller(params, cl.scalings).to_ss(),
-        "O": lambda: cl.observer(params).realization,
-        "K_FM": lambda: params.kfm_filter().to_ss(),
-        "Sigma": lambda: sigma_subsystem(cl.observer(params),
-                                         params.kfm_filter())})
+    return cl._loop.close({**cl._realize(params)[1], "G": g_local})
 
 
 def rb_crossover(cl: ClosedLoopMap, params, n_points: int = 300) -> np.ndarray:

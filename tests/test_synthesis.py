@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from modalsyn import synthesis
 from modalsyn.benchplant import make_two_mass
 from modalsyn.decoupling import (
     apply_decoupling_partitioned,
@@ -16,6 +19,7 @@ from modalsyn.shaping import (
 )
 from modalsyn.statespace import (
     ModelError,
+    RationalDiagonalFilter,
     is_hurwitz,
     spectral_abscissa,
 )
@@ -24,10 +28,12 @@ from modalsyn.synthesis import (
     ConventionalView,
     StructuredControllerParams,
     _compass_search,
+    _objective,
     close_full_loop,
     grid_stability_check,
     initial_params,
     physical_rb_controller,
+    rb_crossover,
     synthesize,
 )
 
@@ -199,12 +205,6 @@ class TestStructuredParams:
         np.testing.assert_array_equal(back.L, params.L)
         np.testing.assert_array_equal(back.xi, params.xi)
 
-    def test_log_mask_covers_krb_only(self, cl6):
-        params = initial_params(cl6)
-        mask = params.log_mask
-        assert mask.sum() == params.krb.size
-        assert not mask[params.krb.size:].any()
-
     def test_dict_roundtrip_rebuilds_identical_map(self, cl6):
         params = _active_params(cl6, xi=0.9)
         back = StructuredControllerParams.from_dict(params.to_dict())
@@ -314,6 +314,73 @@ class TestGridCertificate:
             init.L, init.xi, init.omega, init.Q)
         cert = grid_stability_check(cl6, hot, [np.array([0.3])])
         assert not cert.all_stable
+
+
+def _count_realizations(monkeypatch):
+    """Count filter realizations, observer builds and Sigma closures."""
+    counts = dict.fromkeys(("to_ss", "observer", "sigma"), 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RationalDiagonalFilter, "to_ss",
+                        counting("to_ss", RationalDiagonalFilter.to_ss))
+    for name, key in (("build_output_observer", "observer"),
+                      ("build_error_observer", "observer"),
+                      ("sigma_subsystem", "sigma")):
+        monkeypatch.setattr(synthesis, name, counting(key, getattr(synthesis, name)))
+    return counts
+
+
+class TestObjective:
+    # wide enough that every candidate here reaches the norm
+    BAND = (1.0, 100.0)
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_blocks_realized_once_whatever_the_grid(self, cl6, cl4, kind,
+                                                     monkeypatch):
+        cl = cl6 if kind == "6block" else cl4
+        x = _active_params(cl).to_vector()
+        counts = _count_realizations(monkeypatch)
+        seen = []
+        for n in (1, 11):
+            grid = [np.array([p]) for p in np.linspace(0.0, 1.0, n)]
+            f, _ = _objective(cl, initial_params(cl), 1e-5, grid, self.BAND)
+            counts.update(dict.fromkeys(counts, 0))
+            _, accepted = f(x)
+            assert accepted
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["observer"] == 1
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_crossover_after_evaluate_builds_nothing(self, cl6, cl4, kind,
+                                                     monkeypatch):
+        cl = cl6 if kind == "6block" else cl4
+        params = _active_params(cl)
+        cl.evaluate(params)
+        counts = _count_realizations(monkeypatch)
+        rb_crossover(cl, params)
+        assert counts == {"to_ss": 0, "observer": 0, "sigma": 0}
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), scale=st.sampled_from([1e-2, 1.0, 30.0, 300.0]))
+    def test_objective_is_finite_for_any_vector(self, cl6, cl4, kind, data,
+                                                scale):
+        """Random and extreme parameter vectors score a finite value or a
+        finite penalty; the objective never raises."""
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x0 = init.to_vector()
+        unit = data.draw(arrays(float, x0.size, elements=st.floats(-1.0, 1.0)))
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f, _ = _objective(cl, init, 1e-5, grid, (9.4, 10.6))
+        val, _ = f(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
+        assert np.isfinite(val)
 
 
 class TestOptimizer:
