@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from modalsyn.statespace import ModelError, NumericError, StateSpaceModel
+from modalsyn.statespace import ModelError, NumericError, StateSpaceModel, _block_diag
 
 RB_FREQ_RATIO = 1e-6  # eigenfrequency below this fraction of the max counts as rigid-body
 
@@ -354,7 +354,7 @@ def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,
     def ablock(modes):
         if not modes:
             return np.zeros((0, 0))
-        return la.block_diag(*[_mode_block(dec.omega[i], dec.zeta[i]) for i in modes])
+        return _block_diag(*[_mode_block(dec.omega[i], dec.zeta[i]) for i in modes])
 
     return PartitionedModalModel(
         A_RB=ablock(rb_modes), A_FM_r=ablock(retain), A_FM_d=ablock(discarded),
@@ -390,7 +390,7 @@ def evaluate_local(obj, p) -> StateSpaceModel:
     if isinstance(obj, MechanicalModel):
         return physical_ss(obj, p)
     pm = obj
-    A = la.block_diag(pm.A_RB, pm.A_FM_r, pm.A_FM_d)
+    A = _block_diag(pm.A_RB, pm.A_FM_r, pm.A_FM_d)
     B = np.vstack([pm.B_RB(p), pm.B_FM_r(p), pm.B_FM_d(p)])
     C = np.hstack([pm.C_RB(p), pm.C_FM_r(p), pm.C_FM_d(p)])
     return StateSpaceModel(A, B, C, np.zeros((C.shape[0], B.shape[1])))

@@ -17,6 +17,7 @@ from modalsyn.statespace import (
     NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
+    _block_diag,
     connect,
     is_hurwitz,
 )
@@ -56,7 +57,7 @@ def truncate_with_compliance(pm: PartitionedModalModel, p) -> TruncatedModel:
     """Drop the discarded flexible block, keeping its static gain as feed-through."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     D_o = discarded_static_gain(pm, p)
-    A = la.block_diag(pm.A_RB, pm.A_FM_r)
+    A = _block_diag(pm.A_RB, pm.A_FM_r)
     B = np.vstack([pm.B_RB(p), pm.B_FM_r(p)])
     C = np.hstack([pm.C_RB(p), pm.C_FM_r(p)])
     return TruncatedModel(StateSpaceModel(A, B, C, D_o), p, pm.n_rb, pm.n_flex)

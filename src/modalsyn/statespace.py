@@ -294,25 +294,35 @@ def series(g1: StateSpaceModel, g2: StateSpaceModel) -> StateSpaceModel:
     """Cascade: output of ``g1`` drives ``g2``; transfer is G2(s) G1(s)."""
     if g1.n_outputs != g2.n_inputs:
         raise ModelError(f"series: {g1.n_outputs} outputs feeding {g2.n_inputs} inputs")
-    n1, n2 = g1.n_states, g2.n_states
-    A = np.block([[g1.A, np.zeros((n1, n2))],
-                  [g2.B @ g1.C, g2.A]])
+    n1 = g1.n_states
+    A = _block_diag(g1.A, g2.A)
+    A[n1:, :n1] = g2.B @ g1.C
     B = np.vstack([g1.B, g2.B @ g1.D])
     C = np.hstack([g2.D @ g1.C, g2.C])
     D = g2.D @ g1.D
     return StateSpaceModel(A, B, C, D)
 
 
+def _block_diag(*mats) -> np.ndarray:
+    """Block-diagonal stack of 2-D float arrays: zeros with each array copied
+    into its slice (the same result as ``scipy.linalg.block_diag``)."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
+
+
+def _stacked(systems):
+    """Block-diagonal A, B, C, D of ``systems``."""
+    return tuple(_block_diag(*[getattr(g, m) for g in systems]) for m in "ABCD")
+
+
 def blockdiag(systems) -> StateSpaceModel:
     """Stack systems diagonally: independent inputs and outputs."""
-    systems = list(systems)
-    if not systems:
-        return StateSpaceModel.from_gain(np.zeros((0, 0)))
-    A = la.block_diag(*[g.A for g in systems])
-    B = la.block_diag(*[g.B for g in systems])
-    C = la.block_diag(*[g.C for g in systems])
-    D = la.block_diag(*[g.D for g in systems])
-    return StateSpaceModel(A, B, C, D)
+    return StateSpaceModel(*_stacked(list(systems)))
 
 
 def lmul(M, g: StateSpaceModel) -> StateSpaceModel:
@@ -339,22 +349,21 @@ def route(blocks, E_w, E_y, F_w, F_y) -> StateSpaceModel:
     z = F_w w + F_y y_b.  This is the single interconnection primitive;
     :func:`connect` declares the same routing by signal name.
     """
-    gg = blockdiag(list(blocks))
+    A, B, C, D = _stacked(list(blocks))
     E_w, E_y, F_w, F_y = map(_as_matrix, (E_w, E_y, F_w, F_y))
-    n_u, n_y = gg.n_inputs, gg.n_outputs
+    n_u, n_y = D.shape[1], D.shape[0]
     if E_y.shape != (n_u, n_y) or E_w.shape[0] != n_u:
         raise ModelError("route: routing matrix dimensions do not match blocks")
     if F_y.shape[1] != n_y or F_w.shape[0] != F_y.shape[0] or F_w.shape[1] != E_w.shape[1]:
         raise ModelError("route: output map dimensions do not match")
-    loop = np.eye(n_y) - gg.D @ E_y
+    loop = np.eye(n_y) - D @ E_y
     if np.linalg.cond(loop) > 1e12:
         raise NumericError("singular algebraic loop in routed interconnection")
     Minv = la.solve(loop, np.eye(n_y))
-    A = gg.A + gg.B @ E_y @ Minv @ gg.C
-    B = gg.B @ (E_w + E_y @ Minv @ gg.D @ E_w)
-    C = F_y @ Minv @ gg.C
-    D = F_w + F_y @ Minv @ gg.D @ E_w
-    return StateSpaceModel(A, B, C, D)
+    return StateSpaceModel(A + B @ E_y @ Minv @ C,
+                           B @ (E_w + E_y @ Minv @ D @ E_w),
+                           F_y @ Minv @ C,
+                           F_w + F_y @ Minv @ D @ E_w)
 
 
 def _add_ports(table, kind, prefix, groups, start):
@@ -369,30 +378,32 @@ def _add_ports(table, kind, prefix, groups, start):
     return start
 
 
-def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
-    """Interconnect blocks by named signals; lowers to :func:`route`.
+def _check_ports(name, model, n_in, n_out):
+    """Raise unless ``model`` has the declared widths of block ``name``."""
+    if (n_in, n_out) != (model.n_inputs, model.n_outputs):
+        raise ModelError(
+            f"connect: block {name!r} declares {n_in} inputs and "
+            f"{n_out} outputs, its model has {model.n_inputs} and "
+            f"{model.n_outputs}")
 
-    ``blocks`` is a sequence of ``(name, model, input_groups,
-    output_groups)``; the groups are ``(group, width)`` pairs in the model's
-    port order and are addressed as ``"name.group"``.  ``inputs`` and
-    ``outputs`` are the ordered ``(signal, width)`` groups of the result.
-    Each connection ``(destination, source, gain)`` adds ``gain`` times the
-    source to the destination, where a destination is a block input port or
-    an external output and a source is a block output port or an external
-    input.  A scalar gain scales the identity; a matrix gain has shape
-    (destination width, source width).  Unconnected block inputs are zero.
+
+def _lower(blocks, connections, inputs, outputs):
+    """Lower a :func:`connect` declaration to the routing matrices
+    ``(E_w, E_y, F_w, F_y)`` of :func:`route`.
+
+    Also returns the declared ``(inputs, outputs)`` widths of each block.  A
+    block whose model is ``None`` is checked against its widths later, by
+    :func:`_check_ports`, when its model is known.
     """
-    dst, src = {}, {}
+    dst, src, widths = {}, {}, []
     n_u = n_y = 0
     for name, model, in_groups, out_groups in blocks:
         u0, y0 = n_u, n_y
         n_u = _add_ports(dst, "u", f"{name}.", in_groups, n_u)
         n_y = _add_ports(src, "y", f"{name}.", out_groups, n_y)
-        if (n_u - u0, n_y - y0) != (model.n_inputs, model.n_outputs):
-            raise ModelError(
-                f"connect: block {name!r} declares {n_u - u0} inputs and "
-                f"{n_y - y0} outputs, its model has {model.n_inputs} and "
-                f"{model.n_outputs}")
+        widths.append((n_u - u0, n_y - y0))
+        if model is not None:
+            _check_ports(name, model, *widths[-1])
     n_w = _add_ports(src, "w", "", inputs, 0)
     n_z = _add_ports(dst, "z", "", outputs, 0)
     routing = {("u", "w"): np.zeros((n_u, n_w)), ("u", "y"): np.zeros((n_u, n_y)),
@@ -409,8 +420,26 @@ def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
             raise ModelError(f"connect: gain of shape {g.shape} from {frm!r} "
                              f"({nc} wide) to {to!r} ({nr} wide)")
         routing[dk, sk][r:r + nr, c:c + nc] += g
-    return route([model for _, model, _, _ in blocks], routing["u", "w"],
-                 routing["u", "y"], routing["z", "w"], routing["z", "y"])
+    return ((routing["u", "w"], routing["u", "y"], routing["z", "w"],
+             routing["z", "y"]), widths)
+
+
+def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
+    """Interconnect blocks by named signals; lowers to :func:`route`.
+
+    ``blocks`` is a sequence of ``(name, model, input_groups,
+    output_groups)``; the groups are ``(group, width)`` pairs in the model's
+    port order and are addressed as ``"name.group"``.  ``inputs`` and
+    ``outputs`` are the ordered ``(signal, width)`` groups of the result.
+    Each connection ``(destination, source, gain)`` adds ``gain`` times the
+    source to the destination, where a destination is a block input port or
+    an external output and a source is a block output port or an external
+    input.  A scalar gain scales the identity; a matrix gain has shape
+    (destination width, source width).  Unconnected block inputs are zero.
+    """
+    blocks = list(blocks)
+    routing, _ = _lower(blocks, connections, inputs, outputs)
+    return route([model for _, model, _, _ in blocks], *routing)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +541,11 @@ def _hamiltonian_has_imag_eig(g: StateSpaceModel, gamma: float) -> bool:
         return True  # gamma at or below the largest singular value of D
     Rinv = la.solve(R, np.eye(g.n_inputs))
     Ah = A + B @ Rinv @ D.T @ C
-    H = np.block([[Ah, B @ Rinv @ B.T],
-                  [-C.T @ (np.eye(g.n_outputs) + D @ Rinv @ D.T) @ C, -Ah.T]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = Ah
+    H[:n, n:] = B @ Rinv @ B.T
+    H[n:, :n] = -C.T @ (np.eye(g.n_outputs) + D @ Rinv @ D.T) @ C
+    H[n:, n:] = -Ah.T
     ev = la.eigvals(H)
     scale = max(1.0, float(np.abs(ev).max()))
     return bool(np.any(np.abs(ev.real) <= 1e-8 * scale))
@@ -526,16 +558,18 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6) -> float:
     Raises :class:`NumericError` for non-Hurwitz systems and where a pole sits
     numerically on the imaginary axis (a near-singular resolvent).
     """
-    if not is_hurwitz(g):
+    poles = g.poles()
+    if poles.size and not poles.real.max() < 0:
         raise NumericError("H-infinity norm undefined: system is not Hurwitz")
     if min(g.n_inputs, g.n_outputs) == 0:
         return 0.0
     if g.n_states == 0 or not (np.any(g.B) and np.any(g.C)):
         return float(la.svdvals(g.D).max()) if g.D.size else 0.0
-    # lower bound from candidate frequencies: DC, pole frequencies, feed-through
-    cand = [0.0] + list(np.abs(g.poles().imag) / (2 * np.pi)) \
-        + list(np.abs(g.poles()) / (2 * np.pi))
-    lo = _sigma_max(g, 2j * np.pi * np.array(cand))
+    # lower bound from candidate frequencies: DC, pole frequencies, feed-through;
+    # conjugate pairs and real poles repeat points, so each is evaluated once
+    cand = np.unique(np.concatenate([[0.0], np.abs(poles.imag) / (2 * np.pi),
+                                     np.abs(poles) / (2 * np.pi)]))
+    lo = _sigma_max(g, 2j * np.pi * cand)
     lo = max(lo, float(la.svdvals(g.D).max()))
     if lo == 0.0:
         lo = 1e-14

@@ -36,12 +36,15 @@ from modalsyn.statespace import (
     NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
+    _block_diag,
+    _check_ports,
+    _lower,
     care_solve,
-    connect,
     freq_response,
     hinf_norm,
     lmul,
     rmul,
+    route,
     spectral_abscissa,
 )
 
@@ -175,18 +178,29 @@ def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
 @dataclass(frozen=True)
 class _Interconnection:
     """A :func:`connect` declaration whose blocks with model ``None`` depend
-    on the controller parameters and are supplied on every :meth:`close`."""
+    on the controller parameters and are supplied on every :meth:`close`.
+    The declaration is lowered to routing matrices once, when it is made."""
 
     blocks: tuple        # (name, model or None, input groups, output groups)
     connections: tuple
     inputs: tuple
     outputs: tuple
+    _lowered: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lowered", _lower(
+            self.blocks, self.connections, self.inputs, self.outputs))
 
     def close(self, models) -> StateSpaceModel:
         """Interconnect, taking each missing model from ``models[name]``."""
-        blocks = [(name, models[name] if model is None else model, ins, outs)
-                  for name, model, ins, outs in self.blocks]
-        return connect(blocks, self.connections, self.inputs, self.outputs)
+        routing, widths = self._lowered
+        blocks = []
+        for (name, model, _, _), ports in zip(self.blocks, widths):
+            if model is None:
+                model = models[name]
+                _check_ports(name, model, *ports)
+            blocks.append(model)
+        return route(blocks, *routing)
 
 
 def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
@@ -313,8 +327,8 @@ class ClosedLoopMap:
         self._flex_columns = range(*self.channel_map[self._map.inputs[-1][0]])
         self._columns = None              # columns of M kept by evaluate
         self._left = np.diag(scalings.wz)
-        self._right = la.block_diag(np.diag(scalings.ww1),
-                                    np.diag(scalings.ww2[:self.n_flex]))
+        self._right = _block_diag(np.diag(scalings.ww1),
+                                   np.diag(scalings.ww2[:self.n_flex]))
         # the error-based problem synthesizes around the scaled plant itself
         self._g_plant = lmul(self._left, rmul(self.plant, self._right))
         self._realized = (None, {}, {})
@@ -485,6 +499,12 @@ class SynthesisResult:
         return doc
 
 
+def _penalty(base, excess):
+    """Penalty in [base, 2 base] that grows with ``excess`` >= 0: bounded, so
+    each penalty class keeps its band, and ordered within the class."""
+    return base * (1.0 + excess / (1.0 + excess))
+
+
 def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
     count = [0]
     grid_local = ([evaluate_local(cl.pm, p) for p in grid_points]
@@ -499,12 +519,12 @@ def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
             return PENALTY_BASE * 10, False
         a = spectral_abscissa(M)
         if not a < 0:
-            return PENALTY_BASE + a, False
+            return _penalty(PENALTY_BASE, a), False
         if grid_local is not None:
             worst = max(spectral_abscissa(close_full_loop(g, cl, params))
                         for g in grid_local)
             if not worst < 0:
-                return PENALTY_BASE / 10 + worst, False
+                return _penalty(PENALTY_BASE / 10, worst), False
         if crossover_band is not None:
             lo, hi = crossover_band
             xc = rb_crossover(cl, params)

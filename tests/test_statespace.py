@@ -95,6 +95,23 @@ class TestConnect:
         err = np.abs(rs - prod) / np.maximum(np.abs(prod), 1e-12)
         assert err.max() < 1e-10
 
+    def test_series_matches_block_formula(self):
+        """Bit-equal to the cascade written out with ``np.block``, also when
+        either factor is a pure gain."""
+        rng = np.random.default_rng(7)
+        dyn1, dyn2 = random_stable(rng, 3, 2, 2), random_stable(rng, 2, 2, 1)
+        gain1 = StateSpaceModel.from_gain(rng.standard_normal((2, 2)))
+        gain2 = StateSpaceModel.from_gain(rng.standard_normal((1, 2)))
+        for g1, g2 in ((dyn1, dyn2), (gain1, dyn2), (dyn1, gain2), (gain1, gain2)):
+            n1, n2 = g1.n_states, g2.n_states
+            expect = (np.block([[g1.A, np.zeros((n1, n2))], [g2.B @ g1.C, g2.A]]),
+                      np.vstack([g1.B, g2.B @ g1.D]),
+                      np.hstack([g2.D @ g1.C, g2.C]), g2.D @ g1.D)
+            g = series(g1, g2)
+            for got, want in zip((g.A, g.B, g.C, g.D), expect):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
     def test_feedback_oracle(self):
         rng = np.random.default_rng(4)
         g = random_stable(rng, 3, 1, 1)
@@ -401,3 +418,24 @@ class TestBlockdiag:
         fr = freq_response(g, [0.5]).values[0]
         assert fr[0, 1] == 0 and fr[1, 0] == 0
         assert fr[0, 0] == fr[1, 1]
+
+    def test_scipy_block_diag_oracle(self):
+        """Bit-equal to ``scipy.linalg.block_diag`` of each matrix, with
+        zero-state blocks, pure gains and blocks without inputs or outputs."""
+        rng = np.random.default_rng(3)
+        no_inputs = StateSpaceModel(-np.eye(2), np.zeros((2, 0)),
+                                    rng.standard_normal((1, 2)), np.zeros((1, 0)))
+        no_outputs = StateSpaceModel(-np.eye(2), rng.standard_normal((2, 3)),
+                                     np.zeros((0, 2)), np.zeros((0, 3)))
+        gain = StateSpaceModel.from_gain(rng.standard_normal((1, 2)))
+        cases = ([random_stable(rng, 3, 2, 1), gain, no_inputs,
+                  random_stable(rng, 1), no_outputs],
+                 [gain, StateSpaceModel.identity(2)],
+                 [no_inputs, no_outputs],
+                 [random_stable(rng, 4, 3, 2)])
+        for systems in cases:
+            g = blockdiag(systems)
+            for m in "ABCD":
+                want = la.block_diag(*[getattr(s, m) for s in systems])
+                assert getattr(g, m).shape == want.shape
+                np.testing.assert_array_equal(getattr(g, m), want)

@@ -20,10 +20,12 @@ from modalsyn.shaping import (
 from modalsyn.statespace import (
     ModelError,
     RationalDiagonalFilter,
+    StateSpaceModel,
     is_hurwitz,
     spectral_abscissa,
 )
 from modalsyn.synthesis import (
+    PENALTY_BASE,
     ClosedLoopMap,
     ConventionalView,
     StructuredControllerParams,
@@ -367,12 +369,25 @@ class TestObjective:
         assert counts == {"to_ss": 0, "observer": 0, "sigma": 0}
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_close_rejects_misfitting_model(self, cl6, cl4, kind):
+        """A supplied model whose widths do not fit its declared ports is
+        refused with the block's name, though the declaration is lowered
+        before any model is known."""
+        cl = cl6 if kind == "6block" else cl4
+        models = dict(cl._realize(_active_params(cl))[0])
+        cl._map.close(models)
+        models["K_RB"] = StateSpaceModel.identity(cl.n_rb + 1)
+        with pytest.raises(ModelError, match="block 'K_RB' declares 1 inputs"):
+            cl._map.close(models)
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data(), scale=st.sampled_from([1e-2, 1.0, 30.0, 300.0]))
     def test_objective_is_finite_for_any_vector(self, cl6, cl4, kind, data,
                                                 scale):
         """Random and extreme parameter vectors score a finite value or a
-        finite penalty; the objective never raises."""
+        finite penalty no larger than the realization-failure penalty; the
+        objective never raises."""
         cl = cl6 if kind == "6block" else cl4
         init = initial_params(cl)
         x0 = init.to_vector()
@@ -381,6 +396,7 @@ class TestObjective:
         f, _ = _objective(cl, init, 1e-5, grid, (9.4, 10.6))
         val, _ = f(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
         assert np.isfinite(val)
+        assert val <= 10 * PENALTY_BASE
 
 
 class TestOptimizer:
