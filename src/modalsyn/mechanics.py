@@ -56,10 +56,6 @@ class PositionMap:
         return self.domain.shape[0]
 
     @property
-    def degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    @property
     def is_constant(self):
         return all(sum(e) == 0 or not np.any(c) for e, c in self.coeffs.items())
 
@@ -323,9 +319,6 @@ class PartitionedModalModel:
     @property
     def domain(self):
         return self.B_RB.domain
-
-    def omega_retained(self):
-        return self.omega[list(self.retained)]
 
 
 def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,

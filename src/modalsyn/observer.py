@@ -1,11 +1,9 @@
-"""Modal observers: compliance-corrected truncation, output-based and
-error-based Luenberger observers, the velocity selection matrix and the
-flexible-loop subsystem used by the error-based synthesis."""
+"""Modal observers: compliance-corrected truncation, the design models of the
+output-based and error-based Luenberger observers, one observer realization
+for both, and the velocity selection matrix."""
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,11 +13,8 @@ from modalsyn.mechanics import PartitionedModalModel
 from modalsyn.statespace import (
     ModelError,
     NumericError,
-    RationalDiagonalFilter,
     StateSpaceModel,
     _block_diag,
-    connect,
-    is_hurwitz,
 )
 
 
@@ -84,118 +79,36 @@ def selection_matrix(pm: PartitionedModalModel, controlled_modes,
     return psi
 
 
-@dataclass(frozen=True)
-class ModalObserver:
-    """Luenberger modal observer realization.
-
-    Inputs are (plant input, measured signal); the output is the estimated
-    modal velocity vector Psi x_hat.  ``n_u`` counts the plant-input channels
-    seen by the observer; the remaining inputs are the measurement.
-    """
-
-    kind: str  # "output" or "error"
-    realization: StateSpaceModel
-    L: np.ndarray
-    Psi: np.ndarray
-    n_u: int
-    controlled: tuple  # positions within the retained mode list
-
-    @property
-    def n_meas(self):
-        return self.realization.n_inputs - self.n_u
-
-    def to_dict(self):
-        return {"kind": self.kind, "realization": self.realization.to_dict(),
-                "L": self.L.tolist(), "Psi": self.Psi.tolist(),
-                "n_u": self.n_u, "controlled": list(self.controlled)}
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(doc["kind"], StateSpaceModel.from_dict(doc["realization"]),
-                   np.array(doc["L"], ndmin=2), np.array(doc["Psi"], ndmin=2),
-                   int(doc["n_u"]), tuple(doc["controlled"]))
-
-
-def _controlled_positions(Psi, offset):
-    pos = []
-    for row in Psi:
-        idx = np.flatnonzero(row)
-        pos.append((int(idx[0]) - 1) // 2 - offset)
-    return tuple(pos)
-
-
-def build_output_observer(tm: TruncatedModel, L, Psi) -> ModalObserver:
-    """Output-based observer over [RB; retained flexible] states.
-
-    Dynamics A_o - L C_o driven by (u, y) through [B_o - L D_o, L]; the
-    output is the selected modal velocity estimate.
-    """
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    Psi = np.atleast_2d(np.asarray(Psi, dtype=float))
-    n = tm.ss.n_states
-    if L.shape != (n, tm.ss.n_outputs):
-        raise ModelError(f"L must be {n}x{tm.ss.n_outputs}, got {L.shape}")
-    if Psi.shape[1] != n:
-        raise ModelError(f"Psi must have {n} columns")
-    A = tm.ss.A - L @ tm.ss.C
-    B = np.hstack([tm.ss.B - L @ tm.ss.D, L])
-    real = StateSpaceModel(A, B, Psi, np.zeros((Psi.shape[0], B.shape[1])))
-    if not is_hurwitz(real):
-        warnings.warn("output-based observer error dynamics are not Hurwitz",
-                      stacklevel=2)
-    return ModalObserver("output", real, L, Psi, tm.ss.n_inputs,
-                         _controlled_positions(Psi, tm.n_rb))
-
-
-def build_error_observer(pm: PartitionedModalModel, p, L, Psi) -> ModalObserver:
-    """Error-based observer over the retained flexible states only.
+def error_design_model(pm: PartitionedModalModel, p) -> StateSpaceModel:
+    """Design model of the error-based observer: the retained flexible states
+    driven by the flexible decoupled inputs.
 
     Assumes the rigid-body feedforward cancels the rigid modes from the
-    tracking error, so the measurement is e = -y_flex.  With that sign the
-    estimation-error dynamics are A_FM_r + L C_FM_r(p), which is A - L C for
-    the negated output map.  The plant-input channels are the flexible
-    decoupled inputs only.
+    tracking error, so the measurement is e = -y_flex: the output map and the
+    compliance feed-through enter negated, and the observer's estimation
+    error evolves as A_FM_r + L C_FM_r(p).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
+    fm = list(range(pm.n_rb, pm.n_rb + pm.n_flex))
+    return StateSpaceModel(pm.A_FM_r, pm.B_FM_r(p)[:, fm], -pm.C_FM_r(p),
+                           -discarded_static_gain(pm, p)[:, fm])
+
+
+def modal_observer(design: StateSpaceModel, L, Psi) -> StateSpaceModel:
+    """Luenberger modal observer of a design model (A, B_u, C, D_u).
+
+    Dynamics A - L C driven by (u, measurement) through [B_u - L D_u, L]; the
+    output is the selected modal velocity estimate Psi x_hat.  The design
+    model is ``truncate_with_compliance(...).ss`` for the output-based
+    observer and :func:`error_design_model` for the error-based one.
+    """
     L = np.atleast_2d(np.asarray(L, dtype=float))
     Psi = np.atleast_2d(np.asarray(Psi, dtype=float))
-    n = 2 * pm.n_flex
-    if L.shape != (n, pm.n_y):
-        raise ModelError(f"L must be {n}x{pm.n_y}, got {L.shape}")
+    n = design.n_states
+    if L.shape != (n, design.n_outputs):
+        raise ModelError(f"L must be {n}x{design.n_outputs}, got {L.shape}")
     if Psi.shape[1] != n:
         raise ModelError(f"Psi must have {n} columns")
-    fm_cols = list(range(pm.n_rb, pm.n_rb + pm.n_flex))
-    C_r = pm.C_FM_r(p)
-    D_o = discarded_static_gain(pm, p)[:, fm_cols]
-    A = pm.A_FM_r + L @ C_r
-    B = np.hstack([pm.B_FM_r(p)[:, fm_cols] + L @ D_o, L])
-    real = StateSpaceModel(A, B, Psi, np.zeros((Psi.shape[0], B.shape[1])))
-    if not is_hurwitz(real):
-        warnings.warn("error-based observer error dynamics are not Hurwitz; "
-                      "synthesis may still proceed", stacklevel=2)
-    return ModalObserver("error", real, L, Psi, pm.n_flex,
-                         _controlled_positions(Psi, 0))
-
-
-def sigma_subsystem(obs: ModalObserver, kfm: RationalDiagonalFilter) -> StateSpaceModel:
-    """Flexible-loop subsystem mapping the tracking error to the flexible input.
-
-    Closes u_fm = K_FM eta_hat around the observer:
-    Sigma = [I - K_FM O_{eta,u}]^{-1} K_FM O_{eta,e}.
-    """
-    if obs.kind != "error":
-        raise ModelError("sigma_subsystem requires an error-based observer")
-    if kfm.n_channels != obs.Psi.shape[0]:
-        raise ModelError("K_FM channel count must match the controlled modes")
-    n_fm, n_e, n_ctrl = obs.n_u, obs.n_meas, kfm.n_channels
-    embed = np.eye(n_fm)[:, list(obs.controlled)]
-    return connect(
-        [("O", obs.realization, [("u_fm", n_fm), ("e", n_e)], [("eta", n_ctrl)]),
-         ("K_FM", kfm.to_ss(), [("eta", n_ctrl)], [("u", n_ctrl)])],
-        [("O.u_fm", "K_FM.u", embed), ("O.e", "e", 1),
-         ("K_FM.eta", "O.eta", 1), ("u_fm", "K_FM.u", embed)],
-        inputs=[("e", n_e)], outputs=[("u_fm", n_fm)])
+    B = np.hstack([design.B - L @ design.D, L])
+    return StateSpaceModel(design.A - L @ design.C, B, Psi,
+                           np.zeros((Psi.shape[0], B.shape[1])))

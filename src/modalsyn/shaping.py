@@ -40,14 +40,6 @@ class ScalingSet:
                 raise ModelError(f"{name} scaling entries must be positive and finite")
             object.__setattr__(self, name, v)
 
-    @property
-    def Wz(self):
-        return np.diag(self.wz)
-
-    @property
-    def Ww1(self):
-        return np.diag(self.ww1)
-
 
 def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error,
                      n_flex: int = 0) -> ScalingSet:

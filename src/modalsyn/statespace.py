@@ -8,7 +8,6 @@ on immutable inputs, so they are safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -40,8 +39,6 @@ class StateSpaceModel:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    input_labels: tuple = None
-    output_labels: tuple = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -68,10 +65,6 @@ class StateSpaceModel:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        if self.input_labels is not None:
-            object.__setattr__(self, "input_labels", tuple(self.input_labels))
-        if self.output_labels is not None:
-            object.__setattr__(self, "output_labels", tuple(self.output_labels))
 
     @property
     def n_states(self):
@@ -115,33 +108,6 @@ class StateSpaceModel:
     def select_inputs(self, idx):
         idx = list(idx)
         return StateSpaceModel(self.A, self.B[:, idx], self.C, self.D[:, idx])
-
-    def to_dict(self):
-        doc = {"A": self.A.tolist(), "B": self.B.tolist(),
-               "C": self.C.tolist(), "D": self.D.tolist()}
-        if self.input_labels is not None or self.output_labels is not None:
-            doc["labels"] = {"inputs": list(self.input_labels or []),
-                             "outputs": list(self.output_labels or [])}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc):
-        labels = doc.get("labels", {})
-        return cls(np.array(doc["A"], dtype=float, ndmin=2),
-                   np.array(doc["B"], dtype=float, ndmin=2),
-                   np.array(doc["C"], dtype=float, ndmin=2),
-                   np.array(doc["D"], dtype=float, ndmin=2),
-                   input_labels=tuple(labels.get("inputs", [])) or None,
-                   output_labels=tuple(labels.get("outputs", [])) or None)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -275,15 +241,6 @@ class RationalDiagonalFilter:
         for g, sections in zip(gains, self.channels):
             chans.append(list(sections) + [(np.array([g]), np.array([1.0]))])
         return RationalDiagonalFilter(tuple(chans))
-
-    def to_dict(self):
-        return {"channels": [[{"num": list(map(float, n)), "den": list(map(float, d))}
-                              for n, d in sections] for sections in self.channels]}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(tuple(tuple((np.array(s["num"]), np.array(s["den"]))
-                               for s in sections) for sections in doc["channels"]))
 
 
 # ---------------------------------------------------------------------------

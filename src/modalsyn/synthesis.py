@@ -1,16 +1,19 @@
 """Structured H-infinity synthesis of diag(K_RB, L, K_FM).
 
 Declares the output-based 2x3 ("6-block") and the error-based 2x2
-("4-block") weighted closed-loop maps as named-signal interconnections, and
-minimizes the closed-loop H-infinity norm over the structured parameter set
-with a derivative-free pattern search.  A grid certificate closes the full
-loop at every frozen scheduling point and checks local stability.
+("4-block") weighted closed-loop maps as named-signal interconnections.  The
+two problems differ only in that data: the same Luenberger modal observer,
+built on each problem's design model, closes an inner loop with K_FM that
+becomes the plant block of M (output-based) or the flexible-loop subsystem
+Sigma (error-based).  The closed-loop H-infinity norm is minimized over the
+structured parameter set with a derivative-free pattern search.  A grid
+certificate closes the full loop at every frozen scheduling point and checks
+local stability.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,11 +21,9 @@ import scipy.linalg as la
 
 from modalsyn.mechanics import evaluate_local
 from modalsyn.observer import (
-    ModalObserver,
-    build_error_observer,
-    build_output_observer,
+    error_design_model,
+    modal_observer,
     selection_matrix,
-    sigma_subsystem,
     truncate_with_compliance,
 )
 from modalsyn.shaping import (
@@ -149,12 +150,7 @@ def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
     decays for modal-rate feedback to inject damping, and a low-gain observer
     leaves the damping channel with no leverage regardless of the modal gain.
     """
-    pm, p = cl.pm, cl.p_star
-    if cl.kind == "6block":
-        tm = truncate_with_compliance(pm, p)
-        A, C = tm.ss.A, tm.ss.C
-    else:
-        A, C = pm.A_FM_r, -pm.C_FM_r(np.atleast_1d(p))
+    A, C = cl.observer_model.A, cl.observer_model.C
     _, L = care_solve(A, C, q_weight * np.eye(A.shape[0]),
                       v_weight * np.eye(C.shape[0]))
     krb = np.empty((cl.n_rb, 6))
@@ -206,21 +202,25 @@ class _Interconnection:
 def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
     """Declare the three interconnections of a ``kind`` problem.
 
-    Returns the observer inner loop of ``g_delta`` (``None`` for the
-    error-based problem, whose plant is used as is), the weighted map M from
-    the disturbances w to the weighted errors z, and the physical full loop
-    from the output and flexible-input disturbances (d, d_fm) to the tracking
-    error e.  ``embed`` routes the K_FM channels into the flexible inputs.
-    Block and port orders fix the state order of each realization.
+    Returns the observer + K_FM inner loop, the weighted map M from the
+    disturbances w to the weighted errors z, and the physical full loop from
+    the output and flexible-input disturbances (d, d_fm) to the tracking
+    error e.  The inner loop is the block M names ``G`` for the output-based
+    problem (the plant with the observer loop closed around it) and
+    ``Sigma`` for the error-based one (the observer driven by e, from e to
+    the flexible input).  ``embed`` routes the K_FM channels into the
+    flexible inputs.  Block and port orders fix the state order of each
+    realization.
     """
     plant_in, y, eta = ((("u_rb", n_rb), ("u_fm", n_flex)), (("y", n_rb),),
                         (("eta", n_ctrl),))
+    e = (("e", n_rb),)
     G = ("G", None, plant_in, y)
-    K_RB = ("K_RB", None, (("e", n_rb),), (("u", n_rb),))
+    K_RB = ("K_RB", None, e, (("u", n_rb),))
     W = {name: (name, model, (("u", model.n_inputs),), (("y", model.n_outputs),))
          for name, model in weights.items()}
-    observer = (("O", None, plant_in + y, eta),
-                ("K_FM", None, eta, (("u", n_ctrl),)))
+    K_FM = ("K_FM", None, eta, (("u", n_ctrl),))
+    observer = (("O", None, plant_in + y, eta), K_FM)
     z = (("z1", n_rb), ("z2", n_rb))
     weighted_errors = (("K_RB.e", "G.y", 1), ("W_z1.u", "G.y", 1),
                        ("W_z2.u", "K_RB.u", 1), ("G.u_rb", "K_RB.u", -1),
@@ -252,9 +252,15 @@ def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
             loop + (("G.u_fm", "K_FM.u", embed), ("O.u_rb", "K_RB.u", -1),
                     ("O.u_fm", "K_FM.u", embed), ("O.y", "G.y", 1),
                     ("K_FM.eta", "O.eta", 1)),
-            d, (("e", n_rb),))
+            d, e)
         return inner, weighted, full
-    sigma = ("Sigma", None, (("e", n_rb),), (("u", n_flex),))
+    u_fm = (("u_fm", n_flex),)
+    inner = _Interconnection(
+        (("O", None, u_fm + e, eta), K_FM),
+        (("O.u_fm", "K_FM.u", embed), ("O.e", "e", 1),
+         ("K_FM.eta", "O.eta", 1), ("u_fm", "K_FM.u", embed)),
+        e, u_fm)
+    sigma = ("Sigma", None, e, (("u", n_flex),))
     # w1 enters at the rigid-body input and w2 at the flexible input
     weighted = _Interconnection(
         (G, K_RB, sigma, W["W_z1"], W["W_z2"], W["W_w1"], W["W_w2"]),
@@ -266,8 +272,8 @@ def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
         (G, K_RB, sigma),
         loop + (("G.u_fm", "Sigma.u", -1), ("Sigma.e", "d", 1),
                 ("Sigma.e", "G.y", 1)),
-        d, (("e", n_rb),))
-    return None, weighted, full
+        d, e)
+    return inner, weighted, full
 
 
 def _spans(groups):
@@ -280,7 +286,10 @@ class ClosedLoopMap:
     """Bound generalized plant: ``evaluate(params)`` realizes the weighted
     closed-loop matrix M for the structured controller parameters.
 
-    The channel map records which rows/columns of M carry which weighted
+    The observer design model (A, B_u, C, D_u) is fixed at the design point
+    ``p_star``: the compliance-corrected truncation for the output-based
+    problem, the negated flexible output for the error-based one.  The
+    channel map records which rows/columns of M carry which weighted
     signal block.  The blocks that depend on the parameters are realized
     once for the last ``params`` object seen and shared by M, the grid
     closure and the crossover check, so a parameter set must not be
@@ -308,11 +317,6 @@ class ClosedLoopMap:
         if self.plant.n_outputs != self.n_rb:
             raise ModelError("decoupled plant must have one output per "
                              "rigid-body channel")
-        if kind == "6block":
-            self.tm = truncate_with_compliance(pm, self.p_star)
-            self.Psi = selection_matrix(pm, self.controlled_modes, kind="output")
-        else:
-            self.Psi = selection_matrix(pm, self.controlled_modes, kind="error")
         filters = {"W_z1": self.wz1_reg, "W_z2": weights.wz2,
                    "W_w1": weights.ww1, "W_w2": weights.ww2,
                    "W_w3": weights.ww3}
@@ -326,38 +330,43 @@ class ClosedLoopMap:
         # the flexible injection is the last disturbance group of M
         self._flex_columns = range(*self.channel_map[self._map.inputs[-1][0]])
         self._columns = None              # columns of M kept by evaluate
-        self._left = np.diag(scalings.wz)
-        self._right = _block_diag(np.diag(scalings.ww1),
-                                   np.diag(scalings.ww2[:self.n_flex]))
-        # the error-based problem synthesizes around the scaled plant itself
-        self._g_plant = lmul(self._left, rmul(self.plant, self._right))
+        left = np.diag(scalings.wz)
+        right = _block_diag(np.diag(scalings.ww1),
+                            np.diag(scalings.ww2[:self.n_flex]))
+        # M's plant block, unless the inner loop takes its slot
+        self._g_plant = lmul(left, rmul(self.plant, right))
+        # observer design model (A, B_u, C, D_u), and the block of M that the
+        # closed inner loop fills, with the scaling it gets there
+        if kind == "6block":
+            self.observer_model = truncate_with_compliance(pm, self.p_star).ss
+            self.Psi = selection_matrix(pm, self.controlled_modes, kind="output")
+            self._slot = ("G", left, right)
+        else:
+            self.observer_model = error_design_model(pm, self.p_star)
+            self.Psi = selection_matrix(pm, self.controlled_modes, kind="error")
+            self._slot = ("Sigma", np.diag(1.0 / scalings.ww2[:self.n_flex]),
+                          np.diag(1.0 / scalings.wz))
         self._realized = (None, {}, {})
 
     # -- parameter-dependent blocks ------------------------------------
-    def observer(self, params) -> ModalObserver:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # instability is scored, not fatal
-            if self.kind == "6block":
-                return build_output_observer(self.tm, params.L, self.Psi)
-            return build_error_observer(self.pm, self.p_star, params.L, self.Psi)
+    def observer(self, params) -> StateSpaceModel:
+        """Modal observer realization for the gain ``params.L``."""
+        return modal_observer(self.observer_model, params.L, self.Psi)
 
     def _realize(self, params):
-        """Blocks of M (scaled) and of the full loop (physical, all but the
-        plant) for ``params``, realized only when ``params`` is not the
-        object seen last; the entry holds that object, so its id stays taken."""
+        """Blocks of M (scaled) and of the full loop (physical) for
+        ``params``, realized only when ``params`` is not the object seen last;
+        the entry holds that object, so its id stays taken.  The full loop
+        always takes its plant ``G`` from the caller."""
         if self._realized[0] is not params:
-            obs = self.observer(params)
-            loop = {"K_RB": physical_rb_controller(params, self.scalings).to_ss()}
-            if self._inner is None:
-                loop["Sigma"] = sigma_subsystem(obs, params.kfm_filter())
-                scaled = {"G": self._g_plant, "Sigma": lmul(
-                    np.diag(1.0 / self.scalings.ww2[:self.n_flex]),
-                    rmul(loop["Sigma"], np.diag(1.0 / self.scalings.wz)))}
-            else:
-                loop.update(O=obs.realization, K_FM=params.kfm_filter().to_ss())
-                scaled = {"G": lmul(self._left, rmul(self._inner.close(loop),
-                                                     self._right))}
-            scaled["K_RB"] = params.krb_filter().to_ss()
+            loop = {"K_RB": physical_rb_controller(params, self.scalings).to_ss(),
+                    "O": self.observer(params),
+                    "K_FM": params.kfm_filter().to_ss()}
+            name, left, right = self._slot
+            loop[name] = self._inner.close(loop)
+            scaled = {"G": self._g_plant,
+                      name: lmul(left, rmul(loop[name], right)),
+                      "K_RB": params.krb_filter().to_ss()}
             self._realized = (params, scaled, loop)
         return self._realized[1:]
 
@@ -515,28 +524,29 @@ def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
         try:
             params = template.with_vector(vec)
             M = cl.evaluate(params)
+            a = spectral_abscissa(M)
+            if not a < 0:
+                return _penalty(PENALTY_BASE, a), False
+            if grid_local is not None:
+                worst = max(spectral_abscissa(close_full_loop(g, cl, params))
+                            for g in grid_local)
+                if not worst < 0:
+                    return _penalty(PENALTY_BASE / 10, worst), False
+            if crossover_band is not None:
+                lo, hi = crossover_band
+                xc = rb_crossover(cl, params)
+                if np.any(~np.isfinite(xc)):
+                    return PENALTY_BASE / 10 + 1.0, False
+                miss = np.maximum(lo - xc, 0.0) + np.maximum(xc - hi, 0.0)
+                if miss.max() > 0:
+                    return PENALTY_BASE / 10 + float(miss.max()), False
+            try:
+                return hinf_norm(M, rel_tol=norm_tol), True
+            except NumericError:
+                return PENALTY_BASE, False
         except (NumericError, ModelError, FloatingPointError, la.LinAlgError):
+            # a stage that cannot compute scores as a realization failure
             return PENALTY_BASE * 10, False
-        a = spectral_abscissa(M)
-        if not a < 0:
-            return _penalty(PENALTY_BASE, a), False
-        if grid_local is not None:
-            worst = max(spectral_abscissa(close_full_loop(g, cl, params))
-                        for g in grid_local)
-            if not worst < 0:
-                return _penalty(PENALTY_BASE / 10, worst), False
-        if crossover_band is not None:
-            lo, hi = crossover_band
-            xc = rb_crossover(cl, params)
-            if np.any(~np.isfinite(xc)):
-                return PENALTY_BASE / 10 + 1.0, False
-            miss = np.maximum(lo - xc, 0.0) + np.maximum(xc - hi, 0.0)
-            if miss.max() > 0:
-                return PENALTY_BASE / 10 + float(miss.max()), False
-        try:
-            return hinf_norm(M, rel_tol=norm_tol), True
-        except NumericError:
-            return PENALTY_BASE, False
 
     return f, count
 

@@ -445,8 +445,8 @@ def test_criterion_12_observer_dimensions():
     for make in (two_mass_problem, mmpa_problem):
         cl6 = make("6block")
         cl4 = make("4block")
-        n_out = cl6.observer(initial_params(cl6)).realization.n_states
-        n_err = cl4.observer(initial_params(cl4)).realization.n_states
+        n_out = cl6.observer(initial_params(cl6)).n_states
+        n_err = cl4.observer(initial_params(cl4)).n_states
         ok = ok and n_err == n_out - 2 * cl6.n_rb
         details.append(f"{n_out} -> {n_err} (n_rb={cl6.n_rb})")
     assert report(12, ok, "observer state dimensions: " + "; ".join(details))

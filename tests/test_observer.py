@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -15,23 +13,27 @@ from modalsyn.mechanics import (
     modal_decompose,
 )
 from modalsyn.observer import (
-    ModalObserver,
-    build_error_observer,
-    build_output_observer,
     discarded_static_gain,
+    error_design_model,
+    modal_observer,
     selection_matrix,
-    sigma_subsystem,
     truncate_with_compliance,
 )
-from modalsyn.shaping import FlexControllerParams, make_kfm
+from modalsyn.shaping import compute_scalings, design_weights_4block
 from modalsyn.statespace import (
     ModelError,
     NumericError,
+    StateSpaceModel,
     care_solve,
     connect,
     freq_response,
     is_hurwitz,
     simulate,
+)
+from modalsyn.synthesis import (
+    ClosedLoopMap,
+    StructuredControllerParams,
+    initial_params,
 )
 
 
@@ -45,10 +47,10 @@ def partitioned(model, retain=None):
 def _joint_system(plant, obs):
     """Plant and observer sharing the input, measurement wired internally."""
     n_u, n_y = plant.n_inputs, plant.n_outputs
-    n_eta = obs.realization.n_outputs
+    n_eta = obs.n_outputs
     return connect(
         [("P", plant, [("u", n_u)], [("y", n_y)]),
-         ("O", obs.realization, [("u", n_u), ("y", n_y)], [("eta", n_eta)])],
+         ("O", obs, [("u", n_u), ("y", n_y)], [("eta", n_eta)])],
         [("P.u", "u", 1), ("O.u", "u", 1), ("O.y", "P.y", 1),
          ("eta", "O.eta", 1)],
         inputs=[("u", n_u)], outputs=[("eta", n_eta)])
@@ -142,10 +144,8 @@ class TestOutputObserver:
         tm = truncate_with_compliance(pm, 0.3)
         psi = selection_matrix(pm, [1], kind="output")
         L = np.zeros((tm.ss.n_states, pm.n_y))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            obs = build_output_observer(tm, L, psi)
-        np.testing.assert_allclose(np.sort_complex(obs.realization.poles()),
+        obs = modal_observer(tm.ss, L, psi)
+        np.testing.assert_allclose(np.sort_complex(obs.poles()),
                                    np.sort_complex(tm.ss.poles()), atol=1e-10)
 
     def test_riccati_gain_is_stabilizing(self):
@@ -154,17 +154,18 @@ class TestOutputObserver:
         _, L = care_solve(tm.ss.A, tm.ss.C, np.eye(tm.ss.n_states),
                           np.eye(pm.n_y))
         psi = selection_matrix(pm, [1], kind="output")
-        obs = build_output_observer(tm, L, psi)
-        assert is_hurwitz(obs.realization)
-        assert obs.kind == "output"
-        assert obs.n_u == 2 and obs.n_meas == 1
+        obs = modal_observer(tm.ss, L, psi)
+        assert is_hurwitz(obs)
+        # inputs are the two plant inputs, then the one measurement
+        assert obs.n_inputs == 3 and obs.n_outputs == 1
+        np.testing.assert_array_equal(obs.B[:, 2:], L)
 
     def test_estimate_converges_in_simulation(self):
         pm = decoupled_two_mass()
         tm = truncate_with_compliance(pm, 0.3)
         _, L = care_solve(tm.ss.A, tm.ss.C, 1e4 * np.eye(4), np.eye(1))
         psi = selection_matrix(pm, [1], kind="output")
-        obs = build_output_observer(tm, L, psi)
+        obs = modal_observer(tm.ss, L, psi)
 
         # joint plant+observer simulation: the estimate error follows the
         # autonomous error dynamics exactly, independent of the input
@@ -185,41 +186,41 @@ class TestOutputObserver:
         pm = partitioned(make_two_mass())
         tm = truncate_with_compliance(pm, 0.3)
         psi = selection_matrix(pm, [1], kind="output")
-        with pytest.raises(ModelError):
-            build_output_observer(tm, np.zeros((3, 1)), psi)
-        with pytest.raises(ModelError):
-            build_output_observer(tm, np.zeros((4, 1)), psi[:, :2])
+        with pytest.raises(ModelError, match="L must be 4x1"):
+            modal_observer(tm.ss, np.zeros((3, 1)), psi)
+        with pytest.raises(ModelError, match="Psi must have 4 columns"):
+            modal_observer(tm.ss, np.zeros((4, 1)), psi[:, :2])
 
 
 class TestErrorObserver:
     def riccati_observer(self, pm, p=0.3, q=1.0):
+        """Observer realization, its gain L and its selection matrix."""
         A = pm.A_FM_r
         C = pm.C_FM_r(np.atleast_1d(p))
         _, L = care_solve(A, -C, q * np.eye(A.shape[0]), np.eye(C.shape[0]))
         psi = selection_matrix(pm, [1], kind="error")
-        return build_error_observer(pm, p, L, psi)
+        return modal_observer(error_design_model(pm, p), L, psi), L, psi
 
     def test_state_dimension_is_retained_only(self):
         pm = decoupled_two_mass()
-        obs = self.riccati_observer(pm)
-        assert obs.realization.n_states == 2 * pm.n_flex
-        assert obs.n_u == pm.n_flex
-        assert obs.n_meas == pm.n_y
-        assert is_hurwitz(obs.realization)
+        obs, _, _ = self.riccati_observer(pm)
+        assert obs.n_states == 2 * pm.n_flex
+        # inputs are the flexible plant inputs, then the measured error
+        assert obs.n_inputs == pm.n_flex + pm.n_y
+        assert is_hurwitz(obs)
 
     def test_estimation_error_dynamics(self):
         # the error e = x_hat - x must evolve as A + L C regardless of input
         pm = decoupled_two_mass()
-        obs = self.riccati_observer(pm)
-        want = pm.A_FM_r + obs.L @ pm.C_FM_r(np.atleast_1d(0.3))
-        np.testing.assert_allclose(obs.realization.A, want, atol=1e-12)
+        obs, L, _ = self.riccati_observer(pm)
+        want = pm.A_FM_r + L @ pm.C_FM_r(np.atleast_1d(0.3))
+        np.testing.assert_allclose(obs.A, want, atol=1e-12)
 
     def test_converges_against_flexible_subsystem(self):
         pm = decoupled_two_mass()
         p = 0.3
-        obs = self.riccati_observer(pm, p, q=1e4)
+        obs, _, psi = self.riccati_observer(pm, p, q=1e4)
         fm_cols = [pm.n_rb + j for j in range(pm.n_flex)]
-        from modalsyn.statespace import StateSpaceModel
         B = pm.B_FM_r(np.atleast_1d(p))[:, fm_cols]
         # measurement convention: e is the negated flexible output
         flex = StateSpaceModel(pm.A_FM_r, B,
@@ -231,44 +232,40 @@ class TestErrorObserver:
         u = 0.1 * np.sin(2 * np.pi * 30 * t)[:, None]
         x0 = np.array([0.02, 0.0, 0.0, 0.0])
         _, xs, _ = simulate(joint, u, dt, x0)
-        true_eta = xs[:, :2] @ obs.Psi.T
-        eta = xs[:, 2:] @ obs.Psi.T
+        true_eta = xs[:, :2] @ psi.T
+        eta = xs[:, 2:] @ psi.T
         err = np.abs(eta - true_eta)
         assert err[:100].max() > 1e-4
         assert err[-1000:].max() < 1e-8 * np.abs(true_eta).max()
 
-    def test_roundtrip(self, tmp_path):
-        pm = decoupled_two_mass()
-        obs = self.riccati_observer(pm)
-        path = tmp_path / "obs.json"
-        obs.to_json(path)
-        import json
-        obs2 = ModalObserver.from_dict(json.loads(path.read_text()))
-        np.testing.assert_allclose(obs2.realization.A, obs.realization.A)
-        np.testing.assert_allclose(obs2.L, obs.L)
-        assert obs2.controlled == obs.controlled
-
 
 class TestSigmaSubsystem:
     def build(self, xi=2.0, Q=10.0):
+        """Observer, K_FM and the physical Sigma that the error-based problem
+        closes for them."""
         pm = decoupled_two_mass()
-        A = pm.A_FM_r
-        C = pm.C_FM_r(np.atleast_1d(0.3))
-        _, L = care_solve(A, -C, np.eye(2), np.eye(1))
-        psi = selection_matrix(pm, [1], kind="error")
-        obs = build_error_observer(pm, 0.3, L, psi)
-        w = pm.omega_retained()[0]
-        kfm = make_kfm(FlexControllerParams(np.array([xi]), np.array([w]), Q))
-        return obs, kfm, sigma_subsystem(obs, kfm)
+        g = evaluate_local(pm, 0.3)
+        w = pm.omega[list(pm.retained)][0]
+        cl = ClosedLoopMap("4block", pm, 0.3,
+                           compute_scalings(g, [10.0], [1e-4], n_flex=1),
+                           design_weights_4block([10.0], [w / (2 * np.pi)]),
+                           [1], Q=Q, f_bw=[10.0])
+        _, L = care_solve(pm.A_FM_r, -pm.C_FM_r(np.atleast_1d(0.3)),
+                          np.eye(2), np.eye(1))
+        init = initial_params(cl)
+        params = StructuredControllerParams(init.krb, L, [xi], [w], Q)
+        return (cl.observer(params), params.kfm_filter(),
+                cl._realize(params)[1]["Sigma"])
 
     def test_pointwise_closed_form(self):
         obs, kfm, sigma = self.build()
+        n_u = obs.n_inputs - 1        # the last input is the measured error
         f = np.logspace(-1, 2.5, 40)
         resp = freq_response(sigma, f).values
-        o = freq_response(obs.realization, f).values
+        o = freq_response(obs, f).values
         k = kfm.evaluate(2j * np.pi * f)
         for i, _ in enumerate(f):
-            O_u, O_e = o[i, :, :obs.n_u], o[i, :, obs.n_u:]
+            O_u, O_e = o[i, :, :n_u], o[i, :, n_u:]
             K = np.diag(k[:, i])
             want = la.solve(np.eye(1) - K @ O_u, K @ O_e)
             np.testing.assert_allclose(resp[i], want, rtol=1e-8, atol=1e-12)
@@ -279,14 +276,4 @@ class TestSigmaSubsystem:
 
     def test_state_count(self):
         obs, kfm, sigma = self.build()
-        assert sigma.n_states == obs.realization.n_states + kfm.to_ss().n_states
-
-    def test_requires_error_kind(self):
-        pm = decoupled_two_mass()
-        tm = truncate_with_compliance(pm, 0.3)
-        _, L = care_solve(tm.ss.A, tm.ss.C, np.eye(4), np.eye(1))
-        psi = selection_matrix(pm, [1], kind="output")
-        obs = build_output_observer(tm, L, psi)
-        kfm = make_kfm(FlexControllerParams([1.0], [300.0], 10.0))
-        with pytest.raises(ModelError):
-            sigma_subsystem(obs, kfm)
+        assert sigma.n_states == obs.n_states + kfm.to_ss().n_states

@@ -164,7 +164,7 @@ class TestFlexController:
 class TestScalings:
     def test_output_scaling_is_reciprocal_error(self):
         sc = ScalingSet([2.0], [3.0], [1.0])
-        np.testing.assert_allclose(sc.Wz, [[2.0]])
+        np.testing.assert_allclose(np.diag(sc.wz), [[2.0]])
         with pytest.raises(ModelError):
             ScalingSet([0.0], [1.0], [1.0])
 
@@ -173,8 +173,8 @@ class TestScalings:
         f_bw = 10.0
         sc = compute_scalings(g, [f_bw], [1e-4], n_flex=1)
         np.testing.assert_allclose(sc.wz, [1e4])
-        val = sc.Wz[:1, :1] @ g.transfer_at(2j * np.pi * f_bw)[:1, :1] \
-            @ sc.Ww1
+        G = g.transfer_at(2j * np.pi * f_bw)[:1, :1]
+        val = np.diag(sc.wz)[:1, :1] @ G @ np.diag(sc.ww1)
         np.testing.assert_allclose(np.abs(val[0, 0]), 1.0, rtol=1e-10)
 
     def test_flexible_scaling_identity(self):

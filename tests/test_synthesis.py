@@ -11,7 +11,6 @@ from modalsyn.decoupling import (
     extended_input_decoupling,
 )
 from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
-from modalsyn.observer import sigma_subsystem
 from modalsyn.shaping import (
     compute_scalings,
     design_weights_4block,
@@ -19,6 +18,7 @@ from modalsyn.shaping import (
 )
 from modalsyn.statespace import (
     ModelError,
+    NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
     is_hurwitz,
@@ -83,17 +83,22 @@ def _diag_eval(filt, s):
     return filt.evaluate(np.array([s]))[:, 0]
 
 
+def _embedded_kfm(cl, params, s):
+    """E K_FM at one point; E is the 0/1 map from the controlled channels
+    into the flexible inputs."""
+    E = np.zeros((cl.n_flex, cl.n_ctrl))
+    for col, mode in enumerate(cl.controlled_modes):
+        E[cl.pm.retained.index(mode), col] = 1.0
+    return E @ np.diag(_diag_eval(params.kfm_filter(), s))
+
+
 def _observer_loop_blocks(cl, params, s):
-    """Observer transfer split by input group, and E K_FM, at one point;
-    E is the 0/1 map from the controlled channels into the flexible inputs."""
-    obs = cl.observer(params)
-    O = obs.realization.transfer_at(s)
+    """Output-based observer transfer split by input group, and E K_FM, at
+    one point."""
+    O = cl.observer(params).transfer_at(s)
     nrb, nfl = cl.n_rb, cl.n_flex
-    E = np.zeros((nfl, cl.n_ctrl))
-    for col, j in enumerate(obs.controlled):
-        E[j, col] = 1.0
-    EK = E @ np.diag(_diag_eval(params.kfm_filter(), s))
-    return O[:, :nrb], O[:, nrb:nrb + nfl], O[:, nrb + nfl:], EK
+    return (O[:, :nrb], O[:, nrb:nrb + nfl], O[:, nrb + nfl:],
+            _embedded_kfm(cl, params, s))
 
 
 class TestClosedLoopFormulas:
@@ -283,8 +288,11 @@ class TestPhysicalController:
                 want = np.hstack([np.eye(ny), np.zeros((ny, nfl))]) + y
             else:
                 # e = d + Gr u1 + Gf (d_fm - Sigma e), u1 = -Kp e
-                sig = sigma_subsystem(cl.observer(params), params.kfm_filter())
-                Sg = sig.transfer_at(s)
+                # Sigma closes u_fm = E K_FM eta around the observer
+                # eta = O [u_fm; e]
+                O = cl.observer(params).transfer_at(s)
+                EK = _embedded_kfm(cl, params, s)
+                Sg = la.solve(np.eye(nfl) - EK @ O[:, :nfl], EK @ O[:, nfl:])
                 want = la.solve(np.eye(ny) + Gr @ Kp + Gf @ Sg,
                                 np.hstack([np.eye(ny), Gf]))
             np.testing.assert_allclose(closed.transfer_at(s), want, rtol=1e-8,
@@ -319,8 +327,8 @@ class TestGridCertificate:
 
 
 def _count_realizations(monkeypatch):
-    """Count filter realizations, observer builds and Sigma closures."""
-    counts = dict.fromkeys(("to_ss", "observer", "sigma"), 0)
+    """Count filter realizations and observer builds."""
+    counts = dict.fromkeys(("to_ss", "observer"), 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -330,10 +338,8 @@ def _count_realizations(monkeypatch):
 
     monkeypatch.setattr(RationalDiagonalFilter, "to_ss",
                         counting("to_ss", RationalDiagonalFilter.to_ss))
-    for name, key in (("build_output_observer", "observer"),
-                      ("build_error_observer", "observer"),
-                      ("sigma_subsystem", "sigma")):
-        monkeypatch.setattr(synthesis, name, counting(key, getattr(synthesis, name)))
+    monkeypatch.setattr(synthesis, "modal_observer",
+                        counting("observer", synthesis.modal_observer))
     return counts
 
 
@@ -366,7 +372,7 @@ class TestObjective:
         cl.evaluate(params)
         counts = _count_realizations(monkeypatch)
         rb_crossover(cl, params)
-        assert counts == {"to_ss": 0, "observer": 0, "sigma": 0}
+        assert counts == {"to_ss": 0, "observer": 0}
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_close_rejects_misfitting_model(self, cl6, cl4, kind):
@@ -397,6 +403,32 @@ class TestObjective:
         val, _ = f(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
         assert np.isfinite(val)
         assert val <= 10 * PENALTY_BASE
+
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    @pytest.mark.parametrize("stage", ["close_full_loop", "rb_crossover",
+                                       "hinf_norm"])
+    def test_stage_that_raises_scores_a_penalty(self, cl6, cl4, kind, stage,
+                                                 monkeypatch):
+        """The grid closure, the crossover check and the norm sit under the
+        objective's guard: a stage that raises scores 10 PENALTY_BASE, except
+        that a norm NumericError keeps its PENALTY_BASE."""
+        cl = cl6 if kind == "6block" else cl4
+        x = _active_params(cl).to_vector()
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f, _ = _objective(cl, initial_params(cl), 1e-5, grid, self.BAND)
+        assert f(x)[1]
+        for exc in (NumericError, ModelError, FloatingPointError,
+                    la.LinAlgError):
+            def fail(*args, **kwargs):
+                raise exc(f"{stage} failed")
+            monkeypatch.setattr(synthesis, stage, fail)
+            val, accepted = f(x)
+            assert np.isfinite(val) and val <= 10 * PENALTY_BASE
+            assert not accepted
+            want = (PENALTY_BASE if (stage, exc) == ("hinf_norm", NumericError)
+                    else 10 * PENALTY_BASE)
+            assert val == want, exc
 
 
 class TestOptimizer:
