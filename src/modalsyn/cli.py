@@ -52,6 +52,10 @@ from modalsyn.synthesis import (
 )
 
 
+# rows per write of ``timeseries.csv``
+_CHUNK_ROWS = 1024
+
+
 class ConfigError(ValueError):
     """Bad or incomplete configuration (exit code 2)."""
 
@@ -163,6 +167,19 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _write_table(path, columns):
+    """CSV of equal-length float columns, a header of their names and every
+    value as ``%.18e`` (the text of ``np.savetxt``), written in blocks of at
+    most ``_CHUNK_ROWS`` rows."""
+    data = np.column_stack(list(columns.values()))
+    row = ",".join(["%.18e"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for k in range(0, data.shape[0], _CHUNK_ROWS):
+            block = data[k:k + _CHUNK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def _channel_csv(path, M, f_lo=1e-1, f_hi=1e4, n=400):
     freqs = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
     freq_response(M, freqs).to_csv(path)
@@ -253,13 +270,13 @@ def _load_results(args):
 def cmd_analyze(args):
     doc, prob = _load_results(args)
     out = _out_dir(args)
+    g_local = evaluate_local(prob.cl.pm, prob.cl.p_star)
     for label in ("proposed", "conventional"):
         if label not in doc:
             continue
         params = StructuredControllerParams.from_dict(doc[label]["params"])
         M = prob.cl.evaluate(params)
         _channel_csv(os.path.join(out, f"{label}_channels.csv"), M)
-        g_local = evaluate_local(prob.cl.pm, prob.cl.p_star)
         closed = close_full_loop(g_local, prob.cl, params)
         _channel_csv(os.path.join(out, f"{label}_closedloop.csv"), closed)
     print(f"analysis CSVs written to {out}")
@@ -304,10 +321,7 @@ def cmd_simulate(args):
         for j in range(y.shape[1]):
             rows[f"{label}_y{j}"] = y[:, j]
         rms[label] = float(np.sqrt(np.mean(y ** 2)))
-    header = ",".join(rows)
-    data = np.column_stack(list(rows.values()))
-    np.savetxt(os.path.join(out, "timeseries.csv"), data, delimiter=",",
-               header=header, comments="")
+    _write_table(os.path.join(out, "timeseries.csv"), rows)
     summary = {"dt": dt, "duration": duration, "f_disturbance": f_dist,
                "seed": seed, "rms": rms}
     if "proposed" in rms and "conventional" in rms and rms["conventional"] > 0:

@@ -110,6 +110,10 @@ class StateSpaceModel:
         return StateSpaceModel(self.A, self.B[:, idx], self.C, self.D[:, idx])
 
 
+# rows per block in ``simulate`` and ``FrequencyResponse.to_csv``
+_CHUNK_ROWS = 1024
+
+
 @dataclass(frozen=True)
 class FrequencyResponse:
     """Sampled transfer matrix on an ascending frequency grid in Hz."""
@@ -131,16 +135,32 @@ class FrequencyResponse:
         return np.abs(self.values)
 
     def to_csv(self, path):
+        """Write one row per grid point and channel:
+        ``freq_hz,out,in,re,im,mag_db,phase_deg``, numbers as ``%.12g``.
+
+        Magnitude, dB and phase are evaluated as arrays over blocks of whole
+        grid points, at most ``_CHUNK_ROWS`` rows unless one point has more
+        channels, and each block is formatted and written at once; the text is the same as formatting every entry
+        on its own (``np.hypot`` is the scalar ``abs`` of a complex number,
+        where a vectorized ``np.abs`` may differ in the last bit).
+        """
+        n_f, n_y, n_u = self.values.shape
+        out, inp = (a.ravel() for a in np.indices((n_y, n_u)))
+        row = "%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
+        step = max(1, _CHUNK_ROWS // max(1, n_y * n_u))
         with open(path, "w") as fh:
             fh.write("freq_hz,out,in,re,im,mag_db,phase_deg\n")
-            for k, f in enumerate(self.freqs_hz):
-                for i in range(self.values.shape[1]):
-                    for j in range(self.values.shape[2]):
-                        v = self.values[k, i, j]
-                        mag = abs(v)
-                        mag_db = 20 * np.log10(mag) if mag > 0 else -np.inf
-                        fh.write(f"{f:.12g},{i},{j},{v.real:.12g},{v.imag:.12g},"
-                                 f"{mag_db:.12g},{np.degrees(np.angle(v)):.12g}\n")
+            for k in range(0, n_f, step):
+                f = self.freqs_hz[k:k + step, None]
+                v = self.values[k:k + step].reshape(f.size, n_y * n_u)
+                mag = np.hypot(v.real, v.imag)
+                with np.errstate(divide="ignore"):
+                    mag_db = np.where(mag > 0, 20 * np.log10(mag), -np.inf)
+                table = np.stack(np.broadcast_arrays(
+                    f, out, inp, v.real, v.imag, mag_db,
+                    np.degrees(np.angle(v))), axis=-1)
+                fh.write((row * (f.size * n_y * n_u))
+                         % tuple(table.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +643,12 @@ def simulate(g: StateSpaceModel, inputs, dt: float, x0=None):
 
     ``inputs`` has shape (n_samples, n_inputs); the input is held constant
     over each step.  Outputs are y[k] = C x[k] + D u[k].
+
+    The samples are processed in blocks of at most ``_CHUNK_ROWS`` rows: the
+    input terms Bd u[k] and the outputs of a block are each one stacked
+    ``np.matvec``, so only x[k+1] = Ad x[k] + Bd u[k] runs step by step and
+    the temporaries beyond the returned arrays stay bounded.  The result is
+    bit-identical to evaluating every term one step at a time.
     """
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
     if u.shape[1] != g.n_inputs and u.shape[0] == g.n_inputs:
@@ -641,9 +667,11 @@ def simulate(g: StateSpaceModel, inputs, dt: float, x0=None):
     n_s = u.shape[0]
     X = np.empty((n_s, n))
     Y = np.empty((n_s, g.n_outputs))
-    for k in range(n_s):
-        X[k] = x
-        Y[k] = g.C @ x + g.D @ u[k]
-        x = Ad @ x + Bd @ u[k]
+    for s in range(0, n_s, _CHUNK_ROWS):
+        rows = slice(s, s + _CHUNK_ROWS)
+        for k, bu in enumerate(np.matvec(Bd, u[rows]), start=s):
+            X[k] = x
+            x = Ad @ x + bu
+        Y[rows] = np.matvec(g.C, X[rows]) + np.matvec(g.D, u[rows])
     t = np.arange(n_s) * dt
     return t, X, Y

@@ -1,7 +1,10 @@
 """The north-star property: the same config and seed give byte-identical
 output.  ``synth6 --seed 0`` must reproduce the committed benchmark fixtures
-for both plants, and two ``synth4`` runs must write identical files."""
+for both plants, two ``synth4`` runs must write identical files, and
+``analyze``, ``simulate`` and ``gridcheck`` on the fixtures must write the
+files whose SHA-256 digests are recorded below."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,36 @@ def test_synth4_runs_are_identical(tmp_path):
     assert names == sorted(p.name for p in runs[1].iterdir())
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+VALIDATE_SHA256 = {
+    "two_mass": {
+        "certificate.json": "43997de1934c7cfeb9e8f7e520b3ebf00c110ec5d1332216810556937354b6a6",
+        "conventional_channels.csv": "23caa525881dca5351fedd09b79e33cef1dec33fa20b94bcc4bb697abcdeadd5",
+        "conventional_closedloop.csv": "aacba9df83d322d3c506c697b1da3f7eea677d33d0096d544c0e2da374d46c32",
+        "proposed_channels.csv": "e900c9a598b0a4cc5ca1f362b504eb2903a835d5f961200cfaf850790e1c3e08",
+        "proposed_closedloop.csv": "50dc2263d745d21848629c86407f35a3db1e347c1fac8cc857238a6a007b87c3",
+        "simulation.json": "f8ecb0577210e3a11a7d2c9db84f7149a60bd5489c24ac5f270e86aca4ca05c9",
+        "timeseries.csv": "567df9fd5b1e69376bfebf29066b8f1b6f5c92f0cf2af6bdea015b6fbef56e8d",
+    },
+    "mmpa_lite": {
+        "certificate.json": "049da411bbea5a028b8ccc5fc3882eb770f224af74780b229158e489d66c6232",
+        "conventional_channels.csv": "210ae799f565543efb55f9d22266cb2e61e056474f7aa298ede112048ec3006b",
+        "conventional_closedloop.csv": "ab6d8c3785907b63f77440dd0594e7e44a2633213a564d2a60acdc8147b4c83a",
+        "proposed_channels.csv": "b3faa2501678eec6da30b8f75eade50a6adc2b0fbae16ba6a92adc95b70514e6",
+        "proposed_closedloop.csv": "b5250e21257f28760dddf492f3b8aae4ee0afd83f73972b78959bee228bb7a96",
+        "simulation.json": "d15504e5bb64c896cdad41953f5c279d00a34449312b7e7d111bbb0fb87b7f2c",
+        "timeseries.csv": "e3a5918a426a6929ee73110472ba0f086e52b1a8b9784771fbf20bb29c643a22",
+    },
+}
+
+
+@pytest.mark.parametrize("plant", ["two_mass", "mmpa_lite"])
+def test_validate_outputs_match_recorded_digests(tmp_path, plant):
+    results = str(BENCH / "fixtures" / plant / "results.json")
+    for command in ("analyze", "simulate", "gridcheck"):
+        assert cli.main([command, results, "--seed", "0",
+                         "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == VALIDATE_SHA256[plant]

@@ -4,6 +4,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 from modalsyn.statespace import (
+    FrequencyResponse,
     ModelError,
     NumericError,
     RationalDiagonalFilter,
@@ -11,6 +12,7 @@ from modalsyn.statespace import (
     blockdiag,
     care_solve,
     connect,
+    discretize_zoh,
     freq_response,
     hinf_norm,
     hinf_norm_grid,
@@ -19,7 +21,7 @@ from modalsyn.statespace import (
     simulate,
     spectral_abscissa,
 )
-from modalsyn.statespace import _CHUNK_ENTRIES
+from modalsyn.statespace import _CHUNK_ENTRIES, _CHUNK_ROWS
 
 
 def random_stable(rng, n, m=1, p=1):
@@ -219,6 +221,38 @@ class TestFreqResponse:
         assert lines[0] == "freq_hz,out,in,re,im,mag_db,phase_deg"
         assert len(lines) == 6
 
+    def test_csv_matches_scalar_writer(self, tmp_path):
+        def scalar_writer(fr, path):
+            with open(path, "w") as fh:
+                fh.write("freq_hz,out,in,re,im,mag_db,phase_deg\n")
+                for k, f in enumerate(fr.freqs_hz):
+                    for i in range(fr.values.shape[1]):
+                        for j in range(fr.values.shape[2]):
+                            v = fr.values[k, i, j]
+                            mag = abs(v)
+                            mag_db = 20 * np.log10(mag) if mag > 0 else -np.inf
+                            fh.write(f"{f:.12g},{i},{j},{v.real:.12g},{v.imag:.12g},"
+                                     f"{mag_db:.12g},{np.degrees(np.angle(v)):.12g}\n")
+
+        rng = np.random.default_rng(8)
+        n_y, n_u = 3, 4
+        # more than two blocks of rows, the last one partial
+        n_f = 2 * (_CHUNK_ROWS // (n_y * n_u)) + 5
+        shape = (n_f, n_y, n_u)
+        v = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             * 10.0 ** rng.uniform(-6, 6, shape))
+        v[0, 0, 0] = 0.0                       # the -inf dB row
+        v[1, 1, 2] = complex(-2.5, 0.0)        # phase +180
+        v[2, 2, 3] = complex(-2.5, -0.0)       # phase -180
+        v[3, 0, 1] = complex(-1.0, 1e-300)     # phase next to +180
+        fr = FrequencyResponse(np.logspace(-1, 4, n_f), v)
+        assert (fr.values.real < 0).sum() > fr.values.size // 3
+        fr.to_csv(tmp_path / "block.csv")
+        scalar_writer(fr, tmp_path / "scalar.csv")
+        text = (tmp_path / "block.csv").read_bytes()
+        assert text == (tmp_path / "scalar.csv").read_bytes()
+        assert b",-inf," in text
+
 
 class TestStability:
     def test_scalar_stable(self):
@@ -340,6 +374,34 @@ class TestSimulate:
         amp = np.max(np.abs(y[int(0.8 * len(t)):, 0]))
         gain = abs(freq_response(g, [f]).values[0, 0, 0])
         assert amp == pytest.approx(gain, rel=0.01)
+
+    def test_matches_step_by_step_loop(self):
+        def stepwise(g, u, dt, x0):
+            Ad, Bd = discretize_zoh(g, dt)
+            x = np.asarray(x0, dtype=float)
+            X = np.empty((u.shape[0], g.n_states))
+            Y = np.empty((u.shape[0], g.n_outputs))
+            for k in range(u.shape[0]):
+                X[k] = x
+                Y[k] = g.C @ x + g.D @ u[k]
+                x = Ad @ x + Bd @ u[k]
+            return X, Y
+
+        rng = np.random.default_rng(12)
+        n_s = 2 * _CHUNK_ROWS + 7  # two full blocks and a partial one
+        cases = [StateSpaceModel.from_gain(rng.standard_normal((2, 3)))]
+        for n in (1, 5, 32):
+            for m in (1, 4):
+                g = random_stable(rng, n, m, 3)
+                cases.append(StateSpaceModel(g.A, g.B, g.C,
+                                             rng.standard_normal((3, m))))
+        for g in cases:
+            u = rng.standard_normal((n_s, g.n_inputs))
+            x0 = rng.standard_normal(g.n_states)
+            _, X, Y = simulate(g, u, 1e-3, x0)
+            X_ref, Y_ref = stepwise(g, u, 1e-3, x0)
+            assert np.array_equal(X, X_ref), g.n_states
+            assert np.array_equal(Y, Y_ref), g.n_states
 
     def test_bad_inputs(self):
         g = first_order()
