@@ -29,11 +29,7 @@ from modalsyn.mechanics import (
     group_and_partition,
     modal_decompose,
 )
-from modalsyn.shaping import (
-    compute_scalings,
-    design_weights_4block,
-    design_weights_6block,
-)
+from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     ModelError,
     NumericError,
@@ -146,9 +142,8 @@ def build_problem(config, args, kind) -> DesignProblem:
     wcfg = config.get("weights", {})
     wkw = {k: wcfg[k] for k in ("K_s", "K_r", "alpha", "beta1", "beta2",
                                 "eps", "f_int", "f_roll") if k in wcfg}
-    make_weights = design_weights_6block if kind == "6block" else design_weights_4block
-    ws = make_weights(f_bw, f_flex, **wkw)
-    cl = ClosedLoopMap(kind, dpm, p_star, sc, ws, controlled,
+    cl = ClosedLoopMap(kind, dpm, p_star, sc,
+                       design_weights(f_bw, f_flex, **wkw), controlled,
                        Q=float(config.get("Q", 10.0)), f_bw=f_bw)
     init = initial_params(cl, q_weight=float(config.get("q_weight", 1e4)),
                           v_weight=float(config.get("v_weight", 1.0)))

@@ -4,8 +4,6 @@ for both, and the velocity selection matrix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as la
 
@@ -16,25 +14,6 @@ from modalsyn.statespace import (
     StateSpaceModel,
     _block_diag,
 )
-
-
-@dataclass(frozen=True)
-class TruncatedModel:
-    """Truncated observer-design model with compliance feed-through.
-
-    States are [rigid-body pairs; retained flexible pairs]; the feed-through
-    D_o is the static gain of the discarded flexible subsystem at the same
-    scheduling point.
-    """
-
-    ss: StateSpaceModel
-    p: np.ndarray
-    n_rb: int
-    n_flex: int
-
-    @property
-    def D_o(self):
-        return self.ss.D
 
 
 def discarded_static_gain(pm: PartitionedModalModel, p) -> np.ndarray:
@@ -48,30 +27,31 @@ def discarded_static_gain(pm: PartitionedModalModel, p) -> np.ndarray:
     return -pm.C_FM_d(p) @ la.solve(pm.A_FM_d, pm.B_FM_d(p))
 
 
-def truncate_with_compliance(pm: PartitionedModalModel, p) -> TruncatedModel:
-    """Drop the discarded flexible block, keeping its static gain as feed-through."""
+def truncate_with_compliance(pm: PartitionedModalModel, p) -> StateSpaceModel:
+    """Design model of the output-based observer: states [rigid-body pairs;
+    retained flexible pairs], with the static gain of the discarded flexible
+    block at ``p`` kept as feed-through."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     D_o = discarded_static_gain(pm, p)
     A = _block_diag(pm.A_RB, pm.A_FM_r)
     B = np.vstack([pm.B_RB(p), pm.B_FM_r(p)])
     C = np.hstack([pm.C_RB(p), pm.C_FM_r(p)])
-    return TruncatedModel(StateSpaceModel(A, B, C, D_o), p, pm.n_rb, pm.n_flex)
+    return StateSpaceModel(A, B, C, D_o)
 
 
 def selection_matrix(pm: PartitionedModalModel, controlled_modes,
-                     kind: str = "output") -> np.ndarray:
+                     n_states: int) -> np.ndarray:
     """0/1 matrix picking the velocity state of each controlled flexible mode.
 
-    ``controlled_modes`` are global mode indices and must be retained.  For
-    the output-based observer the state vector is [RB pairs; retained pairs];
-    for the error-based observer it is the retained pairs only.
+    ``controlled_modes`` are global mode indices and must be retained.  The
+    observer's ``n_states`` states end with the retained pairs; any pairs
+    before them are rigid-body pairs (the output-based design model).
     """
     controlled = [int(i) for i in controlled_modes]
     for i in controlled:
         if i not in pm.retained:
             raise ModelError(f"mode {i} is not in the retained set {pm.retained}")
-    offset = pm.n_rb if kind == "output" else 0
-    n_states = 2 * (offset + pm.n_flex)
+    offset = n_states // 2 - pm.n_flex
     psi = np.zeros((len(controlled), n_states))
     for row, i in enumerate(controlled):
         j = pm.retained.index(i)
@@ -99,7 +79,7 @@ def modal_observer(design: StateSpaceModel, L, Psi) -> StateSpaceModel:
 
     Dynamics A - L C driven by (u, measurement) through [B_u - L D_u, L]; the
     output is the selected modal velocity estimate Psi x_hat.  The design
-    model is ``truncate_with_compliance(...).ss`` for the output-based
+    model is :func:`truncate_with_compliance` for the output-based
     observer and :func:`error_design_model` for the error-based one.
     """
     L = np.atleast_2d(np.asarray(L, dtype=float))

@@ -7,7 +7,7 @@ controlled flexible mode, plus the band-pass flexible-mode controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,64 +165,16 @@ def make_kfm(params: FlexControllerParams) -> RationalDiagonalFilter:
     return RationalDiagonalFilter(tuple(chans))
 
 
-@dataclass(frozen=True)
-class ShapingFilterSet:
-    """The five weights of the generalized plant plus their parameter record.
-
-    ``wz1`` keeps its exact integrator pole; use
-    :func:`regularize_integral_filter` before norm evaluation.
-    """
-
-    wz1: RationalDiagonalFilter
-    wz2: RationalDiagonalFilter
-    ww1: RationalDiagonalFilter
-    ww2: RationalDiagonalFilter
-    ww3: RationalDiagonalFilter = None
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return dict(self.params)
-
-
-def _weight_filters(f_bw, f_flex, K_s, K_r, alpha, beta1, beta2, eps,
-                    f_int, f_roll):
-    """Integral, roll-off, damping and identity filters with the parameter
-    record shared by both weight layouts."""
+def design_weights(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
+                   alpha=DEFAULT_ALPHA, beta1=DEFAULT_BETA1,
+                   beta2=DEFAULT_BETA2, eps=1.0, f_int=None,
+                   f_roll=None) -> dict:
+    """The shaping filters by role: ``integral`` (exact integrator, see
+    :func:`regularize_integral_filter`), ``rolloff`` and ``identity`` on the
+    rigid-body channels, ``damping`` on the controlled flexible modes.  Each
+    problem kind places the roles on its weight blocks."""
     f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
-    f_flex = np.atleast_1d(np.asarray(f_flex, dtype=float))
-    params = {"K_s": K_s, "K_r": K_r, "alpha": alpha,
-              "f_bw": f_bw.tolist(),
-              "f_I": (f_bw / 4 if f_int is None else np.atleast_1d(f_int)).tolist(),
-              "f_r": (4 * f_bw if f_roll is None else np.atleast_1d(f_roll)).tolist(),
-              "flex": [{"f": float(f), "beta1": beta1, "beta2": beta2,
-                        "eps": float(e)}
-                       for f, e in zip(f_flex, np.broadcast_to(
-                           np.atleast_1d(eps), f_flex.shape))]}
-    return (make_integral_filter(f_bw, K_s, f_int),
-            make_rolloff_filter(f_bw, K_r, alpha, f_roll),
-            make_damping_filter(f_flex, beta1, beta2, eps),
-            RationalDiagonalFilter.identity(f_bw.size), params)
-
-
-def design_weights_6block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
-                          alpha=DEFAULT_ALPHA, beta1=DEFAULT_BETA1,
-                          beta2=DEFAULT_BETA2, eps=1.0,
-                          f_int=None, f_roll=None) -> ShapingFilterSet:
-    """Output-based path: W_z1 integral, W_z2 roll-off, W_w1 = W_w2 = I,
-    W_w3 the damping weight on the flexible injection channel."""
-    integral, rolloff, damping, eye, params = _weight_filters(
-        f_bw, f_flex, K_s, K_r, alpha, beta1, beta2, eps, f_int, f_roll)
-    return ShapingFilterSet(wz1=integral, wz2=rolloff, ww1=eye, ww2=eye,
-                            ww3=damping, params=params)
-
-
-def design_weights_4block(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
-                          alpha=DEFAULT_ALPHA, beta1=DEFAULT_BETA1,
-                          beta2=DEFAULT_BETA2, eps=1.0,
-                          f_int=None, f_roll=None) -> ShapingFilterSet:
-    """Error-based path: W_z1 integral, W_w1 roll-off, W_z2 = I, W_w2 the
-    damping weight on the flexible channel."""
-    integral, rolloff, damping, eye, params = _weight_filters(
-        f_bw, f_flex, K_s, K_r, alpha, beta1, beta2, eps, f_int, f_roll)
-    return ShapingFilterSet(wz1=integral, wz2=eye, ww1=rolloff, ww2=damping,
-                            params=params)
+    return {"integral": make_integral_filter(f_bw, K_s, f_int),
+            "rolloff": make_rolloff_filter(f_bw, K_r, alpha, f_roll),
+            "damping": make_damping_filter(f_flex, beta1, beta2, eps),
+            "identity": RationalDiagonalFilter.identity(f_bw.size)}

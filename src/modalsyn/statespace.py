@@ -614,8 +614,7 @@ def care_solve(A, C, Q_weight, V_weight, residual_tol: float = 1e-6):
     scale = max(1.0, np.linalg.norm(P) * max(1.0, np.linalg.norm(A)))
     if np.linalg.norm(res) > residual_tol * scale:
         raise NumericError(f"Riccati residual {np.linalg.norm(res):.3e} above tolerance")
-    if n and not is_hurwitz(StateSpaceModel(A - L @ C, np.zeros((n, 0)),
-                                            np.zeros((0, n)), np.zeros((0, 0)))):
+    if not is_hurwitz(A - L @ C):
         raise NumericError("Riccati gain does not stabilize A - L C")
     return P, L
 

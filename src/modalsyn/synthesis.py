@@ -49,7 +49,6 @@ from modalsyn.statespace import (
     spectral_abscissa,
 )
 
-STABILITY_MARGIN = 0.0
 PENALTY_BASE = 1e6
 
 
@@ -199,26 +198,36 @@ class _Interconnection:
         return route(blocks, *routing)
 
 
-def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
-    """Declare the three interconnections of a ``kind`` problem.
+def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
+    """Declare a ``kind`` problem: everything in which the kinds differ.
 
-    Returns the observer + K_FM inner loop, the weighted map M from the
-    disturbances w to the weighted errors z, and the physical full loop from
+    Returns the observer design model (A, B_u, C, D_u) at ``p_star``; the
+    block of M that the observer + K_FM inner loop fills, with the left and
+    right scaling it gets there; the inner loop; the weighted map M from the
+    disturbances w to the weighted errors z; and the physical full loop from
     the output and flexible-input disturbances (d, d_fm) to the tracking
     error e.  The inner loop is the block M names ``G`` for the output-based
     problem (the plant with the observer loop closed around it) and
     ``Sigma`` for the error-based one (the observer driven by e, from e to
-    the flexible input).  ``embed`` routes the K_FM channels into the
-    flexible inputs.  Block and port orders fix the state order of each
-    realization.
+    the flexible input).  ``weights`` holds a realization per shaping role,
+    which each kind places on its weight blocks; ``embed`` routes the K_FM
+    channels into the flexible inputs; ``left`` and ``right`` scale the
+    plant's outputs and inputs in M.  Block and port orders fix the state
+    order of each realization.
     """
+    n_rb, n_flex, n_ctrl = pm.n_rb, pm.n_flex, embed.shape[1]
     plant_in, y, eta = ((("u_rb", n_rb), ("u_fm", n_flex)), (("y", n_rb),),
                         (("eta", n_ctrl),))
     e = (("e", n_rb),)
     G = ("G", None, plant_in, y)
     K_RB = ("K_RB", None, e, (("u", n_rb),))
-    W = {name: (name, model, (("u", model.n_inputs),), (("y", model.n_outputs),))
-         for name, model in weights.items()}
+
+    def W(**layout):
+        """Weight blocks in declaration order, ``name=role``."""
+        return tuple((name, weights[role], (("u", weights[role].n_inputs),),
+                      (("y", weights[role].n_outputs),))
+                     for name, role in layout.items())
+
     K_FM = ("K_FM", None, eta, (("u", n_ctrl),))
     observer = (("O", None, plant_in + y, eta), K_FM)
     z = (("z1", n_rb), ("z2", n_rb))
@@ -241,7 +250,8 @@ def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
         # w1 enters as an output disturbance, w2 at the rigid-body input and
         # w3 at the flexible input
         weighted = _Interconnection(
-            (G, K_RB, W["W_z1"], W["W_z2"], W["W_w1"], W["W_w2"], W["W_w3"]),
+            (G, K_RB, *W(W_z1="integral", W_z2="rolloff", W_w1="identity",
+                         W_w2="identity", W_w3="damping")),
             weighted_errors + (
                 ("K_RB.e", "W_w1.y", 1), ("W_z1.u", "W_w1.y", 1),
                 ("G.u_rb", "W_w2.y", 1), ("G.u_fm", "W_w3.y", 1),
@@ -253,59 +263,57 @@ def _interconnections(kind, plant, weights, embed, n_rb, n_flex, n_ctrl):
                     ("O.u_fm", "K_FM.u", embed), ("O.y", "G.y", 1),
                     ("K_FM.eta", "O.eta", 1)),
             d, e)
-        return inner, weighted, full
-    u_fm = (("u_fm", n_flex),)
-    inner = _Interconnection(
-        (("O", None, u_fm + e, eta), K_FM),
-        (("O.u_fm", "K_FM.u", embed), ("O.e", "e", 1),
-         ("K_FM.eta", "O.eta", 1), ("u_fm", "K_FM.u", embed)),
-        e, u_fm)
-    sigma = ("Sigma", None, e, (("u", n_flex),))
-    # w1 enters at the rigid-body input and w2 at the flexible input
-    weighted = _Interconnection(
-        (G, K_RB, sigma, W["W_z1"], W["W_z2"], W["W_w1"], W["W_w2"]),
-        weighted_errors + (
-            ("G.u_rb", "W_w1.y", 1), ("G.u_fm", "W_w2.y", 1),
-            ("G.u_fm", "Sigma.u", -1), ("Sigma.e", "G.y", 1)),
-        (("w1", n_rb), ("w2", n_flex)), z)
-    full = _Interconnection(
-        (G, K_RB, sigma),
-        loop + (("G.u_fm", "Sigma.u", -1), ("Sigma.e", "d", 1),
-                ("Sigma.e", "G.y", 1)),
-        d, e)
-    return inner, weighted, full
-
-
-def _spans(groups):
-    """``{signal: (start, stop)}`` of consecutive ``(signal, width)`` groups."""
-    stops = np.cumsum([width for _, width in groups]).tolist()
-    return {name: (stop - width, stop) for (name, width), stop in zip(groups, stops)}
+        return (truncate_with_compliance(pm, p_star), ("G", left, right),
+                inner, weighted, full)
+    if kind == "4block":
+        u_fm = (("u_fm", n_flex),)
+        inner = _Interconnection(
+            (("O", None, u_fm + e, eta), K_FM),
+            (("O.u_fm", "K_FM.u", embed), ("O.e", "e", 1),
+             ("K_FM.eta", "O.eta", 1), ("u_fm", "K_FM.u", embed)),
+            e, u_fm)
+        sigma = ("Sigma", None, e, (("u", n_flex),))
+        # w1 enters at the rigid-body input and w2 at the flexible input
+        weighted = _Interconnection(
+            (G, K_RB, sigma, *W(W_z1="integral", W_z2="identity",
+                                W_w1="rolloff", W_w2="damping")),
+            weighted_errors + (
+                ("G.u_rb", "W_w1.y", 1), ("G.u_fm", "W_w2.y", 1),
+                ("G.u_fm", "Sigma.u", -1), ("Sigma.e", "G.y", 1)),
+            (("w1", n_rb), ("w2", n_flex)), z)
+        full = _Interconnection(
+            (G, K_RB, sigma),
+            loop + (("G.u_fm", "Sigma.u", -1), ("Sigma.e", "d", 1),
+                    ("Sigma.e", "G.y", 1)),
+            d, e)
+        # Sigma maps the scaled error to the scaled flexible input
+        slot = ("Sigma", np.diag(1.0 / np.diag(right)[n_rb:]),
+                np.diag(1.0 / np.diag(left)))
+        return error_design_model(pm, p_star), slot, inner, weighted, full
+    raise ModelError(f"unknown interconnection kind {kind!r}")
 
 
 class ClosedLoopMap:
     """Bound generalized plant: ``evaluate(params)`` realizes the weighted
     closed-loop matrix M for the structured controller parameters.
 
-    The observer design model (A, B_u, C, D_u) is fixed at the design point
-    ``p_star``: the compliance-corrected truncation for the output-based
-    problem, the negated flexible output for the error-based one.  The
-    channel map records which rows/columns of M carry which weighted
-    signal block.  The blocks that depend on the parameters are realized
-    once for the last ``params`` object seen and shared by M, the grid
-    closure and the crossover check, so a parameter set must not be
+    ``kind`` names the declaration of :func:`_interconnections`, which fixes
+    the observer design model at the design point ``p_star`` and places the
+    shaping ``weights`` (a filter per role, as ``design_weights`` returns
+    them) on M's weight blocks; ``self.weights`` keeps them by role with the
+    integral one regularized.  The blocks that depend on the parameters are
+    realized once for the last ``params`` object seen and shared by M, the
+    grid closure and the crossover check, so a parameter set must not be
     mutated in place.
     """
 
     def __init__(self, kind, pm, p_star, scalings, weights, controlled_modes,
                  Q, f_bw):
-        if kind not in ("6block", "4block"):
-            raise ModelError(f"unknown interconnection kind {kind!r}")
-        self.kind = kind
         self.pm = pm                      # decoupled partitioned model
         self.p_star = np.atleast_1d(np.asarray(p_star, dtype=float))
         self.scalings = scalings
-        self.weights = weights
-        self.wz1_reg = regularize_integral_filter(weights.wz1)
+        self.weights = {**weights, "integral":
+                        regularize_integral_filter(weights["integral"])}
         self.controlled_modes = tuple(int(i) for i in controlled_modes)
         self.Q = float(Q)
         self.f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
@@ -317,35 +325,24 @@ class ClosedLoopMap:
         if self.plant.n_outputs != self.n_rb:
             raise ModelError("decoupled plant must have one output per "
                              "rigid-body channel")
-        filters = {"W_z1": self.wz1_reg, "W_z2": weights.wz2,
-                   "W_w1": weights.ww1, "W_w2": weights.ww2,
-                   "W_w3": weights.ww3}
         embed = np.eye(self.n_flex)[:, [pm.retained.index(i)
                                         for i in self.controlled_modes]]
-        self._inner, self._map, self._loop = _interconnections(
-            kind, self.plant,
-            {name: f.to_ss() for name, f in filters.items() if f is not None},
-            embed, self.n_rb, self.n_flex, self.n_ctrl)
-        self.channel_map = {**_spans(self._map.outputs), **_spans(self._map.inputs)}
-        # the flexible injection is the last disturbance group of M
-        self._flex_columns = range(*self.channel_map[self._map.inputs[-1][0]])
-        self._columns = None              # columns of M kept by evaluate
         left = np.diag(scalings.wz)
         right = _block_diag(np.diag(scalings.ww1),
                             np.diag(scalings.ww2[:self.n_flex]))
         # M's plant block, unless the inner loop takes its slot
         self._g_plant = lmul(left, rmul(self.plant, right))
-        # observer design model (A, B_u, C, D_u), and the block of M that the
-        # closed inner loop fills, with the scaling it gets there
-        if kind == "6block":
-            self.observer_model = truncate_with_compliance(pm, self.p_star).ss
-            self.Psi = selection_matrix(pm, self.controlled_modes, kind="output")
-            self._slot = ("G", left, right)
-        else:
-            self.observer_model = error_design_model(pm, self.p_star)
-            self.Psi = selection_matrix(pm, self.controlled_modes, kind="error")
-            self._slot = ("Sigma", np.diag(1.0 / scalings.ww2[:self.n_flex]),
-                          np.diag(1.0 / scalings.wz))
+        (self.observer_model, self._slot, self._inner, self._map,
+         self._loop) = _interconnections(
+            kind, pm, self.p_star, self.plant,
+            {role: f.to_ss() for role, f in self.weights.items()},
+            embed, left, right)
+        self.Psi = selection_matrix(pm, self.controlled_modes,
+                                    self.observer_model.n_states)
+        # the flexible injection is the last disturbance group of M
+        n_in = sum(width for _, width in self._map.inputs)
+        self._flex_columns = range(n_in - self._map.inputs[-1][1], n_in)
+        self._columns = None              # columns of M kept by evaluate
         self._realized = (None, {}, {})
 
     # -- parameter-dependent blocks ------------------------------------
@@ -480,7 +477,7 @@ def grid_stability_check(cl: ClosedLoopMap, params, grid_points) -> GridCertific
         closed = close_full_loop(g, cl, params)
         a = spectral_abscissa(closed)
         points.append(np.atleast_1d(np.asarray(p, dtype=float)))
-        flags.append(bool(a < -STABILITY_MARGIN))
+        flags.append(bool(a < 0))
         absc.append(float(a))
     return GridCertificate(tuple(points), tuple(flags), tuple(absc))
 

@@ -27,11 +27,7 @@ from modalsyn.mechanics import (
     modal_decompose,
 )
 from modalsyn.observer import truncate_with_compliance
-from modalsyn.shaping import (
-    compute_scalings,
-    design_weights_4block,
-    design_weights_6block,
-)
+from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     StateSpaceModel,
     care_solve,
@@ -75,10 +71,9 @@ def two_mass_problem(kind, **weight_kw):
     g_nom = evaluate_local(dpm, spec.p_star)
     sc = compute_scalings(g_nom, [10.0], [1e-4], n_flex=1)
     f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
-    make = design_weights_6block if kind == "6block" else design_weights_4block
     kw = dict(eps=EPS_DAMP)
     kw.update(weight_kw)
-    ws = make([10.0], f_flex, **kw)
+    ws = design_weights([10.0], f_flex, **kw)
     return ClosedLoopMap(kind, dpm, spec.p_star, sc, ws, [1], Q=10.0,
                          f_bw=[10.0])
 
@@ -93,8 +88,7 @@ def mmpa_problem(kind="6block"):
     f_bw = [10.0, 10.0, 10.0]
     sc = compute_scalings(g_nom, f_bw, [1e-4] * 3, n_flex=1)
     f_flex = [float(dpm.omega[3]) / (2 * np.pi)]
-    make = design_weights_6block if kind == "6block" else design_weights_4block
-    ws = make(f_bw, f_flex, eps=EPS_DAMP)
+    ws = design_weights(f_bw, f_flex, eps=EPS_DAMP)
     return ClosedLoopMap(kind, dpm, spec.p_star, sc, ws, [3], Q=10.0,
                          f_bw=f_bw)
 
@@ -247,7 +241,7 @@ def test_criterion_3_compliance_correction():
         oracle = np.zeros((pm.n_y, pm.n_u))
         for i, mode in enumerate(pm.discarded):
             oracle += np.outer(Cd[:, i], Bd[i]) / pm.omega[mode] ** 2
-        worst = max(worst, np.abs(tm.ss.D - oracle).max())
+        worst = max(worst, np.abs(tm.D - oracle).max())
     ok = worst < 1e-10
     assert report(3, ok, "compliance correction: DC feedthrough matches the "
                   f"discarded static contribution, worst {worst:.2e} (<1e-10) "
@@ -289,7 +283,7 @@ def test_criterion_5_riccati_initialization():
     for make in (lambda: two_mass_problem("6block"), mmpa_problem):
         cl = make()
         tm = truncate_with_compliance(cl.pm, cl.p_star)
-        A, C = tm.ss.A, tm.ss.C
+        A, C = tm.A, tm.C
         n = A.shape[0]
         P, L = care_solve(A, C, np.eye(n), np.eye(C.shape[0]))
         res = A @ P + P @ A.T - P @ C.T @ C @ P + np.eye(n)
@@ -393,8 +387,8 @@ def test_criterion_10_weighted_bound_semantics(design6):
     gd = cl.g_delta(params)
     Gv = freq_response(gd, f).values
     Kv = params.krb_filter().evaluate(s)
-    wz1 = cl.wz1_reg.evaluate(s)
-    ww1 = cl.weights.ww1.evaluate(s)
+    wz1 = cl.weights["integral"].evaluate(s)
+    ww1 = cl.weights["identity"].evaluate(s)
     worst = -np.inf
     for i in range(cl.n_rb):
         S = np.abs(1.0 / (1.0 + Gv[:, i, i] * Kv[i]))

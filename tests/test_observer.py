@@ -19,7 +19,7 @@ from modalsyn.observer import (
     selection_matrix,
     truncate_with_compliance,
 )
-from modalsyn.shaping import compute_scalings, design_weights_4block
+from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     ModelError,
     NumericError,
@@ -79,7 +79,7 @@ class TestCompliance:
         f = np.array([1e-3])
         full = freq_response(g_full, f).values[0]
         rb_only = freq_response(
-            tm.ss, f).values[0] - tm.D_o  # RB part alone, no correction
+            tm, f).values[0] - tm.D  # RB part alone, no correction
         np.testing.assert_allclose(full - rb_only, D_o, rtol=1e-4)
 
     def test_direct_formula_mmpa(self):
@@ -102,8 +102,8 @@ class TestTruncation:
     def test_pole_set_is_rb_plus_retained(self):
         pm = partitioned(make_mmpa_lite(), retain=[3])
         tm = truncate_with_compliance(pm, (0.3, 0.4))
-        assert tm.ss.n_states == 2 * (pm.n_rb + 1)
-        poles = np.sort_complex(tm.ss.poles())
+        assert tm.n_states == 2 * (pm.n_rb + 1)
+        poles = np.sort_complex(tm.poles())
         want = np.sort_complex(np.concatenate(
             [la.eigvals(pm.A_RB), la.eigvals(pm.A_FM_r)]))
         np.testing.assert_allclose(poles, want, atol=1e-8)
@@ -112,13 +112,13 @@ class TestTruncation:
         pm = partitioned(make_mmpa_lite(), retain=[3])
         p = (0.3, 0.4)
         tm = truncate_with_compliance(pm, p)
-        np.testing.assert_allclose(tm.D_o, discarded_static_gain(pm, p))
+        np.testing.assert_allclose(tm.D, discarded_static_gain(pm, p))
 
 
 class TestSelectionMatrix:
     def test_output_kind_picks_velocity(self):
         pm = partitioned(make_mmpa_lite())
-        psi = selection_matrix(pm, [3], kind="output")
+        psi = selection_matrix(pm, [3], 2 * (pm.n_rb + pm.n_flex))
         assert psi.shape == (1, 2 * (pm.n_rb + pm.n_flex))
         # mode 3 is the first retained mode; its velocity state follows the
         # three rigid-body pairs
@@ -128,33 +128,33 @@ class TestSelectionMatrix:
 
     def test_error_kind_offsets_from_zero(self):
         pm = partitioned(make_mmpa_lite())
-        psi = selection_matrix(pm, [4], kind="error")
+        psi = selection_matrix(pm, [4], 2 * pm.n_flex)
         assert psi.shape == (1, 2 * pm.n_flex)
         assert psi[0, 3] == 1.0 and psi.sum() == 1.0
 
     def test_not_retained_rejected(self):
         pm = partitioned(make_mmpa_lite(), retain=[3])
         with pytest.raises(ModelError):
-            selection_matrix(pm, [4])
+            selection_matrix(pm, [4], 2 * pm.n_flex)
 
 
 class TestOutputObserver:
     def test_zero_gain_keeps_open_loop_poles(self):
         pm = partitioned(make_two_mass())
         tm = truncate_with_compliance(pm, 0.3)
-        psi = selection_matrix(pm, [1], kind="output")
-        L = np.zeros((tm.ss.n_states, pm.n_y))
-        obs = modal_observer(tm.ss, L, psi)
+        psi = selection_matrix(pm, [1], tm.n_states)
+        L = np.zeros((tm.n_states, pm.n_y))
+        obs = modal_observer(tm, L, psi)
         np.testing.assert_allclose(np.sort_complex(obs.poles()),
-                                   np.sort_complex(tm.ss.poles()), atol=1e-10)
+                                   np.sort_complex(tm.poles()), atol=1e-10)
 
     def test_riccati_gain_is_stabilizing(self):
         pm = decoupled_two_mass()
         tm = truncate_with_compliance(pm, 0.3)
-        _, L = care_solve(tm.ss.A, tm.ss.C, np.eye(tm.ss.n_states),
+        _, L = care_solve(tm.A, tm.C, np.eye(tm.n_states),
                           np.eye(pm.n_y))
-        psi = selection_matrix(pm, [1], kind="output")
-        obs = modal_observer(tm.ss, L, psi)
+        psi = selection_matrix(pm, [1], tm.n_states)
+        obs = modal_observer(tm, L, psi)
         assert is_hurwitz(obs)
         # inputs are the two plant inputs, then the one measurement
         assert obs.n_inputs == 3 and obs.n_outputs == 1
@@ -163,13 +163,13 @@ class TestOutputObserver:
     def test_estimate_converges_in_simulation(self):
         pm = decoupled_two_mass()
         tm = truncate_with_compliance(pm, 0.3)
-        _, L = care_solve(tm.ss.A, tm.ss.C, 1e4 * np.eye(4), np.eye(1))
-        psi = selection_matrix(pm, [1], kind="output")
-        obs = modal_observer(tm.ss, L, psi)
+        _, L = care_solve(tm.A, tm.C, 1e4 * np.eye(4), np.eye(1))
+        psi = selection_matrix(pm, [1], tm.n_states)
+        obs = modal_observer(tm, L, psi)
 
         # joint plant+observer simulation: the estimate error follows the
         # autonomous error dynamics exactly, independent of the input
-        joint = _joint_system(tm.ss, obs)
+        joint = _joint_system(tm, obs)
         dt, n = 1e-3, 20_000
         t = np.arange(n) * dt
         u = np.column_stack([0.2 * np.sin(2 * np.pi * 3 * t),
@@ -185,11 +185,11 @@ class TestOutputObserver:
     def test_dimension_checks(self):
         pm = partitioned(make_two_mass())
         tm = truncate_with_compliance(pm, 0.3)
-        psi = selection_matrix(pm, [1], kind="output")
+        psi = selection_matrix(pm, [1], tm.n_states)
         with pytest.raises(ModelError, match="L must be 4x1"):
-            modal_observer(tm.ss, np.zeros((3, 1)), psi)
+            modal_observer(tm, np.zeros((3, 1)), psi)
         with pytest.raises(ModelError, match="Psi must have 4 columns"):
-            modal_observer(tm.ss, np.zeros((4, 1)), psi[:, :2])
+            modal_observer(tm, np.zeros((4, 1)), psi[:, :2])
 
 
 class TestErrorObserver:
@@ -198,7 +198,7 @@ class TestErrorObserver:
         A = pm.A_FM_r
         C = pm.C_FM_r(np.atleast_1d(p))
         _, L = care_solve(A, -C, q * np.eye(A.shape[0]), np.eye(C.shape[0]))
-        psi = selection_matrix(pm, [1], kind="error")
+        psi = selection_matrix(pm, [1], A.shape[0])
         return modal_observer(error_design_model(pm, p), L, psi), L, psi
 
     def test_state_dimension_is_retained_only(self):
@@ -248,7 +248,7 @@ class TestSigmaSubsystem:
         w = pm.omega[list(pm.retained)][0]
         cl = ClosedLoopMap("4block", pm, 0.3,
                            compute_scalings(g, [10.0], [1e-4], n_flex=1),
-                           design_weights_4block([10.0], [w / (2 * np.pi)]),
+                           design_weights([10.0], [w / (2 * np.pi)]),
                            [1], Q=Q, f_bw=[10.0])
         _, L = care_solve(pm.A_FM_r, -pm.C_FM_r(np.atleast_1d(0.3)),
                           np.eye(2), np.eye(1))

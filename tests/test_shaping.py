@@ -1,17 +1,18 @@
-import json
-
 import numpy as np
 import pytest
 
 from modalsyn.benchplant import make_two_mass
-from modalsyn.decoupling import apply_decoupling, extended_input_decoupling
+from modalsyn.decoupling import (
+    apply_decoupling,
+    apply_decoupling_partitioned,
+    extended_input_decoupling,
+)
 from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
 from modalsyn.shaping import (
     FlexControllerParams,
     ScalingSet,
     compute_scalings,
-    design_weights_4block,
-    design_weights_6block,
+    design_weights,
     make_damping_filter,
     make_integral_filter,
     make_kfm,
@@ -19,6 +20,7 @@ from modalsyn.shaping import (
     regularize_integral_filter,
 )
 from modalsyn.statespace import ModelError, hinf_norm
+from modalsyn.synthesis import ClosedLoopMap
 
 
 def mag(filt, f_hz):
@@ -31,6 +33,32 @@ def decoupled_plant(p=0.3):
     pm = group_and_partition(dec, model, dec.n_rb, [1])
     pair = extended_input_decoupling(pm, p, 1)
     return apply_decoupling(evaluate_local(pm, p), pair)
+
+
+def weight_layout(kind, f_bw=10.0, p=0.3):
+    """The role of each weight block that a ``kind`` map places on M, found
+    by matching each block's transfer against the roles' realizations."""
+    model = make_two_mass()
+    dec = modal_decompose(model)
+    pm = group_and_partition(dec, model, dec.n_rb, [1])
+    dpm = apply_decoupling_partitioned(pm, extended_input_decoupling(pm, p, 1))
+    sc = compute_scalings(evaluate_local(dpm, p), [f_bw], [1e-4], n_flex=1)
+    f_flex = float(dpm.omega[1]) / (2 * np.pi)
+    cl = ClosedLoopMap(kind, dpm, p, sc, design_weights([f_bw], [f_flex]),
+                       [1], Q=10.0, f_bw=[f_bw])
+    points = 2j * np.pi * np.array([0.7, 7.0, f_flex, 300.0])
+    layout = {}
+    for name, block, _, _ in cl._map.blocks:
+        if not name.startswith("W_"):
+            continue
+        roles = [role for role, filt in cl.weights.items()
+                 if filt.n_channels == block.n_inputs
+                 and all(np.allclose(block.transfer_at(s),
+                                     filt.to_ss().transfer_at(s))
+                         for s in points)]
+        assert len(roles) == 1, (name, roles)
+        layout[name] = roles[0]
+    return layout
 
 
 class TestIntegralFilter:
@@ -185,28 +213,40 @@ class TestScalings:
 
 class TestWeightSets:
     def test_6block_layout(self):
-        ws = design_weights_6block([10.0], [50.0])
-        assert ws.wz1.n_channels == 1 and ws.ww3.n_channels == 1
-        np.testing.assert_allclose(mag(ws.ww1, 7.0), 1.0)
-        np.testing.assert_allclose(mag(ws.ww2, 7.0), 1.0)
+        assert weight_layout("6block") == {
+            "W_z1": "integral", "W_z2": "rolloff", "W_w1": "identity",
+            "W_w2": "identity", "W_w3": "damping"}
+        ws = design_weights([10.0], [50.0])
+        assert ws["integral"].n_channels == 1
+        assert ws["damping"].n_channels == 1
+        np.testing.assert_allclose(mag(ws["identity"], 7.0), 1.0)
 
     def test_4block_layout(self):
-        ws = design_weights_4block([10.0, 20.0], [50.0])
-        assert ws.ww3 is None
-        assert ws.ww1.n_channels == 2
-        np.testing.assert_allclose(mag(ws.wz2, 3.0), 1.0)
-        # damping weight sits on the flexible disturbance channel
-        np.testing.assert_allclose(mag(ws.ww2, 50.0)[0, 0], 100.0, rtol=1e-10)
+        # no third disturbance block; the damping weight sits on the
+        # flexible disturbance channel
+        assert weight_layout("4block") == {
+            "W_z1": "integral", "W_z2": "identity", "W_w1": "rolloff",
+            "W_w2": "damping"}
+        ws = design_weights([10.0, 20.0], [50.0])
+        assert ws["rolloff"].n_channels == 2
+        np.testing.assert_allclose(mag(ws["identity"], 3.0), 1.0)
+        np.testing.assert_allclose(mag(ws["damping"], 50.0)[0, 0], 100.0,
+                                   rtol=1e-10)
 
-    def test_params_json_serializable(self):
-        ws = design_weights_6block([10.0], [50.0, 120.0], eps=[0.2, 0.4])
-        doc = json.loads(json.dumps(ws.to_dict()))
-        assert doc["K_s"] == 0.5 and doc["alpha"] == 20.0
-        assert [c["f"] for c in doc["flex"]] == [50.0, 120.0]
-        assert doc["f_I"] == [2.5] and doc["f_r"] == [40.0]
+    def test_design_weights_by_role(self):
+        ws = design_weights([10.0, 20.0], [50.0])
+        assert sorted(ws) == ["damping", "identity", "integral", "rolloff"]
+        for role in ("integral", "rolloff", "identity"):
+            assert ws[role].n_channels == 2
+        assert ws["damping"].n_channels == 1
+        np.testing.assert_allclose(mag(ws["identity"], [3.0, 7.0]), 1.0)
+        # the damping weight peaks at the flexible mode
+        np.testing.assert_allclose(mag(ws["damping"], 50.0)[0, 0], 100.0,
+                                   rtol=1e-10)
 
     def test_defaults_follow_bandwidth(self):
-        ws = design_weights_4block([8.0], [60.0])
-        np.testing.assert_allclose(mag(ws.wz1, 2.0)[0, 0], 0.5 * np.sqrt(2),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(mag(ws.ww1, 1e6)[0, 0], 10.0, rtol=1e-3)
+        ws = design_weights([8.0], [60.0])
+        np.testing.assert_allclose(mag(ws["integral"], 2.0)[0, 0],
+                                   0.5 * np.sqrt(2), rtol=1e-12)
+        np.testing.assert_allclose(mag(ws["rolloff"], 1e6)[0, 0], 10.0,
+                                   rtol=1e-3)

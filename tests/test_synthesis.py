@@ -11,11 +11,7 @@ from modalsyn.decoupling import (
     extended_input_decoupling,
 )
 from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
-from modalsyn.shaping import (
-    compute_scalings,
-    design_weights_4block,
-    design_weights_6block,
-)
+from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     ModelError,
     NumericError,
@@ -56,8 +52,7 @@ def _make_cl(kind, p_star=0.3):
     g_nom = evaluate_local(dpm, p_star)
     sc = compute_scalings(g_nom, F_BW, EXPECTED_ERROR, n_flex=1)
     f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
-    make = design_weights_6block if kind == "6block" else design_weights_4block
-    ws = make(F_BW, f_flex)
+    ws = design_weights(F_BW, f_flex)
     return ClosedLoopMap(kind, dpm, p_star, sc, ws, [1], Q=10.0, f_bw=F_BW)
 
 
@@ -115,9 +110,9 @@ class TestClosedLoopFormulas:
             G = Gd.transfer_at(s)       # 1 x 2: RB column, flexible column
             g1, g2 = G[0, 0], G[0, 1]
             k = K.transfer_at(s)[0, 0]
-            wz1 = _diag_eval(cl6.wz1_reg, s)[0]
-            wz2 = _diag_eval(cl6.weights.wz2, s)[0]
-            ww3 = _diag_eval(cl6.weights.ww3, s)[0]
+            wz1 = _diag_eval(cl6.weights["integral"], s)[0]
+            wz2 = _diag_eval(cl6.weights["rolloff"], s)[0]
+            ww3 = _diag_eval(cl6.weights["damping"], s)[0]
             S = 1.0 / (1.0 + g1 * k)
             # w1/w2 shaping is identity on this problem
             oracle = np.array([
@@ -138,9 +133,9 @@ class TestClosedLoopFormulas:
             g1, g2 = G[0, 0], G[0, 1]
             k = K.transfer_at(s)[0, 0]
             sg = Sig.transfer_at(s)[0, 0]
-            wz1 = _diag_eval(cl4.wz1_reg, s)[0]
-            ww1 = _diag_eval(cl4.weights.ww1, s)[0]
-            ww2 = _diag_eval(cl4.weights.ww2, s)[0]
+            wz1 = _diag_eval(cl4.weights["integral"], s)[0]
+            ww1 = _diag_eval(cl4.weights["rolloff"], s)[0]
+            ww2 = _diag_eval(cl4.weights["damping"], s)[0]
             S = 1.0 / (1.0 + g1 * k + g2 * sg)
             oracle = np.array([
                 [wz1 * S * g1 * ww1, wz1 * S * g2 * ww2],
@@ -202,6 +197,11 @@ class TestClosedLoopFormulas:
         s = 2j * np.pi * 7.0
         np.testing.assert_allclose(Mv.transfer_at(s),
                                    M.transfer_at(s)[:, :2], rtol=1e-12)
+
+
+def test_unknown_kind_is_refused_by_name():
+    with pytest.raises(ModelError, match="unknown interconnection kind '8block'"):
+        _make_cl("8block")
 
 
 class TestStructuredParams:
