@@ -528,21 +528,25 @@ def _hamiltonian_has_imag_eig(g: StateSpaceModel, gamma: float) -> bool:
     return bool(np.any(np.abs(ev.real) <= 1e-8 * scale))
 
 
-def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6) -> float:
-    """H-infinity norm by bisection on a Hamiltonian imaginary-eigenvalue test.
+def hinf_lower_bound(g: StateSpaceModel, poles=None):
+    """Proven lower bound on the H-infinity norm: the largest singular value
+    at DC, at the pole frequencies and of the feed-through D.
 
-    Falls back to a dense frequency grid if the Hamiltonian solve misbehaves.
-    Raises :class:`NumericError` for non-Hurwitz systems and where a pole sits
-    numerically on the imaginary axis (a near-singular resolvent).
+    Returns ``(bound, exact)``; ``exact`` marks a system whose norm needs no
+    bisection (no inputs or outputs, no states, zero B or C), for which
+    ``bound`` is the norm itself.  ``poles`` are the eigenvalues of ``g.A``
+    when the caller has them already.  Raises :class:`NumericError` for
+    non-Hurwitz systems and where a pole sits numerically on the imaginary
+    axis (a near-singular resolvent).
     """
-    poles = g.poles()
+    if poles is None:
+        poles = g.poles()
     if poles.size and not poles.real.max() < 0:
         raise NumericError("H-infinity norm undefined: system is not Hurwitz")
     if min(g.n_inputs, g.n_outputs) == 0:
-        return 0.0
+        return 0.0, True
     if g.n_states == 0 or not (np.any(g.B) and np.any(g.C)):
-        return float(la.svdvals(g.D).max()) if g.D.size else 0.0
-    # lower bound from candidate frequencies: DC, pole frequencies, feed-through;
+        return (float(la.svdvals(g.D).max()) if g.D.size else 0.0), True
     # conjugate pairs and real poles repeat points, so each is evaluated once
     cand = np.unique(np.concatenate([[0.0], np.abs(poles.imag) / (2 * np.pi),
                                      np.abs(poles) / (2 * np.pi)]))
@@ -550,6 +554,24 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6) -> float:
     lo = max(lo, float(la.svdvals(g.D).max()))
     if lo == 0.0:
         lo = 1e-14
+    return lo, False
+
+
+def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6, lower=None) -> float:
+    """H-infinity norm by bisection on a Hamiltonian imaginary-eigenvalue test.
+
+    The bisection starts from ``lower``, the ``(bound, exact)`` pair of
+    :func:`hinf_lower_bound` for ``g``, which is computed here when not
+    given.  Every return is at least that bound, so a caller that only asks
+    whether the norm is below some threshold may stop at the bound.  Falls
+    back to a dense frequency grid, never below the bound, if the
+    Hamiltonian solve misbehaves.  Raises :class:`NumericError` as
+    :func:`hinf_lower_bound` does and when the norm cannot be bracketed.
+    """
+    bound, exact = hinf_lower_bound(g) if lower is None else lower
+    if exact:
+        return bound
+    lo = bound
     try:
         hi = lo * (1 + 1e-3)
         for _ in range(80):
@@ -567,8 +589,9 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6) -> float:
                 hi = mid
         return 0.5 * (lo + hi)
     except la.LinAlgError:
-        # ill-conditioned Hamiltonian solve: certified less tightly by dense grid
-        return hinf_norm_grid(g, 100_000)
+        # ill-conditioned Hamiltonian solve: certified less tightly by dense
+        # grid, which can miss a sharp peak that the bound's candidates hit
+        return max(bound, hinf_norm_grid(g, 100_000))
 
 
 # ---------------------------------------------------------------------------

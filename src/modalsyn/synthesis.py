@@ -13,6 +13,7 @@ local stability.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,6 +43,7 @@ from modalsyn.statespace import (
     _lower,
     care_solve,
     freq_response,
+    hinf_lower_bound,
     hinf_norm,
     lmul,
     rmul,
@@ -344,6 +346,9 @@ class ClosedLoopMap:
         self._flex_columns = range(n_in - self._map.inputs[-1][1], n_in)
         self._columns = None              # columns of M kept by evaluate
         self._realized = (None, {}, {})
+        # (g_delta, n_points, response) of the last crossover sweep: the
+        # scaled plant of the error-based problem does not depend on params
+        self._gd_response = (None, 0, None)
 
     # -- parameter-dependent blocks ------------------------------------
     def observer(self, params) -> StateSpaceModel:
@@ -440,7 +445,10 @@ def rb_crossover(cl: ClosedLoopMap, params, n_points: int = 300) -> np.ndarray:
     """
     gd = cl.g_delta(params)
     f = np.geomspace(min(cl.f_bw) / 20.0, max(cl.f_bw) * 50.0, n_points)
-    Gv = freq_response(gd, f).values
+    seen, seen_n, Gv = cl._gd_response
+    if seen is not gd or seen_n != n_points:
+        Gv = freq_response(gd, f).values
+        cl._gd_response = (gd, n_points, Gv)
     Kv = params.krb_filter().evaluate(2j * np.pi * f)
     out = np.full(cl.n_rb, np.nan)
     for i in range(cl.n_rb):
@@ -512,18 +520,38 @@ def _penalty(base, excess):
 
 
 def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
+    """Objective ``f(vec, bar=inf) -> (value, accepted)`` and its call count.
+
+    ``value`` is ||M||_inf for an accepted vector and a penalty otherwise.
+    A finite ``bar`` asks only whether the value is below it: once M is
+    nominally stable, a vector whose norm lower bound already reaches ``bar``
+    returns that bound, which is at most its value, without the grid
+    closure, the crossover check or the norm.  A value below ``bar`` is
+    always exact.  ``bar`` applies only up to ``PENALTY_BASE / 10``, the
+    smallest penalty of a later stage.  The poles of M serve both the
+    stability test and the bound, so M is eigensolved once.
+    """
     count = [0]
     grid_local = ([evaluate_local(cl.pm, p) for p in grid_points]
                   if grid_points is not None else None)
 
-    def f(vec):
+    def f(vec, bar=math.inf):
         count[0] += 1
         try:
             params = template.with_vector(vec)
             M = cl.evaluate(params)
-            a = spectral_abscissa(M)
+            poles = M.poles()
+            a = float(np.max(poles.real)) if poles.size else -np.inf
             if not a < 0:
                 return _penalty(PENALTY_BASE, a), False
+            lower = None
+            if bar <= PENALTY_BASE / 10:
+                try:
+                    lower = hinf_lower_bound(M, poles)
+                except NumericError:
+                    return PENALTY_BASE, False
+                if lower[0] >= bar:
+                    return lower[0], False
             if grid_local is not None:
                 worst = max(spectral_abscissa(close_full_loop(g, cl, params))
                             for g in grid_local)
@@ -538,7 +566,9 @@ def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
                 if miss.max() > 0:
                     return PENALTY_BASE / 10 + float(miss.max()), False
             try:
-                return hinf_norm(M, rel_tol=norm_tol), True
+                if lower is None:
+                    lower = hinf_lower_bound(M, poles)
+                return hinf_norm(M, rel_tol=norm_tol, lower=lower), True
             except NumericError:
                 return PENALTY_BASE, False
         except (NumericError, ModelError, FloatingPointError, la.LinAlgError):
@@ -550,7 +580,13 @@ def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
 
 def _compass_search(f, x0, budget, count, step0=0.25, step_min=1e-3,
                     log=None, offset_evals=0, frozen=None):
-    """Deterministic coordinate pattern search; returns (best_x, best_val)."""
+    """Deterministic coordinate pattern search; returns (best_x, best_val).
+
+    A probe is accepted when its value is below ``bar``, the incumbent less
+    a relative 1e-12, and ``f`` gets that ``bar``: it may answer any value at
+    or above it for a probe it rejects.  The starting point is evaluated
+    exactly, so every value kept is exact.
+    """
     x = np.asarray(x0, dtype=float).copy()
     free = (np.flatnonzero(~frozen) if frozen is not None
             else np.arange(x.size))
@@ -567,8 +603,9 @@ def _compass_search(f, x0, budget, count, step0=0.25, step_min=1e-3,
                     break
                 cand = x.copy()
                 cand[i] += sgn * step[i] * scale[i]
-                val, _ = f(cand)
-                if val < best_val - 1e-12 * max(abs(best_val), 1.0):
+                bar = best_val - 1e-12 * max(abs(best_val), 1.0)
+                val, _ = f(cand, bar)
+                if val < bar:
                     best_i, best_val, best_x = i, val, cand
         if best_x is None:
             step *= 0.5

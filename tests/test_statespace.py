@@ -14,6 +14,7 @@ from modalsyn.statespace import (
     connect,
     discretize_zoh,
     freq_response,
+    hinf_lower_bound,
     hinf_norm,
     hinf_norm_grid,
     is_hurwitz,
@@ -21,6 +22,7 @@ from modalsyn.statespace import (
     simulate,
     spectral_abscissa,
 )
+from modalsyn import statespace
 from modalsyn.statespace import _CHUNK_ENTRIES, _CHUNK_ROWS
 
 
@@ -314,6 +316,46 @@ class TestHinfNorm:
     def test_zero_system(self):
         g = StateSpaceModel([[-1.0]], [[0.0]], [[0.0]], [[0.0]])
         assert hinf_norm(g) == pytest.approx(0.0, abs=1e-12)
+
+    def test_lower_bound_is_where_the_bisection_starts(self):
+        """The bound never exceeds the norm, and handing it to the norm
+        gives the same bits as letting the norm compute it."""
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            g = random_stable(rng, int(rng.integers(1, 9)), 2, 2)
+            bound, exact = hinf_lower_bound(g, g.poles())
+            assert not exact
+            assert bound == hinf_lower_bound(g)[0]
+            assert bound <= hinf_norm(g)
+            assert hinf_norm(g, lower=(bound, exact)) == hinf_norm(g)
+
+    def test_lower_bound_is_exact_without_dynamics(self):
+        assert hinf_lower_bound(StateSpaceModel.from_gain([[3.0]])) == (3.0, True)
+        g = StateSpaceModel([[-1.0]], [[0.0]], [[1.0]], [[0.5]])
+        assert hinf_lower_bound(g) == (0.5, True)
+        with pytest.raises(NumericError):
+            hinf_lower_bound(StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+    def test_fallback_never_returns_below_the_bound(self, monkeypatch):
+        """A 1 Hz pole with damping 1e-6 falls halfway between two points
+        of the fallback's log grid, which then sees about 1/70 of the peak;
+        the candidate frequencies hit it, so the fallback keeps the bound."""
+        w, zeta = 2 * np.pi, 1e-6
+        g = StateSpaceModel([[0.0, 1.0], [-w * w, -2 * zeta * w]],
+                            [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        peak = 1 / (2 * zeta * w * w * np.sqrt(1 - zeta ** 2))
+        bound, _ = hinf_lower_bound(g)
+        grid = hinf_norm_grid(g)
+        assert grid < 0.1 * peak <= bound
+
+        def ill_conditioned(*args):
+            raise la.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(statespace, "_hamiltonian_has_imag_eig",
+                            ill_conditioned)
+        norm = hinf_norm(g)
+        assert norm >= bound and norm >= grid
+        assert norm == pytest.approx(peak, rel=1e-6)
 
 
 class TestCare:

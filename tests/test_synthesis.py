@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -17,6 +19,8 @@ from modalsyn.statespace import (
     NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
+    freq_response,
+    hinf_lower_bound,
     is_hurwitz,
     spectral_abscissa,
 )
@@ -406,6 +410,65 @@ class TestObjective:
 
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), scale=st.sampled_from([1e-2, 1.0, 30.0, 300.0]))
+    def test_bar_changes_only_values_at_or_above_it(self, cl6, cl4, kind,
+                                                    data, scale):
+        """Given a bar, the objective returns its exact value or, when that
+        value is at or above the bar, possibly another one at or above it;
+        every call counts once."""
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x0 = init.to_vector()
+        unit = data.draw(arrays(float, x0.size, elements=st.floats(-1.0, 1.0)))
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f, count = _objective(cl, init, 1e-5, grid, (9.4, 10.6))
+        gamma0, _ = f(x0)
+        x = x0 + scale * unit * np.maximum(np.abs(x0), 1.0)
+        exact = f(x)
+        for bar in (0.5 * gamma0, gamma0, 2 * gamma0, 1e5, 1e6, math.inf):
+            before = count[0]
+            got = f(x, bar)
+            assert count[0] == before + 1
+            assert got == exact or min(got[0], exact[0]) >= bar, bar
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_dominated_probe_stops_at_the_bound(self, cl6, cl4, kind,
+                                                monkeypatch):
+        """A probe whose norm lower bound reaches the bar returns the bound
+        without the grid closure, the crossover check or the norm."""
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x = _active_params(cl).to_vector()
+        bound, _ = hinf_lower_bound(cl.evaluate(init.with_vector(x)))
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f, count = _objective(cl, init, 1e-5, grid, self.BAND)
+        for stage in ("close_full_loop", "rb_crossover", "hinf_norm"):
+            def fail(*args, _stage=stage, **kwargs):
+                raise AssertionError(f"{_stage} called for a dominated probe")
+            monkeypatch.setattr(synthesis, stage, fail)
+        assert f(x, bound) == (bound, False)
+        assert count[0] == 1
+
+    @pytest.mark.parametrize("kind, sweeps", [("6block", 2), ("4block", 1)])
+    def test_crossover_reuses_an_unchanged_plant_response(self, cl6, cl4, kind,
+                                                          sweeps, monkeypatch):
+        """The 300-point response of g_delta is solved again only when
+        g_delta is a new model: the error-based scaled plant does not
+        depend on the parameters."""
+        cl = cl6 if kind == "6block" else cl4
+        designs = [_active_params(cl, xi) for xi in (2.0, 3.0)]
+        cl._gd_response = (None, 0, None)
+        sweep = []
+        monkeypatch.setattr(synthesis, "freq_response",
+                            lambda g, f: sweep.append(g) or freq_response(g, f))
+        got = [rb_crossover(cl, p) for p in designs]
+        assert len(sweep) == sweeps
+        for params, xc in zip(designs, got):
+            cl._gd_response = (None, 0, None)
+            np.testing.assert_array_equal(rb_crossover(cl, params), xc)
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
     @pytest.mark.parametrize("stage", ["close_full_loop", "rb_crossover",
                                        "hinf_norm"])
     def test_stage_that_raises_scores_a_penalty(self, cl6, cl4, kind, stage,
@@ -436,13 +499,37 @@ class TestOptimizer:
         target = np.array([1.3, -0.4, 2.2])
         count = [0]
 
-        def f(x):
+        def f(x, bar=math.inf):
             count[0] += 1
             return float(np.sum((x - target) ** 2)) + 5.0, True
 
         x, fx = _compass_search(f, np.zeros(3), 4000, count)
         assert fx == pytest.approx(5.0, abs=1e-4)
         np.testing.assert_allclose(x, target, atol=0.02)
+
+    def test_compass_search_needs_no_value_above_the_bar(self):
+        """An objective that answers the bar itself for every probe at or
+        above it steers the search exactly as the exact objective does."""
+        target = np.array([1.3, -0.4, 2.2])
+
+        def exact(x, bar=math.inf):
+            return float(np.sum((x - target) ** 2)) + 5.0, True
+
+        def bounded(x, bar=math.inf):
+            val, ok = exact(x)
+            return (bar, False) if val >= bar else (val, ok)
+
+        runs = []
+        for g in (exact, bounded):
+            count, log = [0], []
+
+            def f(x, bar=math.inf, g=g):
+                count[0] += 1
+                return g(x, bar)
+
+            x, fx = _compass_search(f, np.zeros(3), 300, count, log=log)
+            runs.append((x.tolist(), fx, log, count[0]))
+        assert runs[0] == runs[1]
 
     def test_budget_zero_returns_initialization(self, cl6):
         init = initial_params(cl6)
