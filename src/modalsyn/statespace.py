@@ -3,7 +3,8 @@
 Foundational operations used by every other module: interconnection,
 frequency response, stability tests, the H-infinity norm, filter Riccati
 solving and fixed-step time simulation.  All functions are pure and operate
-on immutable inputs, so they are safe to call concurrently.
+on immutable inputs, so they are safe to call concurrently; a compiled
+:class:`Interconnection` keeps a workspace between its closes.
 """
 
 from __future__ import annotations
@@ -65,6 +66,18 @@ class StateSpaceModel:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
+
+    @classmethod
+    def _built(cls, A, B, C, D):
+        """Model from conformable 2-D float arrays that a formula of this
+        package produced: of the constructor's checks only finiteness runs."""
+        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
+            if not np.isfinite(mat).all():
+                raise ModelError(f"non-finite entries in {name}")
+        g = object.__new__(cls)
+        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
+            object.__setattr__(g, name, mat)
+        return g
 
     @property
     def n_states(self):
@@ -195,6 +208,18 @@ def _tf_section_realization(num, den):
     return A, B, C, np.array([[d]])
 
 
+def diagonal_response(channels, s_values):
+    """Values at ``s_values`` of a diagonal whose ``channels[i]`` is a list
+    of ``(num, den)`` sections, shape (n_channels, len(s_values)); the
+    sections need not be wrapped in a :class:`RationalDiagonalFilter`."""
+    s = np.asarray(s_values, dtype=complex).ravel()
+    out = np.ones((len(channels), s.size), dtype=complex)
+    for i, sections in enumerate(channels):
+        for num, den in sections:
+            out[i] *= np.polyval(num, s) / np.polyval(den, s)
+    return out
+
+
 @dataclass(frozen=True)
 class RationalDiagonalFilter:
     """Diagonal transfer matrix, each channel a cascade of rational sections.
@@ -236,12 +261,7 @@ class RationalDiagonalFilter:
 
     def evaluate(self, s_values):
         """Complex diagonal values, shape (n_channels, len(s_values))."""
-        s = np.asarray(s_values, dtype=complex).ravel()
-        out = np.ones((self.n_channels, s.size), dtype=complex)
-        for i, sections in enumerate(self.channels):
-            for num, den in sections:
-                out[i] *= np.polyval(num, s) / np.polyval(den, s)
-        return out
+        return diagonal_response(self.channels, s_values)
 
     def channel_ss(self, i):
         """State-space realization of a single diagonal channel."""
@@ -307,7 +327,7 @@ def lmul(M, g: StateSpaceModel) -> StateSpaceModel:
     M = _as_matrix(M)
     if M.shape[1] != g.n_outputs:
         raise ModelError("lmul: matrix columns must match system outputs")
-    return StateSpaceModel(g.A, g.B, M @ g.C, M @ g.D)
+    return StateSpaceModel._built(g.A, g.B, M @ g.C, M @ g.D)
 
 
 def rmul(g: StateSpaceModel, M) -> StateSpaceModel:
@@ -315,32 +335,7 @@ def rmul(g: StateSpaceModel, M) -> StateSpaceModel:
     M = _as_matrix(M)
     if M.shape[0] != g.n_inputs:
         raise ModelError("rmul: matrix rows must match system inputs")
-    return StateSpaceModel(g.A, g.B @ M, g.C, g.D @ M)
-
-
-def route(blocks, E_w, E_y, F_w, F_y) -> StateSpaceModel:
-    """Close static signal routing around a collection of LTI blocks.
-
-    With stacked block inputs u_b and outputs y_b, imposes
-    u_b = E_w w + E_y y_b and returns the system from external input w to
-    z = F_w w + F_y y_b.  This is the single interconnection primitive;
-    :func:`connect` declares the same routing by signal name.
-    """
-    A, B, C, D = _stacked(list(blocks))
-    E_w, E_y, F_w, F_y = map(_as_matrix, (E_w, E_y, F_w, F_y))
-    n_u, n_y = D.shape[1], D.shape[0]
-    if E_y.shape != (n_u, n_y) or E_w.shape[0] != n_u:
-        raise ModelError("route: routing matrix dimensions do not match blocks")
-    if F_y.shape[1] != n_y or F_w.shape[0] != F_y.shape[0] or F_w.shape[1] != E_w.shape[1]:
-        raise ModelError("route: output map dimensions do not match")
-    loop = np.eye(n_y) - D @ E_y
-    if np.linalg.cond(loop) > 1e12:
-        raise NumericError("singular algebraic loop in routed interconnection")
-    Minv = la.solve(loop, np.eye(n_y))
-    return StateSpaceModel(A + B @ E_y @ Minv @ C,
-                           B @ (E_w + E_y @ Minv @ D @ E_w),
-                           F_y @ Minv @ C,
-                           F_w + F_y @ Minv @ D @ E_w)
+    return StateSpaceModel._built(g.A, g.B @ M, g.C, g.D @ M)
 
 
 def _add_ports(table, kind, prefix, groups, start):
@@ -366,7 +361,7 @@ def _check_ports(name, model, n_in, n_out):
 
 def _lower(blocks, connections, inputs, outputs):
     """Lower a :func:`connect` declaration to the routing matrices
-    ``(E_w, E_y, F_w, F_y)`` of :func:`route`.
+    ``(E_w, E_y, F_w, F_y)`` of :class:`Interconnection`.
 
     Also returns the declared ``(inputs, outputs)`` widths of each block.  A
     block whose model is ``None`` is checked against its widths later, by
@@ -401,8 +396,93 @@ def _lower(blocks, connections, inputs, outputs):
              routing["z", "y"]), widths)
 
 
+class Interconnection:
+    """A :func:`connect` declaration compiled once and closed many times.
+
+    A block whose model is ``None`` is free: every :meth:`close` supplies
+    its model by name, checked against the block's declared widths.  The
+    declaration is lowered to routing matrices when it is made.  With the
+    stacked block inputs u_b and outputs y_b, a close imposes
+    u_b = E_w w + E_y y_b and returns the system from the external inputs w
+    to z = F_w w + F_y y_b.
+
+    The stacked realization of the blocks is laid out once per set of free
+    state counts; a close copies each free block into its slice.  The
+    algebraic-loop inverse (I - D E_y)^-1, its conditioning check and the
+    products that need only it, D and the routing are kept for the last
+    stacked D seen, so a close whose D is unchanged (free blocks strictly
+    proper, say) computes only the products with the blocks' A, B and C.
+    Every close returns new arrays.  A compiled interconnection keeps that
+    state between closes, so two threads must not close the same one.
+    """
+
+    def __init__(self, blocks, connections, inputs, outputs):
+        self.blocks = tuple(blocks)
+        self.connections = tuple(connections)
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
+        self._routing, self._widths = _lower(self.blocks, self.connections,
+                                             self.inputs, self.outputs)
+        self._free = [k for k, block in enumerate(self.blocks) if block[1] is None]
+        # free state counts, stacked A, B, C, D and the free blocks' slices
+        self._work = (None, None, None)
+        self._loop = (None, ())  # stacked D bytes and its loop products
+
+    def close(self, models=None) -> StateSpaceModel:
+        """Interconnect, taking each free block's model from ``models[name]``."""
+        free = []
+        for k in self._free:
+            name = self.blocks[k][0]
+            if models is None or name not in models:
+                raise ModelError(f"connect: block {name!r} has no model")
+            _check_ports(name, models[name], *self._widths[k])
+            free.append(models[name])
+        layout = tuple(g.n_states for g in free)
+        if layout != self._work[0]:
+            self._work = (layout, *self._lay_out(free))
+        _, (A, B, C, D), slices = self._work
+        for (x, u, y), g in zip(slices, free):
+            A[x, x] = g.A
+            B[x, u] = g.B
+            C[y, x] = g.C
+            D[y, u] = g.D
+        key = D.tobytes()
+        if key != self._loop[0]:
+            self._loop = (key, self._loop_products(D))
+        Minv, B_w, FM, D_w = self._loop[1]
+        E_y = self._routing[1]
+        return StateSpaceModel._built(A + B @ E_y @ Minv @ C, B @ B_w, FM @ C,
+                                      D_w.copy())
+
+    def _lay_out(self, free):
+        """Every block stacked, the free ones as given, and the state, input
+        and output slices of each free block."""
+        models = [block[1] for block in self.blocks]
+        for k, g in zip(self._free, free):
+            models[k] = g
+        starts = np.cumsum([(0, 0, 0)] + [(g.n_states, g.n_inputs, g.n_outputs)
+                                         for g in models], axis=0)
+        slices = [tuple(slice(a, b) for a, b in zip(starts[k], starts[k + 1]))
+                  for k in self._free]
+        return _stacked(models), slices
+
+    def _loop_products(self, D):
+        """(I - D E_y)^-1 and, associated as the closed-loop formula
+        associates them, B's right factor, F_y (I - D E_y)^-1 and the
+        feed-through."""
+        E_w, E_y, F_w, F_y = self._routing
+        n_y = D.shape[0]
+        loop = np.eye(n_y) - D @ E_y
+        if np.linalg.cond(loop) > 1e12:
+            raise NumericError("singular algebraic loop in routed interconnection")
+        Minv = la.solve(loop, np.eye(n_y))
+        FM = F_y @ Minv
+        return Minv, E_w + E_y @ Minv @ D @ E_w, FM, F_w + FM @ D @ E_w
+
+
 def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
-    """Interconnect blocks by named signals; lowers to :func:`route`.
+    """Interconnect blocks by named signals: one :class:`Interconnection`
+    closed once, with every model given.
 
     ``blocks`` is a sequence of ``(name, model, input_groups,
     output_groups)``; the groups are ``(group, width)`` pairs in the model's
@@ -414,9 +494,7 @@ def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
     input.  A scalar gain scales the identity; a matrix gain has shape
     (destination width, source width).  Unconnected block inputs are zero.
     """
-    blocks = list(blocks)
-    routing, _ = _lower(blocks, connections, inputs, outputs)
-    return route([model for _, model, _, _ in blocks], *routing)
+    return Interconnection(blocks, connections, inputs, outputs).close()
 
 
 # ---------------------------------------------------------------------------

@@ -34,20 +34,19 @@ from modalsyn.shaping import (
     regularize_integral_filter,
 )
 from modalsyn.statespace import (
+    Interconnection,
     ModelError,
     NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
     _block_diag,
-    _check_ports,
-    _lower,
     care_solve,
+    diagonal_response,
     freq_response,
     hinf_lower_bound,
     hinf_norm,
     lmul,
     rmul,
-    route,
     spectral_abscissa,
 )
 
@@ -99,18 +98,70 @@ class StructuredControllerParams:
     def n_params(self):
         return self.krb.size + self.L.size + self.xi.size
 
+    def krb_sections(self):
+        """Per channel, the ``(num, den)`` sections of K_RB in descending
+        powers of s: g (s + w_int) / s, the lead-lag and the low-pass."""
+        return tuple(
+            ((g * np.array([1.0, wi]), np.array([1.0, 0.0])),
+             (np.array([1.0 / wz, 1.0]), np.array([1.0 / wp, 1.0])),
+             (np.array([1.0]), np.array([1.0 / wlp ** 2, 2 * zlp / wlp, 1.0])))
+            for g, wi, wz, wp, wlp, zlp in self.krb)
+
     def krb_filter(self) -> RationalDiagonalFilter:
-        chans = []
-        for g, wi, wz, wp, wlp, zlp in self.krb:
-            chans.append([
-                (g * np.array([1.0, wi]), np.array([1.0, 0.0])),
-                (np.array([1.0 / wz, 1.0]), np.array([1.0 / wp, 1.0])),
-                (np.array([1.0]), np.array([1.0 / wlp ** 2, 2 * zlp / wlp, 1.0])),
-            ])
-        return RationalDiagonalFilter(tuple(chans))
+        return RationalDiagonalFilter(self.krb_sections())
 
     def kfm_filter(self) -> RationalDiagonalFilter:
         return make_kfm(FlexControllerParams(self.xi, self.omega, self.Q))
+
+    # -- closed-form realizations: each entry is the floating-point product
+    #    that ``to_ss`` forms for it (``series`` of the sections'
+    #    controllable-canonical realizations), so the arrays are byte-equal
+    #    to the filter's -------------------------------------------------
+    def krb_ss(self, gains=None) -> StateSpaceModel:
+        """``krb_filter().to_ss()``, or with per-channel output ``gains``
+        ``krb_filter().scaled(gains).to_ss()``, written into its pattern.
+
+        Each channel has four states: the integrator, the lead-lag and the
+        two of the low-pass.  A lead-lag or low-pass whose leading
+        denominator coefficient is zero or infinite in floating point has no
+        such pattern, and the filter is realized instead.
+        """
+        n = self.n_rb
+        A, B, C = np.zeros((4 * n, 4 * n)), np.zeros((4 * n, n)), np.zeros((n, 4 * n))
+        for k, (g, wi, wz, wp, wlp, zlp) in enumerate(self.krb):
+            # leading coefficients; the scalar power of krb_sections, which
+            # differs from an array square in about 0.1 % of values
+            p, r = 1.0 / wp, 1.0 / wlp ** 2
+            if not (p < np.inf and 0.0 < r < np.inf):
+                filt = self.krb_filter()
+                return (filt if gains is None else filt.scaled(gains)).to_ss()
+            c_int, d_lead, a_lead, a_lp = g * wi, 1.0 / wz / p, 1.0 / p, 1.0 / r
+            i = 4 * k
+            A[i:i + 4, i:i + 4] = (   # the integrator's pole is a negated 0.0
+                (-0.0, 0.0, 0.0, 0.0),
+                (c_int, -a_lead, 0.0, 0.0),
+                (0.0, 0.0, 0.0, 1.0),
+                (d_lead * c_int, a_lead - d_lead * a_lead, -a_lp,
+                 -(2 * zlp / wlp / r)))
+            B[i:i + 4, k] = (1.0, g, 0.0, d_lead * g)
+            C[k, i + 2] = a_lp if gains is None else gains[k] * a_lp
+        return StateSpaceModel._built(A, B, C, np.zeros((n, n)))
+
+    def kfm_ss(self) -> StateSpaceModel:
+        """``kfm_filter().to_ss()`` written into its pattern: two states per
+        band-pass, with xi only in C."""
+        n = self.xi.size
+        A, B, C = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, n)), np.zeros((n, 2 * n))
+        for k, (xi, w) in enumerate(zip(self.xi, self.omega)):
+            if not (w > 0 and self.Q > 0):
+                raise ModelError("omega and Q must be positive")
+            bw = w / self.Q
+            i = 2 * k
+            A[i:i + 2, i:i + 2] = ((0.0, 1.0), (-(w ** 2), -bw))
+            B[i + 1, k] = 1.0
+            # + 0.0: a zero gain's section is trimmed to a +0.0 numerator
+            C[k, i + 1] = xi * bw + 0.0
+        return StateSpaceModel._built(A, B, C, np.zeros((n, n)))
 
     # -- flat vector mapping: log10 for the positive K_RB entries, linear
     #    for L and xi ---------------------------------------------------
@@ -172,34 +223,6 @@ def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
 # generalized plant assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Interconnection:
-    """A :func:`connect` declaration whose blocks with model ``None`` depend
-    on the controller parameters and are supplied on every :meth:`close`.
-    The declaration is lowered to routing matrices once, when it is made."""
-
-    blocks: tuple        # (name, model or None, input groups, output groups)
-    connections: tuple
-    inputs: tuple
-    outputs: tuple
-    _lowered: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lowered", _lower(
-            self.blocks, self.connections, self.inputs, self.outputs))
-
-    def close(self, models) -> StateSpaceModel:
-        """Interconnect, taking each missing model from ``models[name]``."""
-        routing, widths = self._lowered
-        blocks = []
-        for (name, model, _, _), ports in zip(self.blocks, widths):
-            if model is None:
-                model = models[name]
-                _check_ports(name, model, *ports)
-            blocks.append(model)
-        return route(blocks, *routing)
-
-
 def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
     """Declare a ``kind`` problem: everything in which the kinds differ.
 
@@ -242,7 +265,7 @@ def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
             ("K_RB.e", "d", 1), ("K_RB.e", "G.y", 1),
             ("e", "d", 1), ("e", "G.y", 1))
     if kind == "6block":
-        inner = _Interconnection(
+        inner = Interconnection(
             (("G", plant, plant_in, y), *observer),
             (("G.u_rb", "u_rb", 1), ("G.u_fm", "u_fm", 1),
              ("G.u_fm", "K_FM.u", embed), ("O.u_rb", "u_rb", 1),
@@ -251,7 +274,7 @@ def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
             plant_in, y)
         # w1 enters as an output disturbance, w2 at the rigid-body input and
         # w3 at the flexible input
-        weighted = _Interconnection(
+        weighted = Interconnection(
             (G, K_RB, *W(W_z1="integral", W_z2="rolloff", W_w1="identity",
                          W_w2="identity", W_w3="damping")),
             weighted_errors + (
@@ -259,7 +282,7 @@ def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
                 ("G.u_rb", "W_w2.y", 1), ("G.u_fm", "W_w3.y", 1),
                 ("W_w3.u", "w3", 1)),
             (("w1", n_rb), ("w2", n_rb), ("w3", n_flex)), z)
-        full = _Interconnection(
+        full = Interconnection(
             (G, K_RB, *observer),
             loop + (("G.u_fm", "K_FM.u", embed), ("O.u_rb", "K_RB.u", -1),
                     ("O.u_fm", "K_FM.u", embed), ("O.y", "G.y", 1),
@@ -269,21 +292,21 @@ def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
                 inner, weighted, full)
     if kind == "4block":
         u_fm = (("u_fm", n_flex),)
-        inner = _Interconnection(
+        inner = Interconnection(
             (("O", None, u_fm + e, eta), K_FM),
             (("O.u_fm", "K_FM.u", embed), ("O.e", "e", 1),
              ("K_FM.eta", "O.eta", 1), ("u_fm", "K_FM.u", embed)),
             e, u_fm)
         sigma = ("Sigma", None, e, (("u", n_flex),))
         # w1 enters at the rigid-body input and w2 at the flexible input
-        weighted = _Interconnection(
+        weighted = Interconnection(
             (G, K_RB, sigma, *W(W_z1="integral", W_z2="identity",
                                 W_w1="rolloff", W_w2="damping")),
             weighted_errors + (
                 ("G.u_rb", "W_w1.y", 1), ("G.u_fm", "W_w2.y", 1),
                 ("G.u_fm", "Sigma.u", -1), ("Sigma.e", "G.y", 1)),
             (("w1", n_rb), ("w2", n_flex)), z)
-        full = _Interconnection(
+        full = Interconnection(
             (G, K_RB, sigma),
             loop + (("G.u_fm", "Sigma.u", -1), ("Sigma.e", "d", 1),
                     ("Sigma.e", "G.y", 1)),
@@ -332,6 +355,7 @@ class ClosedLoopMap:
         left = np.diag(scalings.wz)
         right = _block_diag(np.diag(scalings.ww1),
                             np.diag(scalings.ww2[:self.n_flex]))
+        self._rb_unscaling = _rb_unscaling(scalings, self.n_rb)
         # M's plant block, unless the inner loop takes its slot
         self._g_plant = lmul(left, rmul(self.plant, right))
         (self.observer_model, self._slot, self._inner, self._map,
@@ -361,14 +385,14 @@ class ClosedLoopMap:
         the entry holds that object, so its id stays taken.  The full loop
         always takes its plant ``G`` from the caller."""
         if self._realized[0] is not params:
-            loop = {"K_RB": physical_rb_controller(params, self.scalings).to_ss(),
+            loop = {"K_RB": params.krb_ss(self._rb_unscaling),
                     "O": self.observer(params),
-                    "K_FM": params.kfm_filter().to_ss()}
+                    "K_FM": params.kfm_ss()}
             name, left, right = self._slot
             loop[name] = self._inner.close(loop)
             scaled = {"G": self._g_plant,
                       name: lmul(left, rmul(loop[name], right)),
-                      "K_RB": params.krb_filter().to_ss()}
+                      "K_RB": params.krb_ss()}
             self._realized = (params, scaled, loop)
         return self._realized[1:]
 
@@ -415,12 +439,15 @@ class ConventionalView(ClosedLoopMap):
 # controller realization helpers
 # ---------------------------------------------------------------------------
 
+def _rb_unscaling(scalings: ScalingSet, n_rb: int) -> np.ndarray:
+    """Per-channel gain W_w1_sc W_z_sc that takes K_RB to physical units."""
+    return scalings.ww1[:n_rb] * scalings.wz[:n_rb]
+
+
 def physical_rb_controller(params: StructuredControllerParams,
                            scalings: ScalingSet) -> RationalDiagonalFilter:
     """Unscale the synthesized K_RB: K_phys = W_w1_sc K_RB W_z_sc per channel."""
-    n_rb = params.n_rb
-    gains = scalings.ww1[:n_rb] * scalings.wz[:n_rb]
-    return params.krb_filter().scaled(gains)
+    return params.krb_filter().scaled(_rb_unscaling(scalings, params.n_rb))
 
 
 def close_full_loop(g_local: StateSpaceModel, cl: ClosedLoopMap,
@@ -449,7 +476,7 @@ def rb_crossover(cl: ClosedLoopMap, params, n_points: int = 300) -> np.ndarray:
     if seen is not gd or seen_n != n_points:
         Gv = freq_response(gd, f).values
         cl._gd_response = (gd, n_points, Gv)
-    Kv = params.krb_filter().evaluate(2j * np.pi * f)
+    Kv = diagonal_response(params.krb_sections(), 2j * np.pi * f)
     out = np.full(cl.n_rb, np.nan)
     for i in range(cl.n_rb):
         L = np.abs(Gv[:, i, i] * Kv[i])
