@@ -31,9 +31,10 @@ from modalsyn.mechanics import (
 )
 from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
+    _CHUNK_ROWS,
     ModelError,
     NumericError,
-    RationalDiagonalFilter,
+    diagonal_ss,
     freq_response,
     simulate,
 )
@@ -46,10 +47,6 @@ from modalsyn.synthesis import (
     initial_params,
     synthesize,
 )
-
-
-# rows per write of ``timeseries.csv``
-_CHUNK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -95,6 +92,10 @@ def _resolve_model(config, args):
             model = MechanicalModel.from_dict(json.load(fh))
     except FileNotFoundError:
         raise ConfigError(f"unknown benchmark and no such file: {name}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"model file is not valid JSON: {exc}")
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"model file {name} is not a mechanical model: {exc!r}")
     dec = modal_decompose(model)
     p_star = config.get("p_star")
     if p_star is None:
@@ -137,6 +138,9 @@ def build_problem(config, args, kind) -> DesignProblem:
         expected_error = [float(e) for e in config["expected_error"]]
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'f_bw' and 'expected_error' must be lists of "
+                          f"numbers: {exc}")
     sc = compute_scalings(g_nom, f_bw, expected_error, n_flex=dpm.n_flex)
     f_flex = [float(dpm.omega[i]) / (2 * np.pi) for i in controlled]
     wcfg = config.get("weights", {})
@@ -282,8 +286,7 @@ def _band_disturbance(n, dt, f_center, seed, q=5.0, amplitude=1.0):
     """Band-limited noise: white noise through a band-pass around f_center."""
     rng = np.random.default_rng(seed)
     w = 2 * np.pi * f_center
-    bp = RationalDiagonalFilter(
-        (((np.array([w / q, 0.0]), np.array([1.0, w / q, w ** 2])),),)).to_ss()
+    bp = diagonal_ss([[(np.array([w / q, 0.0]), np.array([1.0, w / q, w ** 2]))]])
     white = rng.standard_normal((n, 1))
     _, _, d = simulate(bp, white, dt)
     scale = np.max(np.abs(d))
@@ -329,6 +332,8 @@ def cmd_simulate(args):
 
 def cmd_gridcheck(args):
     doc, prob = _load_results(args)
+    if "proposed" not in doc:
+        raise ConfigError("results file has no 'proposed' design")
     params = StructuredControllerParams.from_dict(doc["proposed"]["params"])
     cert = grid_stability_check(prob.cl, params, prob.grid)
     out = _out_dir(args)

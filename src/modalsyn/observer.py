@@ -90,5 +90,5 @@ def modal_observer(design: StateSpaceModel, L, Psi) -> StateSpaceModel:
     if Psi.shape[1] != n:
         raise ModelError(f"Psi must have {n} columns")
     B = np.hstack([design.B - L @ design.D, L])
-    return StateSpaceModel(design.A - L @ design.C, B, Psi,
-                           np.zeros((Psi.shape[0], B.shape[1])))
+    return StateSpaceModel._built(design.A - L @ design.C, B, Psi,
+                                  np.zeros((Psi.shape[0], B.shape[1])))

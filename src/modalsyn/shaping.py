@@ -2,7 +2,8 @@
 
 Encodes the loop-shaping intent: integral action at low frequency, roll-off
 at high frequency and an inverse-notch weight that forces damping at each
-controlled flexible mode, plus the band-pass flexible-mode controller.
+controlled flexible mode.  The weights are rational diagonals, realized by
+``RationalDiagonalFilter.to_ss``.
 """
 
 from __future__ import annotations
@@ -131,37 +132,6 @@ def make_damping_filter(f_flex, beta1: float = DEFAULT_BETA1,
         num = e * np.array([1.0 / w ** 2, 2 * beta1 / w, 1.0])
         den = np.array([1.0 / w ** 2, 2 * beta2 / w, 1.0])
         chans.append([(num, den)])
-    return RationalDiagonalFilter(tuple(chans))
-
-
-@dataclass(frozen=True)
-class FlexControllerParams:
-    """Band-pass flexible-mode controller data: gains, center frequencies, Q."""
-
-    xi: np.ndarray       # per-mode gain, sign free
-    omega: np.ndarray    # rad/s
-    Q: float
-
-    def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if xi.shape != omega.shape:
-            raise ModelError("xi and omega must have matching lengths")
-        if np.any(omega <= 0) or self.Q <= 0:
-            raise ModelError("omega and Q must be positive")
-        if not np.all(np.isfinite(xi)):
-            raise ModelError("xi must be finite")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "omega", omega)
-
-
-def make_kfm(params: FlexControllerParams) -> RationalDiagonalFilter:
-    """diag( xi_i * (w_i/Q s) / (s^2 + (w_i/Q) s + w_i^2) ): strict band-pass,
-    zero DC gain and zero feed-through, peak gain |xi_i| at w_i."""
-    chans = []
-    for xi, w in zip(params.xi, params.omega):
-        bw = w / params.Q
-        chans.append([(np.array([xi * bw, 0.0]), np.array([1.0, bw, w ** 2]))])
     return RationalDiagonalFilter(tuple(chans))
 
 

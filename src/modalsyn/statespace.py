@@ -208,6 +208,61 @@ def _tf_section_realization(num, den):
     return A, B, C, np.array([[d]])
 
 
+def _normalized_section(num, den):
+    """Feed-through, denominator tail and reversed strictly proper numerator
+    of a proper section, as Python floats: the trimming, padding and
+    division of :func:`_tf_section_realization`."""
+    num, den = (np.asarray(p, dtype=float).ravel().tolist() for p in (num, den))
+    for p in (num, den):
+        while p and p[0] == 0:
+            del p[0]
+    if not den:
+        raise ModelError("section denominator must have a nonzero leading coefficient")
+    if len(num) > len(den):
+        raise ModelError("section is not proper (numerator degree exceeds denominator)")
+    num = [c / den[0] for c in [0.0] * (len(den) - len(num)) + num]
+    tail = [c / den[0] for c in den[1:]]
+    d = num[0]
+    return d, tail, [b - d * a for b, a in zip(num[1:], tail)][::-1]
+
+
+def diagonal_ss(channels) -> StateSpaceModel:
+    """Realization of a diagonal whose ``channels[i]`` is a cascade of proper
+    ``(num, den)`` sections, the twin of :func:`diagonal_response`.
+
+    Byte for byte the :func:`blockdiag` of each channel's sections realized
+    by :meth:`StateSpaceModel.from_tf` and chained by :func:`series`: every
+    section takes its controllable-canonical place, and an entry that
+    ``series`` forms as a matrix product is written as ``0.0 + a * b``, the
+    value the product takes (a negative zero turns positive).
+    """
+    sections = [[_normalized_section(num, den) for num, den in chan]
+                for chan in channels]
+    n = sum(len(tail) for chan in sections for _, tail, _ in chan)
+    p = len(sections)
+    A, B, C, D = (np.zeros((n, n)), np.zeros((n, p)), np.zeros((p, n)),
+                  np.zeros((p, p)))
+    x = 0
+    for i, chan in enumerate(sections):
+        # the channel's output map and feed-through so far; d is 1.0 or a
+        # sum 0.0 + a * b, never -0.0, so the product 1.0 * d is d itself
+        x0, c, d = x, [], 1.0
+        for d_k, tail, c_k in chan:
+            if tail:
+                last = x + len(tail) - 1
+                for k in range(x, last):
+                    A[k, k + 1] = 1.0
+                A[last, x0:x] = [0.0 + v for v in c]
+                A[last, x:last + 1] = [-a for a in reversed(tail)]
+                B[last, i] = d
+                x = last + 1
+            c = [0.0 + d_k * v for v in c] + c_k
+            d = 0.0 + d_k * d
+        C[i, x0:x] = c
+        D[i, i] = d
+    return StateSpaceModel._built(A, B, C, D)
+
+
 def diagonal_response(channels, s_values):
     """Values at ``s_values`` of a diagonal whose ``channels[i]`` is a list
     of ``(num, den)`` sections, shape (n_channels, len(s_values)); the
@@ -231,21 +286,13 @@ class RationalDiagonalFilter:
     channels: tuple
 
     def __post_init__(self):
-        chans = []
-        for sections in self.channels:
-            sec = []
-            for num, den in sections:
-                num = np.atleast_1d(np.asarray(num, dtype=float))
-                den = np.atleast_1d(np.asarray(den, dtype=float))
-                dent = np.trim_zeros(den, "f")
-                numt = np.trim_zeros(num, "f")
-                if dent.size == 0:
-                    raise ModelError("zero denominator in filter section")
-                if numt.size > dent.size:
-                    raise ModelError("improper filter section")
-                sec.append((num, den))
-            chans.append(tuple(sec))
-        object.__setattr__(self, "channels", tuple(chans))
+        chans = tuple(tuple((np.atleast_1d(np.asarray(num, dtype=float)),
+                             np.atleast_1d(np.asarray(den, dtype=float)))
+                            for num, den in sections)
+                      for sections in self.channels)
+        for num, den in (sec for sections in chans for sec in sections):
+            _normalized_section(num, den)   # refuses a section that is not proper
+        object.__setattr__(self, "channels", chans)
 
     @property
     def n_channels(self):
@@ -263,24 +310,9 @@ class RationalDiagonalFilter:
         """Complex diagonal values, shape (n_channels, len(s_values))."""
         return diagonal_response(self.channels, s_values)
 
-    def channel_ss(self, i):
-        """State-space realization of a single diagonal channel."""
-        g = StateSpaceModel.identity(1)
-        for num, den in self.channels[i]:
-            g = series(g, StateSpaceModel.from_tf(num, den))
-        return g
-
     def to_ss(self):
         """Block-diagonal state-space realization of the full filter."""
-        return blockdiag([self.channel_ss(i) for i in range(self.n_channels)])
-
-    def scaled(self, gains):
-        """Per-channel multiplication by static gains."""
-        gains = np.broadcast_to(np.asarray(gains, float).ravel(), (self.n_channels,))
-        chans = []
-        for g, sections in zip(gains, self.channels):
-            chans.append(list(sections) + [(np.array([g]), np.array([1.0]))])
-        return RationalDiagonalFilter(tuple(chans))
+        return diagonal_ss(self.channels)
 
 
 # ---------------------------------------------------------------------------

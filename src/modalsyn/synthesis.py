@@ -27,12 +27,7 @@ from modalsyn.observer import (
     selection_matrix,
     truncate_with_compliance,
 )
-from modalsyn.shaping import (
-    FlexControllerParams,
-    ScalingSet,
-    make_kfm,
-    regularize_integral_filter,
-)
+from modalsyn.shaping import ScalingSet, regularize_integral_filter
 from modalsyn.statespace import (
     Interconnection,
     ModelError,
@@ -42,6 +37,7 @@ from modalsyn.statespace import (
     _block_diag,
     care_solve,
     diagonal_response,
+    diagonal_ss,
     freq_response,
     hinf_lower_bound,
     hinf_norm,
@@ -98,70 +94,35 @@ class StructuredControllerParams:
     def n_params(self):
         return self.krb.size + self.L.size + self.xi.size
 
-    def krb_sections(self):
+    def krb_sections(self, gains=None):
         """Per channel, the ``(num, den)`` sections of K_RB in descending
-        powers of s: g (s + w_int) / s, the lead-lag and the low-pass."""
-        return tuple(
+        powers of s: g (s + w_int) / s, the lead-lag and the low-pass, and
+        with per-channel output ``gains`` a last section ``(gain, 1)``."""
+        sections = tuple(
             ((g * np.array([1.0, wi]), np.array([1.0, 0.0])),
              (np.array([1.0 / wz, 1.0]), np.array([1.0 / wp, 1.0])),
              (np.array([1.0]), np.array([1.0 / wlp ** 2, 2 * zlp / wlp, 1.0])))
             for g, wi, wz, wp, wlp, zlp in self.krb)
+        if gains is None:
+            return sections
+        return tuple(chan + ((np.array([k]), np.array([1.0])),)
+                     for chan, k in zip(sections, gains))
 
     def krb_filter(self) -> RationalDiagonalFilter:
         return RationalDiagonalFilter(self.krb_sections())
 
-    def kfm_filter(self) -> RationalDiagonalFilter:
-        return make_kfm(FlexControllerParams(self.xi, self.omega, self.Q))
-
-    # -- closed-form realizations: each entry is the floating-point product
-    #    that ``to_ss`` forms for it (``series`` of the sections'
-    #    controllable-canonical realizations), so the arrays are byte-equal
-    #    to the filter's -------------------------------------------------
-    def krb_ss(self, gains=None) -> StateSpaceModel:
-        """``krb_filter().to_ss()``, or with per-channel output ``gains``
-        ``krb_filter().scaled(gains).to_ss()``, written into its pattern.
-
-        Each channel has four states: the integrator, the lead-lag and the
-        two of the low-pass.  A lead-lag or low-pass whose leading
-        denominator coefficient is zero or infinite in floating point has no
-        such pattern, and the filter is realized instead.
-        """
-        n = self.n_rb
-        A, B, C = np.zeros((4 * n, 4 * n)), np.zeros((4 * n, n)), np.zeros((n, 4 * n))
-        for k, (g, wi, wz, wp, wlp, zlp) in enumerate(self.krb):
-            # leading coefficients; the scalar power of krb_sections, which
-            # differs from an array square in about 0.1 % of values
-            p, r = 1.0 / wp, 1.0 / wlp ** 2
-            if not (p < np.inf and 0.0 < r < np.inf):
-                filt = self.krb_filter()
-                return (filt if gains is None else filt.scaled(gains)).to_ss()
-            c_int, d_lead, a_lead, a_lp = g * wi, 1.0 / wz / p, 1.0 / p, 1.0 / r
-            i = 4 * k
-            A[i:i + 4, i:i + 4] = (   # the integrator's pole is a negated 0.0
-                (-0.0, 0.0, 0.0, 0.0),
-                (c_int, -a_lead, 0.0, 0.0),
-                (0.0, 0.0, 0.0, 1.0),
-                (d_lead * c_int, a_lead - d_lead * a_lead, -a_lp,
-                 -(2 * zlp / wlp / r)))
-            B[i:i + 4, k] = (1.0, g, 0.0, d_lead * g)
-            C[k, i + 2] = a_lp if gains is None else gains[k] * a_lp
-        return StateSpaceModel._built(A, B, C, np.zeros((n, n)))
-
-    def kfm_ss(self) -> StateSpaceModel:
-        """``kfm_filter().to_ss()`` written into its pattern: two states per
-        band-pass, with xi only in C."""
-        n = self.xi.size
-        A, B, C = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, n)), np.zeros((n, 2 * n))
-        for k, (xi, w) in enumerate(zip(self.xi, self.omega)):
+    def kfm_sections(self):
+        """Per controlled mode, the band-pass section of K_FM,
+        xi (w/Q) s / (s^2 + (w/Q) s + w^2): zero DC gain and feed-through,
+        peak gain |xi| at w."""
+        sections = []
+        for xi, w in zip(self.xi, self.omega):
             if not (w > 0 and self.Q > 0):
                 raise ModelError("omega and Q must be positive")
             bw = w / self.Q
-            i = 2 * k
-            A[i:i + 2, i:i + 2] = ((0.0, 1.0), (-(w ** 2), -bw))
-            B[i + 1, k] = 1.0
-            # + 0.0: a zero gain's section is trimmed to a +0.0 numerator
-            C[k, i + 1] = xi * bw + 0.0
-        return StateSpaceModel._built(A, B, C, np.zeros((n, n)))
+            sections.append(((np.array([xi * bw, 0.0]),
+                              np.array([1.0, bw, w ** 2])),))
+        return tuple(sections)
 
     # -- flat vector mapping: log10 for the positive K_RB entries, linear
     #    for L and xi ---------------------------------------------------
@@ -385,14 +346,14 @@ class ClosedLoopMap:
         the entry holds that object, so its id stays taken.  The full loop
         always takes its plant ``G`` from the caller."""
         if self._realized[0] is not params:
-            loop = {"K_RB": params.krb_ss(self._rb_unscaling),
+            loop = {"K_RB": diagonal_ss(params.krb_sections(self._rb_unscaling)),
                     "O": self.observer(params),
-                    "K_FM": params.kfm_ss()}
+                    "K_FM": diagonal_ss(params.kfm_sections())}
             name, left, right = self._slot
             loop[name] = self._inner.close(loop)
             scaled = {"G": self._g_plant,
                       name: lmul(left, rmul(loop[name], right)),
-                      "K_RB": params.krb_ss()}
+                      "K_RB": diagonal_ss(params.krb_sections())}
             self._realized = (params, scaled, loop)
         return self._realized[1:]
 
@@ -442,12 +403,6 @@ class ConventionalView(ClosedLoopMap):
 def _rb_unscaling(scalings: ScalingSet, n_rb: int) -> np.ndarray:
     """Per-channel gain W_w1_sc W_z_sc that takes K_RB to physical units."""
     return scalings.ww1[:n_rb] * scalings.wz[:n_rb]
-
-
-def physical_rb_controller(params: StructuredControllerParams,
-                           scalings: ScalingSet) -> RationalDiagonalFilter:
-    """Unscale the synthesized K_RB: K_phys = W_w1_sc K_RB W_z_sc per channel."""
-    return params.krb_filter().scaled(_rb_unscaling(scalings, params.n_rb))
 
 
 def close_full_loop(g_local: StateSpaceModel, cl: ClosedLoopMap,

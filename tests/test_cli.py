@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from modalsyn.benchplant import make_two_mass
 from modalsyn.cli import main
 
 CONFIG = {
@@ -153,3 +154,33 @@ class TestErrors:
         path = tmp_path / "results.json"
         path.write_text("{not json")
         assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_model_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json")
+        assert main(["decouple", "--model", str(path),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_model_file_without_damping(self, tmp_path):
+        doc = make_two_mass().to_dict()
+        del doc["D"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decouple", "--model", str(path),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_bandwidth_that_is_not_a_list(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        with open(cfg, "w") as fh:
+            json.dump(dict(CONFIG, f_bw=10.0), fh)
+        assert main(["synth6", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_gridcheck_without_a_proposed_design(self, synth_run, tmp_path):
+        _, out = synth_run
+        with open(os.path.join(out, "results.json")) as fh:
+            doc = json.load(fh)
+        del doc["proposed"]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gridcheck", str(path), "--out", str(tmp_path)]) == 2

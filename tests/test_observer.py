@@ -26,6 +26,8 @@ from modalsyn.statespace import (
     StateSpaceModel,
     care_solve,
     connect,
+    diagonal_response,
+    diagonal_ss,
     freq_response,
     is_hurwitz,
     simulate,
@@ -241,8 +243,8 @@ class TestErrorObserver:
 
 class TestSigmaSubsystem:
     def build(self, xi=2.0, Q=10.0):
-        """Observer, K_FM and the physical Sigma that the error-based problem
-        closes for them."""
+        """Observer, the sections of K_FM and the physical Sigma that the
+        error-based problem closes for them."""
         pm = decoupled_two_mass()
         g = evaluate_local(pm, 0.3)
         w = pm.omega[list(pm.retained)][0]
@@ -254,7 +256,7 @@ class TestSigmaSubsystem:
                           np.eye(2), np.eye(1))
         init = initial_params(cl)
         params = StructuredControllerParams(init.krb, L, [xi], [w], Q)
-        return (cl.observer(params), params.kfm_filter(),
+        return (cl.observer(params), params.kfm_sections(),
                 cl._realize(params)[1]["Sigma"])
 
     def test_pointwise_closed_form(self):
@@ -263,7 +265,7 @@ class TestSigmaSubsystem:
         f = np.logspace(-1, 2.5, 40)
         resp = freq_response(sigma, f).values
         o = freq_response(obs, f).values
-        k = kfm.evaluate(2j * np.pi * f)
+        k = diagonal_response(kfm, 2j * np.pi * f)
         for i, _ in enumerate(f):
             O_u, O_e = o[i, :, :n_u], o[i, :, n_u:]
             K = np.diag(k[:, i])
@@ -276,4 +278,4 @@ class TestSigmaSubsystem:
 
     def test_state_count(self):
         obs, kfm, sigma = self.build()
-        assert sigma.n_states == obs.n_states + kfm.to_ss().n_states
+        assert sigma.n_states == obs.n_states + diagonal_ss(kfm).n_states

@@ -1,12 +1,14 @@
-"""Closed-form controller realizations and the compiled interconnection.
+"""Closed-form diagonal realizations and the compiled interconnection.
 
-K_RB and K_FM are written into their fixed patterns, and every loop is closed
-by an :class:`Interconnection` that keeps its stacked blocks and its
-algebraic-loop products between closes.  Both must give, byte for byte, what
-the filter realizations and a fresh solve of the routing formula give."""
+K_RB, K_FM and the shaping weights are realized by ``diagonal_ss``, and every
+loop is closed by an :class:`Interconnection` that keeps its stacked blocks
+and its algebraic-loop products between closes.  Both must give, byte for
+byte, what the section-by-section cascade of ``from_tf`` and ``series`` and a
+fresh solve of the routing formula give."""
 
 import argparse
 import json
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +26,14 @@ from modalsyn.statespace import (
     NumericError,
     StateSpaceModel,
     _lower,
+    blockdiag,
     connect,
     diagonal_response,
+    diagonal_ss,
     freq_response,
     lmul,
     rmul,
+    series,
 )
 from modalsyn.synthesis import (
     PENALTY_BASE,
@@ -36,7 +41,6 @@ from modalsyn.synthesis import (
     _objective,
     _rb_unscaling,
     close_full_loop,
-    physical_rb_controller,
     rb_crossover,
 )
 
@@ -75,16 +79,27 @@ def route_declaration(ic, models):
                   for name, model, _, _ in ic.blocks], *routing)
 
 
-def filter_blocks(cl, params):
-    """The blocks of M and of the full loop as the filter realizations give
-    them, each loop closed by :func:`route`."""
-    loop = {"K_RB": physical_rb_controller(params, cl.scalings).to_ss(),
+def cascade_ss(channels):
+    """The reference realization of a rational diagonal: each channel's
+    sections realized by ``from_tf`` and chained by ``series``, the channels
+    stacked by ``blockdiag``."""
+    return blockdiag(
+        reduce(lambda g, section: series(g, StateSpaceModel.from_tf(*section)),
+               sections, StateSpaceModel.identity(1))
+        for sections in channels)
+
+
+def reference_blocks(cl, params):
+    """The blocks of M and of the full loop as the reference realizations
+    give them, each loop closed by :func:`route`."""
+    gains = _rb_unscaling(cl.scalings, cl.n_rb)
+    loop = {"K_RB": cascade_ss(params.krb_sections(gains)),
             "O": cl.observer(params),
-            "K_FM": params.kfm_filter().to_ss()}
+            "K_FM": cascade_ss(params.kfm_sections())}
     name, left, right = cl._slot
     loop[name] = route_declaration(cl._inner, loop)
     scaled = {"G": cl._g_plant, name: lmul(left, rmul(loop[name], right)),
-              "K_RB": params.krb_filter().to_ss()}
+              "K_RB": cascade_ss(params.krb_sections())}
     return scaled, loop
 
 
@@ -127,21 +142,40 @@ krb_rows = st.lists(st.tuples(*[positive] * 6), min_size=1, max_size=3)
 signed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3),
                    st.floats(-3.0, 3.0).map(lambda e: -(10.0 ** e)),
                    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+# a denominator of one to three coefficients and a numerator of up to one
+# more: leading zeros (of either sign), gain-only, improper and all-zero
+# sections, and now and then a coefficient at or past the range of a float
+coefficient = st.one_of(signed, st.sampled_from([1e-300, 1e300, np.inf, np.nan]))
+section = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(coefficient, max_size=n + 1),
+    st.lists(coefficient, min_size=n, max_size=n)))
 
 
 class TestClosedFormRealization:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(channels=st.lists(st.lists(section, max_size=3), max_size=3))
+    def test_any_sections_are_byte_equal_to_the_cascade(self, channels):
+        """The same bytes as the reference, or the same error."""
+        with np.errstate(all="ignore"):
+            assert_same_outcome(outcome(lambda: diagonal_ss(channels)),
+                                outcome(lambda: cascade_ss(channels)))
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rows=krb_rows, data=st.data())
     def test_krb_is_byte_equal_to_the_filter(self, rows, data):
+        """K_RB as M takes it, and with the gains that unscale it to
+        physical units, each as its sections' cascade."""
         n = len(rows)
         params = StructuredControllerParams(np.array(rows), np.zeros((1, 1)),
                                             [], [], 1.0)
-        assert_same_bytes(params.krb_ss(), params.krb_filter().to_ss())
+        sections = params.krb_sections()
+        assert_same_bytes(diagonal_ss(sections), cascade_ss(sections))
         wz, ww1 = (data.draw(st.lists(positive, min_size=n, max_size=n))
                    for _ in range(2))
-        sc = ScalingSet(wz, ww1, [1.0])
-        assert_same_bytes(params.krb_ss(_rb_unscaling(sc, n)),
-                          physical_rb_controller(params, sc).to_ss())
+        gains = _rb_unscaling(ScalingSet(wz, ww1, [1.0]), n)
+        scaled = params.krb_sections(gains)
+        assert [chan[-1] for chan in scaled] == [(k, 1.0) for k in gains]
+        assert_same_bytes(diagonal_ss(scaled), cascade_ss(scaled))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(modes=st.lists(st.tuples(signed, positive), min_size=0, max_size=3),
@@ -151,10 +185,11 @@ class TestClosedFormRealization:
         omega = [w for _, w in modes]
         params = StructuredControllerParams(np.ones((1, 6)), np.zeros((1, 1)),
                                             xi, omega, Q)
-        assert_same_bytes(params.kfm_ss(), params.kfm_filter().to_ss())
+        sections = params.kfm_sections()
+        assert_same_bytes(diagonal_ss(sections), cascade_ss(sections))
 
     def test_squared_corners_take_the_scalar_power(self):
-        """The filters square w_lp and the band-pass centre with the scalar
+        """The sections square w_lp and the band-pass centre with the scalar
         power, which differs from the array square in a few values per
         thousand; corners where they differ must still give equal bytes."""
         rng = np.random.default_rng(0)
@@ -164,14 +199,14 @@ class TestClosedFormRealization:
         krb[:, 4] = corners
         params = StructuredControllerParams(krb, np.zeros((1, 1)), [1.0, -2.0, 0.5],
                                             corners, 7.0)
-        assert_same_bytes(params.krb_ss(), params.krb_filter().to_ss())
-        assert_same_bytes(params.kfm_ss(), params.kfm_filter().to_ss())
+        for sections in (params.krb_sections(), params.kfm_sections()):
+            assert_same_bytes(diagonal_ss(sections), cascade_ss(sections))
 
     def test_a_zero_gain_has_a_positive_zero_output_entry(self):
         params = StructuredControllerParams(np.ones((1, 6)), np.zeros((1, 1)),
                                             [-0.0], [3.0], 2.0)
-        assert np.signbit(params.kfm_ss().C).sum() == 0
-        assert np.signbit(params.krb_ss().A[0, 0])
+        assert np.signbit(diagonal_ss(params.kfm_sections()).C).sum() == 0
+        assert np.signbit(diagonal_ss(params.krb_sections()).A[0, 0])
 
     @pytest.mark.parametrize("column, value", [
         (4, 1e160),    # w_lp^2 overflows: the low-pass section loses its s^2
@@ -184,20 +219,22 @@ class TestClosedFormRealization:
         krb[1, column] = value
         params = StructuredControllerParams(krb, np.zeros((1, 1)), [], [], 1.0)
         with np.errstate(all="ignore"):
-            want = outcome(lambda: params.krb_filter().to_ss())
-            assert_same_outcome(outcome(params.krb_ss), want)
+            for gains in (None, [2.0, -0.5]):
+                sections = params.krb_sections(gains)
+                want = outcome(lambda: cascade_ss(sections))
+                assert_same_outcome(outcome(lambda: diagonal_ss(sections)), want)
         if value == 1e160:
             assert want.n_states == 7
 
     def test_kfm_refuses_what_its_filter_refuses(self):
+        """A centre or Q that is not positive is refused by the sections, an
+        infinite gain by the realization."""
         for xi, omega, Q in (([1.0], [-3.0], 2.0), ([1.0], [3.0], 0.0),
                              ([np.inf], [3.0], 2.0)):
             params = StructuredControllerParams(np.ones((1, 6)),
                                                 np.zeros((1, 1)), xi, omega, Q)
             with pytest.raises(ModelError):
-                params.kfm_filter()
-            with pytest.raises(ModelError):
-                params.kfm_ss()
+                diagonal_ss(params.kfm_sections())
 
 
 class TestCrossover:
@@ -245,7 +282,7 @@ class TestCompiledClose:
         params = init.with_vector(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
         name = cl._slot[0]
         with np.errstate(all="ignore"):
-            want = outcome(lambda: filter_blocks(cl, params))
+            want = outcome(lambda: reference_blocks(cl, params))
             got = outcome(lambda: cl._realize(params))
             if not isinstance(want, tuple):
                 assert got is want

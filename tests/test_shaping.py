@@ -9,18 +9,16 @@ from modalsyn.decoupling import (
 )
 from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
 from modalsyn.shaping import (
-    FlexControllerParams,
     ScalingSet,
     compute_scalings,
     design_weights,
     make_damping_filter,
     make_integral_filter,
-    make_kfm,
     make_rolloff_filter,
     regularize_integral_filter,
 )
-from modalsyn.statespace import ModelError, hinf_norm
-from modalsyn.synthesis import ClosedLoopMap
+from modalsyn.statespace import ModelError, diagonal_ss, freq_response, hinf_norm
+from modalsyn.synthesis import ClosedLoopMap, StructuredControllerParams
 
 
 def mag(filt, f_hz):
@@ -157,36 +155,46 @@ class TestDampingFilter:
             make_damping_filter([50.0], beta1=0.005, beta2=0.5)
 
 
+def kfm(xi, omega, Q):
+    """K_FM realized from the band-pass sections of a structured controller
+    with the flexible-mode data ``xi``, ``omega`` (rad/s) and ``Q``."""
+    params = StructuredControllerParams(np.ones((1, 6)), np.zeros((1, 1)),
+                                        xi, omega, Q)
+    return diagonal_ss(params.kfm_sections())
+
+
+def kfm_mag(k, f_hz):
+    return np.abs(freq_response(k, np.atleast_1d(f_hz)).values[:, 0, 0])
+
+
 class TestFlexController:
     def test_zero_dc_and_feedthrough(self):
-        k = make_kfm(FlexControllerParams([2.0], [2 * np.pi * 50], 10.0))
-        g = k.to_ss()
+        g = kfm([2.0], [2 * np.pi * 50], 10.0)
         np.testing.assert_allclose(g.D, 0.0)
         np.testing.assert_allclose(np.abs(g.transfer_at(0.0)), 0.0, atol=1e-12)
 
     def test_peak_gain_is_xi(self):
         xi, w0 = -3.5, 2 * np.pi * 80
-        k = make_kfm(FlexControllerParams([xi], [w0], 8.0))
-        np.testing.assert_allclose(mag(k, 80.0)[0, 0], abs(xi), rtol=1e-12)
+        k = kfm([xi], [w0], 8.0)
+        np.testing.assert_allclose(kfm_mag(k, 80.0), abs(xi), rtol=1e-12)
 
     def test_half_power_bandwidth(self):
         w0, Q = 2 * np.pi * 50, 10.0
-        k = make_kfm(FlexControllerParams([1.0], [w0], Q))
+        k = kfm([1.0], [w0], Q)
         f = np.linspace(30, 80, 20001)
-        m = mag(k, f)[0]
-        band = f[m >= 1 / np.sqrt(2)]
+        band = f[kfm_mag(k, f) >= 1 / np.sqrt(2)]
         measured = 2 * np.pi * (band[-1] - band[0])
         assert measured == pytest.approx(w0 / Q, rel=0.05)
 
     def test_negative_gain_allowed(self):
-        k = make_kfm(FlexControllerParams([-1.0], [100.0], 5.0))
-        assert k.evaluate(np.array([100j]))[0, 0].real < 0
+        k = kfm([-1.0], [100.0], 5.0)
+        assert k.transfer_at(100j)[0, 0].real < 0
 
     def test_validation(self):
-        with pytest.raises(ModelError):
-            FlexControllerParams([1.0, 2.0], [100.0], 5.0)
-        with pytest.raises(ModelError):
-            FlexControllerParams([1.0], [100.0], 0.0)
+        for xi, omega, Q in (([1.0, 2.0], [100.0], 5.0), ([1.0], [100.0], 0.0),
+                             ([1.0], [0.0], 5.0)):
+            with pytest.raises(ModelError):
+                kfm(xi, omega, Q)
 
 
 class TestScalings:

@@ -17,8 +17,9 @@ from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     ModelError,
     NumericError,
-    RationalDiagonalFilter,
     StateSpaceModel,
+    diagonal_response,
+    diagonal_ss,
     freq_response,
     hinf_lower_bound,
     is_hurwitz,
@@ -31,10 +32,10 @@ from modalsyn.synthesis import (
     StructuredControllerParams,
     _compass_search,
     _objective,
+    _rb_unscaling,
     close_full_loop,
     grid_stability_check,
     initial_params,
-    physical_rb_controller,
     rb_crossover,
     synthesize,
 )
@@ -78,8 +79,9 @@ def _active_params(cl, xi=2.0):
                                       init.omega, init.Q)
 
 
-def _diag_eval(filt, s):
-    return filt.evaluate(np.array([s]))[:, 0]
+def _diag_eval(channels, s):
+    """Diagonal of the rational diagonal ``channels`` at the point ``s``."""
+    return diagonal_response(channels, [s])[:, 0]
 
 
 def _embedded_kfm(cl, params, s):
@@ -88,7 +90,7 @@ def _embedded_kfm(cl, params, s):
     E = np.zeros((cl.n_flex, cl.n_ctrl))
     for col, mode in enumerate(cl.controlled_modes):
         E[cl.pm.retained.index(mode), col] = 1.0
-    return E @ np.diag(_diag_eval(params.kfm_filter(), s))
+    return E @ np.diag(_diag_eval(params.kfm_sections(), s))
 
 
 def _observer_loop_blocks(cl, params, s):
@@ -114,9 +116,9 @@ class TestClosedLoopFormulas:
             G = Gd.transfer_at(s)       # 1 x 2: RB column, flexible column
             g1, g2 = G[0, 0], G[0, 1]
             k = K.transfer_at(s)[0, 0]
-            wz1 = _diag_eval(cl6.weights["integral"], s)[0]
-            wz2 = _diag_eval(cl6.weights["rolloff"], s)[0]
-            ww3 = _diag_eval(cl6.weights["damping"], s)[0]
+            wz1 = _diag_eval(cl6.weights["integral"].channels, s)[0]
+            wz2 = _diag_eval(cl6.weights["rolloff"].channels, s)[0]
+            ww3 = _diag_eval(cl6.weights["damping"].channels, s)[0]
             S = 1.0 / (1.0 + g1 * k)
             # w1/w2 shaping is identity on this problem
             oracle = np.array([
@@ -137,9 +139,9 @@ class TestClosedLoopFormulas:
             g1, g2 = G[0, 0], G[0, 1]
             k = K.transfer_at(s)[0, 0]
             sg = Sig.transfer_at(s)[0, 0]
-            wz1 = _diag_eval(cl4.weights["integral"], s)[0]
-            ww1 = _diag_eval(cl4.weights["rolloff"], s)[0]
-            ww2 = _diag_eval(cl4.weights["damping"], s)[0]
+            wz1 = _diag_eval(cl4.weights["integral"].channels, s)[0]
+            ww1 = _diag_eval(cl4.weights["rolloff"].channels, s)[0]
+            ww2 = _diag_eval(cl4.weights["damping"].channels, s)[0]
             S = 1.0 / (1.0 + g1 * k + g2 * sg)
             oracle = np.array([
                 [wz1 * S * g1 * ww1, wz1 * S * g2 * ww2],
@@ -246,11 +248,13 @@ class TestStructuredParams:
 class TestPhysicalController:
     def test_unscaling_gains(self, cl6):
         params = initial_params(cl6)
-        kp = physical_rb_controller(params, cl6.scalings)
-        s = np.array([2j * np.pi * 3.0])
+        kp = params.krb_sections(_rb_unscaling(cl6.scalings, cl6.n_rb))
+        s = 2j * np.pi * 3.0
         expect = (cl6.scalings.ww1[0] * cl6.scalings.wz[0]
-                  * params.krb_filter().evaluate(s)[0, 0])
-        assert kp.evaluate(s)[0, 0] == pytest.approx(expect, rel=1e-12)
+                  * params.krb_filter().evaluate(np.array([s]))[0, 0])
+        assert _diag_eval(kp, s)[0] == pytest.approx(expect, rel=1e-12)
+        assert diagonal_ss(kp).transfer_at(s)[0, 0] == pytest.approx(expect,
+                                                                      rel=1e-9)
 
     def test_full_loop_dc_disturbance_rejection(self, cl6):
         """The loop reports the tracking error: integral action rejects a
@@ -272,7 +276,7 @@ class TestPhysicalController:
         params = _active_params(cl)
         g = evaluate_local(cl.pm, 0.8)
         closed = close_full_loop(g, cl, params)
-        kp = physical_rb_controller(params, cl.scalings)
+        kp = params.krb_sections(_rb_unscaling(cl.scalings, cl.n_rb))
         nrb, nfl, nc = cl.n_rb, cl.n_flex, cl.n_ctrl
         ny = g.n_outputs
         for f in np.logspace(-1, 3, 60):
@@ -331,8 +335,9 @@ class TestGridCertificate:
 
 
 def _count_realizations(monkeypatch):
-    """Count filter realizations and observer builds."""
-    counts = dict.fromkeys(("to_ss", "observer"), 0)
+    """Count the realizations of the controller's rational diagonals and the
+    observer builds."""
+    counts = dict.fromkeys(("diagonal_ss", "observer"), 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -340,8 +345,8 @@ def _count_realizations(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(RationalDiagonalFilter, "to_ss",
-                        counting("to_ss", RationalDiagonalFilter.to_ss))
+    monkeypatch.setattr(synthesis, "diagonal_ss",
+                        counting("diagonal_ss", synthesis.diagonal_ss))
     monkeypatch.setattr(synthesis, "modal_observer",
                         counting("observer", synthesis.modal_observer))
     return counts
@@ -365,8 +370,8 @@ class TestObjective:
             _, accepted = f(x)
             assert accepted
             seen.append(dict(counts))
-        assert seen[0] == seen[1]
-        assert seen[0]["observer"] == 1
+        # K_RB scaled for M, K_RB physical and K_FM for the full loop
+        assert seen[0] == seen[1] == {"diagonal_ss": 3, "observer": 1}
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_crossover_after_evaluate_builds_nothing(self, cl6, cl4, kind,
@@ -376,7 +381,7 @@ class TestObjective:
         cl.evaluate(params)
         counts = _count_realizations(monkeypatch)
         rb_crossover(cl, params)
-        assert counts == {"to_ss": 0, "observer": 0}
+        assert counts == {"diagonal_ss": 0, "observer": 0}
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_close_rejects_misfitting_model(self, cl6, cl4, kind):
