@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modalsyn.benchplant import BenchmarkSpec, by_name
+from modalsyn.benchplant import by_name
 from modalsyn.decoupling import (
     apply_decoupling_partitioned,
     extended_input_decoupling,
@@ -58,13 +58,26 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass
+class DecoupledModel:
+    """The model a command works on, decoupled at its design point."""
+
+    name: str
+    p_star: np.ndarray
+    grid: list               # scheduling points, one array each
+    pair: object             # the decoupling pair
+    pm: object               # the decoupled partitioned model
+
+
+@dataclass
 class DesignProblem:
-    spec: BenchmarkSpec
+    model: DecoupledModel
     cl: ClosedLoopMap
     init: StructuredControllerParams
-    pair: object
-    grid: list
     config: dict
+
+    @property
+    def grid(self):
+        return self.model.grid
 
 
 def _load_config(path):
@@ -79,60 +92,57 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _resolve_model(config, args):
+def decoupled_model(config, args) -> DecoupledModel:
+    """The model that ``--model`` or the config names, a benchmark or a
+    model JSON file, decoupled at its design point; the design point and the
+    scheduling grid each come from its flag, else the config, else the
+    benchmark (a model file brings neither)."""
     name = getattr(args, "model", None) or config.get("model")
     if name is None:
         raise ConfigError("no model given (use --model or the 'model' key)")
     try:
-        return by_name(name)
+        spec = by_name(name)
+        name, model = spec.name, spec.model
+        found = {"p_star": spec.p_star, "grid": spec.grid}
     except (ModelError, KeyError):
-        pass
-    try:
-        with open(name) as fh:
-            model = MechanicalModel.from_dict(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"unknown benchmark and no such file: {name}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model file is not valid JSON: {exc}")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"model file {name} is not a mechanical model: {exc!r}")
+        try:
+            with open(name) as fh:
+                model = MechanicalModel.from_dict(json.load(fh))
+        except FileNotFoundError:
+            raise ConfigError(f"unknown benchmark and no such file: {name}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"model file is not valid JSON: {exc}")
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"model file {name} is not a mechanical model: {exc!r}")
+        name, found = os.path.basename(name), {"p_star": None, "grid": None}
+    for key in found:
+        flag = getattr(args, key, None)
+        try:
+            value = json.loads(flag) if flag is not None else config.get(key)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--{key.replace('_', '-')} is not valid JSON: "
+                              f"{exc}")
+        found[key] = found[key] if value is None else value
+        if found[key] is None:
+            raise ConfigError(f"file-based models need '{key}' (from its "
+                              "flag or the config)")
+    p_star = np.atleast_1d(np.asarray(found["p_star"], float))
     dec = modal_decompose(model)
-    p_star = config.get("p_star")
-    if p_star is None:
-        raise ConfigError("file-based models need 'p_star' in the config")
-    grid = config.get("grid")
-    if grid is None:
-        raise ConfigError("file-based models need 'grid' in the config")
-    return BenchmarkSpec(name=os.path.basename(name), model=model,
-                         n_rb=dec.n_rb, n_flex=dec.n_modes - dec.n_rb,
-                         p_star=np.atleast_1d(np.asarray(p_star, float)),
-                         grid=[np.atleast_1d(np.asarray(p, float))
-                               for p in grid])
+    retain = config.get("retain", list(range(dec.n_rb, dec.n_modes)))
+    pm = group_and_partition(dec, model, dec.n_rb, retain)
+    n_flex_dec = int(config.get("n_flex_decouple", pm.n_flex))
+    pair = extended_input_decoupling(pm, p_star, n_flex_dec)
+    return DecoupledModel(name, p_star,
+                          [np.atleast_1d(np.asarray(p, float))
+                           for p in found["grid"]],
+                          pair, apply_decoupling_partitioned(pm, pair))
 
 
 def build_problem(config, args, kind) -> DesignProblem:
-    spec = _resolve_model(config, args)
-    p_star = getattr(args, "p_star", None)
-    if p_star is not None:
-        p_star = np.atleast_1d(np.asarray(json.loads(p_star), float))
-    elif config.get("p_star") is not None:
-        p_star = np.atleast_1d(np.asarray(config["p_star"], float))
-    else:
-        p_star = np.atleast_1d(np.asarray(spec.p_star, float))
-    grid = config.get("grid", None)
-    if getattr(args, "grid", None) is not None:
-        grid = json.loads(args.grid)
-    grid = list(spec.grid) if grid is None else [np.atleast_1d(p) for p in grid]
-
-    dec = modal_decompose(spec.model)
-    retain = config.get("retain", list(range(dec.n_rb, dec.n_modes)))
-    pm = group_and_partition(dec, spec.model, dec.n_rb, retain)
-    controlled = config.get("controlled", list(retain))
-    n_flex_dec = int(config.get("n_flex_decouple", pm.n_flex))
-    pair = extended_input_decoupling(pm, p_star, n_flex_dec)
-    dpm = apply_decoupling_partitioned(pm, pair)
+    model = decoupled_model(config, args)
+    dpm, p_star = model.pm, model.p_star
+    controlled = config.get("controlled", list(dpm.retained))
     g_nom = evaluate_local(dpm, p_star)
-
     try:
         f_bw = [float(f) for f in config["f_bw"]]
         expected_error = [float(e) for e in config["expected_error"]]
@@ -151,7 +161,7 @@ def build_problem(config, args, kind) -> DesignProblem:
                        Q=float(config.get("Q", 10.0)), f_bw=f_bw)
     init = initial_params(cl, q_weight=float(config.get("q_weight", 1e4)),
                           v_weight=float(config.get("v_weight", 1.0)))
-    return DesignProblem(spec, cl, init, pair, grid, config)
+    return DesignProblem(model, cl, init, config)
 
 
 def _out_dir(args):
@@ -190,17 +200,16 @@ def _channel_csv(path, M, f_lo=1e-1, f_hi=1e4, n=400):
 
 def cmd_decouple(args):
     config = _load_config(args.config) if args.config else {}
-    prob = build_problem(config or {"f_bw": [1.0], "expected_error": [1.0],
-                                    "model": args.model}, args, "6block")
+    model = decoupled_model(config, args)
+    pm = model.pm
     out = _out_dir(args)
-    prob.pair.to_json(os.path.join(out, "decoupling.json"))
-    doc = {"model": prob.spec.name,
-           "p_star": np.atleast_1d(prob.cl.p_star).tolist(),
-           "n_rb": prob.cl.n_rb, "n_flex": prob.cl.n_flex,
-           "omega_hz": (prob.cl.pm.omega / (2 * np.pi)).tolist(),
-           "zeta": prob.cl.pm.zeta.tolist(),
-           "retained": list(prob.cl.pm.retained),
-           "discarded": list(prob.cl.pm.discarded)}
+    model.pair.to_json(os.path.join(out, "decoupling.json"))
+    doc = {"model": model.name, "p_star": model.p_star.tolist(),
+           "n_rb": pm.n_rb, "n_flex": pm.n_flex,
+           "omega_hz": (pm.omega / (2 * np.pi)).tolist(),
+           "zeta": pm.zeta.tolist(),
+           "retained": list(pm.retained),
+           "discarded": list(pm.discarded)}
     _write_json(os.path.join(out, "modal_summary.json"), doc)
     print(f"wrote decoupling.json and modal_summary.json to {out}")
     return 0
@@ -226,7 +235,7 @@ def _run_synth(args, kind):
     cert_conv = grid_stability_check(cl, conv.params, prob.grid)
 
     out = _out_dir(args)
-    doc = {"kind": kind, "model": prob.spec.name, "seed": seed,
+    doc = {"kind": kind, "model": prob.model.name, "seed": seed,
            "budget": budget, "config": config,
            "proposed": res.to_dict(), "conventional": conv.to_dict(),
            "certificate_proposed": cert.to_dict(),

@@ -14,8 +14,7 @@ local stability.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -480,19 +479,19 @@ def grid_stability_check(cl: ClosedLoopMap, params, grid_points) -> GridCertific
 class SynthesisResult:
     params: StructuredControllerParams
     gamma: float
-    log: list = field(default_factory=list)    # accepted (n_evals, gamma)
-    certificate: GridCertificate | None = None
-    wall_time: float = 0.0
-    n_evals: int = 0
-    stable: bool = True
+    log: list                # (n_evals, gamma): x0, then each improvement
+    n_evals: int
+    stable: bool
 
     def to_dict(self):
-        doc = {"params": self.params.to_dict(), "gamma": self.gamma,
-               "log": [[int(k), float(v)] for k, v in self.log],
-               "n_evals": self.n_evals, "stable": self.stable}
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate.to_dict()
-        return doc
+        return {"params": self.params.to_dict(), "gamma": self.gamma,
+                "log": [[int(k), float(v)] for k, v in self.log],
+                "n_evals": self.n_evals, "stable": self.stable}
+
+
+NORM_TOL = 1e-5      # relative tolerance of the objective's H-infinity norm
+STEP0 = 0.25         # first compass step, relative to max(|x_i|, 1)
+STEP_MIN = 1e-3      # the search stops once every step is below this
 
 
 def _penalty(base, excess):
@@ -501,132 +500,130 @@ def _penalty(base, excess):
     return base * (1.0 + excess / (1.0 + excess))
 
 
-def _objective(cl, template, norm_tol, grid_points=None, crossover_band=None):
-    """Objective ``f(vec, bar=inf) -> (value, accepted)`` and its call count.
+def _objective(cl, template, grid_points=None, crossover_band=None):
+    """Objective ``f(vec, bar=inf) -> value``.
 
-    ``value`` is ||M||_inf for an accepted vector and a penalty otherwise.
-    A finite ``bar`` asks only whether the value is below it: once M is
-    nominally stable, a vector whose norm lower bound already reaches ``bar``
-    returns that bound, which is at most its value, without the grid
-    closure, the crossover check or the norm.  A value below ``bar`` is
-    always exact.  ``bar`` applies only up to ``PENALTY_BASE / 10``, the
-    smallest penalty of a later stage.  The poles of M serve both the
-    stability test and the bound, so M is eigensolved once.
+    The value is ||M||_inf for a vector that passes every constraint and a
+    penalty of at least ``PENALTY_BASE / 10`` otherwise.  A finite ``bar``
+    asks only whether the value is below it: once M is nominally stable, a
+    vector whose norm lower bound already reaches ``bar`` returns that
+    bound, which is at most its value, without the grid closure, the
+    crossover check or the norm.  A value below ``bar`` is always exact.
+    ``bar`` applies only up to ``PENALTY_BASE / 10``, the smallest penalty
+    of a later stage.  The poles of M serve both the stability test and the
+    bound, so M is eigensolved once.  A bound or norm that cannot be
+    computed scores ``PENALTY_BASE`` whatever the ``bar``.
     """
-    count = [0]
     grid_local = ([evaluate_local(cl.pm, p) for p in grid_points]
                   if grid_points is not None else None)
 
     def f(vec, bar=math.inf):
-        count[0] += 1
         try:
             params = template.with_vector(vec)
             M = cl.evaluate(params)
             poles = M.poles()
             a = float(np.max(poles.real)) if poles.size else -np.inf
             if not a < 0:
-                return _penalty(PENALTY_BASE, a), False
-            lower = None
-            if bar <= PENALTY_BASE / 10:
-                try:
-                    lower = hinf_lower_bound(M, poles)
-                except NumericError:
-                    return PENALTY_BASE, False
-                if lower[0] >= bar:
-                    return lower[0], False
+                return _penalty(PENALTY_BASE, a)
+            try:
+                lower = hinf_lower_bound(M, poles)
+            except NumericError:
+                return PENALTY_BASE
+            if lower[0] >= bar <= PENALTY_BASE / 10:
+                return lower[0]
             if grid_local is not None:
                 worst = max(spectral_abscissa(close_full_loop(g, cl, params))
                             for g in grid_local)
                 if not worst < 0:
-                    return _penalty(PENALTY_BASE / 10, worst), False
+                    return _penalty(PENALTY_BASE / 10, worst)
             if crossover_band is not None:
                 lo, hi = crossover_band
                 xc = rb_crossover(cl, params)
                 if np.any(~np.isfinite(xc)):
-                    return PENALTY_BASE / 10 + 1.0, False
+                    return PENALTY_BASE / 10 + 1.0
                 miss = np.maximum(lo - xc, 0.0) + np.maximum(xc - hi, 0.0)
                 if miss.max() > 0:
-                    return PENALTY_BASE / 10 + float(miss.max()), False
+                    return PENALTY_BASE / 10 + float(miss.max())
             try:
-                if lower is None:
-                    lower = hinf_lower_bound(M, poles)
-                return hinf_norm(M, rel_tol=norm_tol, lower=lower), True
+                return hinf_norm(M, rel_tol=NORM_TOL, lower=lower)
             except NumericError:
-                return PENALTY_BASE, False
+                return PENALTY_BASE
         except (NumericError, ModelError, FloatingPointError, la.LinAlgError):
             # a stage that cannot compute scores as a realization failure
-            return PENALTY_BASE * 10, False
+            return PENALTY_BASE * 10
 
-    return f, count
+    return f
 
 
-def _compass_search(f, x0, budget, count, step0=0.25, step_min=1e-3,
-                    log=None, offset_evals=0, frozen=None):
-    """Deterministic coordinate pattern search; returns (best_x, best_val).
+def _compass_search(f, x0, budget, frozen=None):
+    """Deterministic coordinate pattern search from ``x0`` with at most
+    ``budget`` calls of ``f``; returns ``(x, fx, n_evals, log)``.
 
-    A probe is accepted when its value is below ``bar``, the incumbent less
-    a relative 1e-12, and ``f`` gets that ``bar``: it may answer any value at
-    or above it for a probe it rejects.  The starting point is evaluated
-    exactly, so every value kept is exact.
+    A probe moves the search when its value is below ``bar``, the incumbent
+    less a relative 1e-12, and ``f`` gets that ``bar``: it may answer any
+    value at or above it for a probe it rejects.  The starting point is
+    evaluated exactly, so every value kept is exact.  ``log`` holds
+    ``(n, value)`` after each move, ``n`` the calls made so far; ``frozen``
+    masks coordinates that never move.
     """
     x = np.asarray(x0, dtype=float).copy()
     free = (np.flatnonzero(~frozen) if frozen is not None
             else np.arange(x.size))
-    fx, _ = f(x)
-    if log is not None:
-        log.append((offset_evals + count[0], fx))
-    step = np.full(x.size, step0)
+    fx, n, log = f(x), 1, []
+    step = np.full(x.size, STEP0)
     scale = np.maximum(np.abs(x), 1.0)
-    while count[0] < budget and step.max() > step_min:
-        best_i, best_val, best_x = -1, fx, None
+    while n < budget and step.max() > STEP_MIN:
+        best_val, best_x = fx, None
         for i in free:
             for sgn in (1.0, -1.0):
-                if count[0] >= budget:
+                if n >= budget:
                     break
                 cand = x.copy()
                 cand[i] += sgn * step[i] * scale[i]
                 bar = best_val - 1e-12 * max(abs(best_val), 1.0)
-                val, _ = f(cand, bar)
+                val = f(cand, bar)
+                n += 1
                 if val < bar:
-                    best_i, best_val, best_x = i, val, cand
+                    best_val, best_x = val, cand
         if best_x is None:
             step *= 0.5
             continue
         x, fx = best_x, best_val
         scale = np.maximum(np.abs(x), 1.0)
-        if log is not None:
-            log.append((offset_evals + count[0], fx))
-    return x, fx
+        log.append((n, fx))
+    return x, fx, n, log
 
 
 def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
                budget: int, seed: int = 0, n_starts: int = 5,
-               norm_tol: float = 1e-5, grid_points=None,
-               crossover_band=None,
+               grid_points=None, crossover_band=None,
                freeze_xi: bool = False) -> SynthesisResult:
     """Minimize ||M(params)||_inf by seeded multi-start pattern search.
 
-    ``budget`` caps the total number of objective evaluations; 0 returns the
-    initialization unchanged.  Unstable candidates are scored by a penalty on
-    the spectral abscissa, which doubles as the stabilization pre-phase.
-    When ``grid_points`` is given, candidates whose full loop is unstable at
-    any frozen point are penalized too, so the returned design certifies.
-    ``crossover_band`` (lo, hi), in Hz, pins every rigid-body loop's
-    unity-gain crossing inside the band, preserving the target bandwidth
-    while the flexible channel is shaped.  ``freeze_xi`` pins the flexible-mode gains
-    (conventional comparison runs).
+    ``init`` is evaluated once; then each of ``max(n_starts, 1)`` starts
+    (``init`` itself, then seeded perturbations of it) runs a compass search
+    on an equal share of ``budget``, at least one evaluation, so ``n_evals``
+    is 1 plus the sum of the starts' counts, which ``budget`` does not cap.
+    ``budget`` 0 returns the initialization unchanged.  The log holds
+    the initial value, the first start's moves and, when another start ends
+    lower, its best value.  Unstable candidates are scored by a
+    penalty on the spectral abscissa, which doubles as the stabilization
+    pre-phase.  When ``grid_points`` is given, candidates whose full loop is
+    unstable at any frozen point are penalized too, so the returned design
+    certifies.  ``crossover_band`` (lo, hi), in Hz, pins every rigid-body
+    loop's unity-gain crossing inside the band, preserving the target
+    bandwidth while the flexible channel is shaped.  ``freeze_xi`` pins the
+    flexible-mode gains (conventional comparison runs).
     """
-    t0 = time.perf_counter()
-    f, count = _objective(cl, init, norm_tol, grid_points, crossover_band)
+    f = _objective(cl, init, grid_points, crossover_band)
     x0 = init.to_vector()
     frozen = np.zeros(x0.size, bool)
     if freeze_xi:
         frozen[x0.size - init.xi.size:] = True
-    g0, stable0 = f(x0)
+    g0 = f(x0)
     if budget <= 0:
-        return SynthesisResult(init, float(g0), [(1, float(g0))],
-                               wall_time=time.perf_counter() - t0,
-                               n_evals=count[0], stable=stable0)
+        return SynthesisResult(init, float(g0), [(1, float(g0))], n_evals=1,
+                               stable=bool(g0 < PENALTY_BASE / 10))
     rng = np.random.default_rng(seed)
     starts = [x0]
     for _ in range(max(n_starts - 1, 0)):
@@ -634,31 +631,20 @@ def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
         pert[frozen] = 0.0
         starts.append(x0 + pert)
     per_start = max(budget // len(starts), 1)
-    best_x, best_val, log = x0, g0, [(1, float(g0))]
-    used = count[0]
+    best_x, best_val, log, used = x0, g0, [(1, float(g0))], 1
     for k, xs in enumerate(starts):
-        sub_log = []
-        count[0] = 0
-        bx, bv = _compass_search(f, xs, per_start, count, log=sub_log,
-                                 offset_evals=used, frozen=frozen)
-        used += count[0]
+        # the first start evaluates x0 again, as the committed fixtures'
+        # evaluation counts and logs record
+        bx, bv, n, moves = _compass_search(f, xs, per_start, frozen)
+        if k == 0:
+            log.extend((used + m, float(v)) for m, v in moves)
+        used += n
         if bv < best_val:
             best_val, best_x = bv, bx
-        if k == 0:
-            log.extend(sub_log[1:])
-    # the accepted-iterate log tracks the incumbent: never increasing
-    mono, cur = [], np.inf
-    for n, v in log:
-        if v < cur:
-            cur = v
-            mono.append((n, float(v)))
-    if best_val < cur:
-        mono.append((used, float(best_val)))
-    params = init.with_vector(best_x)
-    stable = best_val < PENALTY_BASE / 10
-    if not stable:
+    if best_val < log[-1][1]:
+        log.append((used, float(best_val)))
+    if not best_val < PENALTY_BASE / 10:
         raise NumericError("no stabilizing parameters found within budget; "
                            f"best penalized objective {best_val:.6g}")
-    return SynthesisResult(params, float(best_val), mono,
-                           wall_time=time.perf_counter() - t0,
+    return SynthesisResult(init.with_vector(best_x), float(best_val), log,
                            n_evals=used, stable=True)

@@ -125,6 +125,27 @@ class TestDecouple:
         assert doc["n_rb"] == 1 and doc["n_flex"] == 1
         assert doc["omega_hz"][1] == pytest.approx(50.0, rel=1e-6)
 
+    def test_config_without_bandwidth(self, tmp_path):
+        """Decoupling needs no shaping keys: a config without 'f_bw' or
+        'expected_error' decouples."""
+        cfg = tmp_path / "config.json"
+        with open(cfg, "w") as fh:
+            json.dump({"model": "two_mass", "retain": [1]}, fh)
+        assert main(["decouple", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "modal_summary.json") as fh:
+            assert json.load(fh)["retained"] == [1]
+
+    def test_model_file_takes_design_point_and_grid_from_flags(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(make_two_mass().to_dict()))
+        base = ["decouple", "--model", str(path), "--out", str(tmp_path)]
+        assert main(base + ["--grid", "[[0.0], [0.5]]"]) == 2
+        assert main(base + ["--p-star", "0.3", "--grid", "[[0.0], [0.5]]"]) == 0
+        with open(tmp_path / "modal_summary.json") as fh:
+            doc = json.load(fh)
+        assert doc["model"] == "model.json" and doc["p_star"] == [0.3]
+
 
 class TestErrors:
     def test_missing_config_is_usage_error(self):
@@ -167,6 +188,11 @@ class TestErrors:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert main(["decouple", "--model", str(path),
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--p-star", "--grid"])
+    def test_flag_that_is_not_json(self, tmp_path, flag):
+        assert main(["decouple", "--model", "two_mass", flag, "[0.3",
                      "--out", str(tmp_path)]) == 2
 
     def test_bandwidth_that_is_not_a_list(self, tmp_path):

@@ -22,6 +22,7 @@ from modalsyn.statespace import (
     diagonal_ss,
     freq_response,
     hinf_lower_bound,
+    hinf_norm,
     is_hurwitz,
     spectral_abscissa,
 )
@@ -365,11 +366,12 @@ class TestObjective:
         seen = []
         for n in (1, 11):
             grid = [np.array([p]) for p in np.linspace(0.0, 1.0, n)]
-            f, _ = _objective(cl, initial_params(cl), 1e-5, grid, self.BAND)
+            f = _objective(cl, initial_params(cl), grid, self.BAND)
             counts.update(dict.fromkeys(counts, 0))
-            _, accepted = f(x)
-            assert accepted
+            val = f(x)
             seen.append(dict(counts))
+            assert val == hinf_norm(cl.evaluate(initial_params(cl).with_vector(x)),
+                                    rel_tol=1e-5)
         # K_RB scaled for M, K_RB physical and K_FM for the full loop
         assert seen[0] == seen[1] == {"diagonal_ss": 3, "observer": 1}
 
@@ -408,8 +410,8 @@ class TestObjective:
         x0 = init.to_vector()
         unit = data.draw(arrays(float, x0.size, elements=st.floats(-1.0, 1.0)))
         grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
-        f, _ = _objective(cl, init, 1e-5, grid, (9.4, 10.6))
-        val, _ = f(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
+        f = _objective(cl, init, grid, (9.4, 10.6))
+        val = f(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
         assert np.isfinite(val)
         assert val <= 10 * PENALTY_BASE
 
@@ -420,40 +422,61 @@ class TestObjective:
     def test_bar_changes_only_values_at_or_above_it(self, cl6, cl4, kind,
                                                     data, scale):
         """Given a bar, the objective returns its exact value or, when that
-        value is at or above the bar, possibly another one at or above it;
-        every call counts once."""
+        value is at or above the bar, possibly another one at or above it."""
         cl = cl6 if kind == "6block" else cl4
         init = initial_params(cl)
         x0 = init.to_vector()
         unit = data.draw(arrays(float, x0.size, elements=st.floats(-1.0, 1.0)))
         grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
-        f, count = _objective(cl, init, 1e-5, grid, (9.4, 10.6))
-        gamma0, _ = f(x0)
+        f = _objective(cl, init, grid, (9.4, 10.6))
+        gamma0 = f(x0)
         x = x0 + scale * unit * np.maximum(np.abs(x0), 1.0)
         exact = f(x)
         for bar in (0.5 * gamma0, gamma0, 2 * gamma0, 1e5, 1e6, math.inf):
-            before = count[0]
             got = f(x, bar)
-            assert count[0] == before + 1
-            assert got == exact or min(got[0], exact[0]) >= bar, bar
+            assert got == exact or min(got, exact) >= bar, bar
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_dominated_probe_stops_at_the_bound(self, cl6, cl4, kind,
                                                 monkeypatch):
         """A probe whose norm lower bound reaches the bar returns the bound
-        without the grid closure, the crossover check or the norm."""
+        without the grid closure, the crossover check or the norm, having
+        computed the bound once."""
         cl = cl6 if kind == "6block" else cl4
         init = initial_params(cl)
         x = _active_params(cl).to_vector()
         bound, _ = hinf_lower_bound(cl.evaluate(init.with_vector(x)))
         grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
-        f, count = _objective(cl, init, 1e-5, grid, self.BAND)
+        f = _objective(cl, init, grid, self.BAND)
         for stage in ("close_full_loop", "rb_crossover", "hinf_norm"):
             def fail(*args, _stage=stage, **kwargs):
                 raise AssertionError(f"{_stage} called for a dominated probe")
             monkeypatch.setattr(synthesis, stage, fail)
-        assert f(x, bound) == (bound, False)
-        assert count[0] == 1
+        bounds = []
+        monkeypatch.setattr(synthesis, "hinf_lower_bound",
+                            lambda *a: bounds.append(a) or hinf_lower_bound(*a))
+        assert f(x, bound) == bound
+        assert len(bounds) == 1
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_bound_failure_scores_the_same_whatever_the_bar(self, cl6, cl4,
+                                                            kind, monkeypatch):
+        """A norm lower bound that cannot be computed scores PENALTY_BASE
+        with or without a bar, ahead of the grid closure: with every frozen
+        loop unstable the value is still PENALTY_BASE."""
+        cl = cl6 if kind == "6block" else cl4
+        x = _active_params(cl).to_vector()
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f = _objective(cl, initial_params(cl), grid, self.BAND)
+
+        def fail(*args, **kwargs):
+            raise NumericError("bound failed")
+        monkeypatch.setattr(synthesis, "hinf_lower_bound", fail)
+        unstable = StateSpaceModel(np.eye(1), np.ones((1, 1)), np.ones((1, 1)),
+                                   np.zeros((1, 1)))
+        monkeypatch.setattr(synthesis, "close_full_loop",
+                            lambda *args: unstable)
+        assert f(x) == f(x, 10.0) == PENALTY_BASE
 
     @pytest.mark.parametrize("kind, sweeps", [("6block", 2), ("4block", 1)])
     def test_crossover_reuses_an_unchanged_plant_response(self, cl6, cl4, kind,
@@ -484,16 +507,16 @@ class TestObjective:
         cl = cl6 if kind == "6block" else cl4
         x = _active_params(cl).to_vector()
         grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
-        f, _ = _objective(cl, initial_params(cl), 1e-5, grid, self.BAND)
-        assert f(x)[1]
+        f = _objective(cl, initial_params(cl), grid, self.BAND)
+        assert f(x) < PENALTY_BASE / 10
         for exc in (NumericError, ModelError, FloatingPointError,
                     la.LinAlgError):
             def fail(*args, **kwargs):
                 raise exc(f"{stage} failed")
             monkeypatch.setattr(synthesis, stage, fail)
-            val, accepted = f(x)
+            val = f(x)
             assert np.isfinite(val) and val <= 10 * PENALTY_BASE
-            assert not accepted
+            assert val >= PENALTY_BASE / 10
             want = (PENALTY_BASE if (stage, exc) == ("hinf_norm", NumericError)
                     else 10 * PENALTY_BASE)
             assert val == want, exc
@@ -502,15 +525,33 @@ class TestObjective:
 class TestOptimizer:
     def test_compass_search_quadratic(self):
         target = np.array([1.3, -0.4, 2.2])
-        count = [0]
 
         def f(x, bar=math.inf):
-            count[0] += 1
-            return float(np.sum((x - target) ** 2)) + 5.0, True
+            return float(np.sum((x - target) ** 2)) + 5.0
 
-        x, fx = _compass_search(f, np.zeros(3), 4000, count)
+        x, fx, _, log = _compass_search(f, np.zeros(3), 4000)
         assert fx == pytest.approx(5.0, abs=1e-4)
         np.testing.assert_allclose(x, target, atol=0.02)
+        assert log[-1][1] == fx
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 30, 4000])
+    def test_compass_search_counts_its_calls(self, budget):
+        """``n_evals`` is the number of calls of ``f``, never above the
+        budget; the log's counts rise with its strictly falling values."""
+        target = np.array([1.3, -0.4, 2.2])
+        calls = []
+
+        def f(x, bar=math.inf):
+            calls.append(x)
+            return float(np.sum((x - target) ** 2)) + 5.0
+
+        frozen = np.array([False, True, False])
+        x, fx, n_evals, log = _compass_search(f, np.zeros(3), budget, frozen)
+        assert n_evals == len(calls) <= budget
+        assert x[1] == 0.0
+        assert all(n1 < n2 and v1 > v2
+                   for (n1, v1), (n2, v2) in zip(log, log[1:]))
+        assert all(n <= n_evals for n, _ in log)
 
     def test_compass_search_needs_no_value_above_the_bar(self):
         """An objective that answers the bar itself for every probe at or
@@ -518,22 +559,15 @@ class TestOptimizer:
         target = np.array([1.3, -0.4, 2.2])
 
         def exact(x, bar=math.inf):
-            return float(np.sum((x - target) ** 2)) + 5.0, True
+            return float(np.sum((x - target) ** 2)) + 5.0
 
         def bounded(x, bar=math.inf):
-            val, ok = exact(x)
-            return (bar, False) if val >= bar else (val, ok)
+            return min(exact(x), bar)
 
         runs = []
-        for g in (exact, bounded):
-            count, log = [0], []
-
-            def f(x, bar=math.inf, g=g):
-                count[0] += 1
-                return g(x, bar)
-
-            x, fx = _compass_search(f, np.zeros(3), 300, count, log=log)
-            runs.append((x.tolist(), fx, log, count[0]))
+        for f in (exact, bounded):
+            x, fx, n_evals, log = _compass_search(f, np.zeros(3), 300)
+            runs.append((x.tolist(), fx, n_evals, log))
         assert runs[0] == runs[1]
 
     def test_budget_zero_returns_initialization(self, cl6):
@@ -553,6 +587,26 @@ class TestOptimizer:
         res0 = synthesize(cl6, init, budget=0)
         assert res.gamma <= res0.gamma
         assert res.n_evals <= 150 + len(res.log)
+
+    def test_n_evals_is_x0_and_the_starts_counts(self, cl6, monkeypatch):
+        """``n_evals`` counts the evaluation of the initialization and every
+        call of each start's search, which are all the objective's calls."""
+        calls, counts = [], []
+
+        def objective(*args, **kwargs):
+            f = _objective(*args, **kwargs)
+            return lambda *a: calls.append(a) or f(*a)
+
+        def search(*args, **kwargs):
+            out = _compass_search(*args, **kwargs)
+            counts.append(out[2])
+            return out
+        monkeypatch.setattr(synthesis, "_objective", objective)
+        monkeypatch.setattr(synthesis, "_compass_search", search)
+        res = synthesize(cl6, initial_params(cl6), budget=30, seed=3,
+                         n_starts=3)
+        assert len(counts) == 3 and all(n <= 10 for n in counts)
+        assert res.n_evals == 1 + sum(counts) == len(calls)
 
     def test_deterministic_given_seed(self, cl6):
         init = initial_params(cl6)
