@@ -63,7 +63,7 @@ class DecoupledModel:
 
     name: str
     p_star: np.ndarray
-    grid: list               # scheduling points, one array each
+    bench_grid: object       # the benchmark's scheduling grid, None for a file
     pair: object             # the decoupling pair
     pm: object               # the decoupled partitioned model
 
@@ -71,13 +71,10 @@ class DecoupledModel:
 @dataclass
 class DesignProblem:
     model: DecoupledModel
+    grid: list               # scheduling points, one array each
     cl: ClosedLoopMap
     init: StructuredControllerParams
     config: dict
-
-    @property
-    def grid(self):
-        return self.model.grid
 
 
 def _load_config(path):
@@ -92,18 +89,37 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+def _json_flag(args, key):
+    """The value of the JSON flag ``key``, None when it is not given."""
+    flag = getattr(args, key, None)
+    try:
+        return None if flag is None else json.loads(flag)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--{key.replace('_', '-')} is not valid JSON: {exc}")
+
+
+def _setting(key, config, args, default):
+    """``key`` from its flag, else the config, else ``default``."""
+    value = _json_flag(args, key)
+    value = config.get(key) if value is None else value
+    value = default if value is None else value
+    if value is None:
+        raise ConfigError(f"file-based models need '{key}' (from its flag or "
+                          "the config)")
+    return value
+
+
 def decoupled_model(config, args) -> DecoupledModel:
     """The model that ``--model`` or the config names, a benchmark or a
-    model JSON file, decoupled at its design point; the design point and the
-    scheduling grid each come from its flag, else the config, else the
-    benchmark (a model file brings neither)."""
+    model JSON file, decoupled at its design point; the design point comes
+    from its flag, else the config, else the benchmark (a model file brings
+    none)."""
     name = getattr(args, "model", None) or config.get("model")
     if name is None:
         raise ConfigError("no model given (use --model or the 'model' key)")
     try:
         spec = by_name(name)
-        name, model = spec.name, spec.model
-        found = {"p_star": spec.p_star, "grid": spec.grid}
+        name, model, p_star, grid = spec.name, spec.model, spec.p_star, spec.grid
     except (ModelError, KeyError):
         try:
             with open(name) as fh:
@@ -114,32 +130,24 @@ def decoupled_model(config, args) -> DecoupledModel:
             raise ConfigError(f"model file is not valid JSON: {exc}")
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"model file {name} is not a mechanical model: {exc!r}")
-        name, found = os.path.basename(name), {"p_star": None, "grid": None}
-    for key in found:
-        flag = getattr(args, key, None)
-        try:
-            value = json.loads(flag) if flag is not None else config.get(key)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--{key.replace('_', '-')} is not valid JSON: "
-                              f"{exc}")
-        found[key] = found[key] if value is None else value
-        if found[key] is None:
-            raise ConfigError(f"file-based models need '{key}' (from its "
-                              "flag or the config)")
-    p_star = np.atleast_1d(np.asarray(found["p_star"], float))
+        name, p_star, grid = os.path.basename(name), None, None
+    p_star = np.atleast_1d(np.asarray(_setting("p_star", config, args, p_star),
+                                      float))
     dec = modal_decompose(model)
     retain = config.get("retain", list(range(dec.n_rb, dec.n_modes)))
     pm = group_and_partition(dec, model, dec.n_rb, retain)
     n_flex_dec = int(config.get("n_flex_decouple", pm.n_flex))
     pair = extended_input_decoupling(pm, p_star, n_flex_dec)
-    return DecoupledModel(name, p_star,
-                          [np.atleast_1d(np.asarray(p, float))
-                           for p in found["grid"]],
-                          pair, apply_decoupling_partitioned(pm, pair))
+    return DecoupledModel(name, p_star, grid, pair,
+                          apply_decoupling_partitioned(pm, pair))
 
 
 def build_problem(config, args, kind) -> DesignProblem:
+    """The ``kind`` design problem on the decoupled model; the scheduling
+    grid comes from its flag, else the config, else the benchmark."""
     model = decoupled_model(config, args)
+    grid = [np.atleast_1d(np.asarray(p, float))
+            for p in _setting("grid", config, args, model.bench_grid)]
     dpm, p_star = model.pm, model.p_star
     controlled = config.get("controlled", list(dpm.retained))
     g_nom = evaluate_local(dpm, p_star)
@@ -161,7 +169,7 @@ def build_problem(config, args, kind) -> DesignProblem:
                        Q=float(config.get("Q", 10.0)), f_bw=f_bw)
     init = initial_params(cl, q_weight=float(config.get("q_weight", 1e4)),
                           v_weight=float(config.get("v_weight", 1.0)))
-    return DesignProblem(model, cl, init, config)
+    return DesignProblem(model, grid, cl, init, config)
 
 
 def _out_dir(args):
@@ -398,6 +406,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for key in ("p_star", "grid"):     # a malformed flag fails every command
+            _json_flag(args, key)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

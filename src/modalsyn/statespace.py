@@ -9,6 +9,7 @@ on immutable inputs, so they are safe to call concurrently; a compiled
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -71,9 +72,10 @@ class StateSpaceModel:
     def _built(cls, A, B, C, D):
         """Model from conformable 2-D float arrays that a formula of this
         package produced: of the constructor's checks only finiteness runs."""
-        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
-            if not np.isfinite(mat).all():
-                raise ModelError(f"non-finite entries in {name}")
+        if not np.isfinite(np.concatenate((A, B, C, D), axis=None)).all():
+            for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
+                if not np.isfinite(mat).all():
+                    raise ModelError(f"non-finite entries in {name}")
         g = object.__new__(cls)
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(g, name, mat)
@@ -109,9 +111,10 @@ class StateSpaceModel:
         return cls(A, B, C, D)
 
     def poles(self):
+        """Eigenvalues of A (a real array when every one is real)."""
         if self.n_states == 0:
             return np.zeros(0, dtype=complex)
-        return la.eigvals(self.A)
+        return np.linalg.eigvals(self.A)
 
     def transfer_at(self, s):
         """Transfer matrix C (sI - A)^{-1} B + D at a single complex point;
@@ -153,27 +156,30 @@ class FrequencyResponse:
 
         Magnitude, dB and phase are evaluated as arrays over blocks of whole
         grid points, at most ``_CHUNK_ROWS`` rows unless one point has more
-        channels, and each block is formatted and written at once; the text is the same as formatting every entry
-        on its own (``np.hypot`` is the scalar ``abs`` of a complex number,
-        where a vectorized ``np.abs`` may differ in the last bit).
+        channels.  Each block's frequencies and each channel's ``out,in``
+        prefix are formatted once and joined into the block's row template,
+        which formats the four values of every row at once; the text is the
+        same as formatting every entry on its own (``np.hypot`` is the scalar
+        ``abs`` of a complex number, where a vectorized ``np.abs`` may differ
+        in the last bit).
         """
         n_f, n_y, n_u = self.values.shape
-        out, inp = (a.ravel() for a in np.indices((n_y, n_u)))
-        row = "%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
+        cells = [f"{o},{i},%.12g,%.12g,%.12g,%.12g\n"
+                 for o in range(n_y) for i in range(n_u)]
         step = max(1, _CHUNK_ROWS // max(1, n_y * n_u))
         with open(path, "w") as fh:
             fh.write("freq_hz,out,in,re,im,mag_db,phase_deg\n")
             for k in range(0, n_f, step):
-                f = self.freqs_hz[k:k + step, None]
-                v = self.values[k:k + step].reshape(f.size, n_y * n_u)
+                f = self.freqs_hz[k:k + step].tolist()
+                v = self.values[k:k + step].reshape(len(f), n_y * n_u)
                 mag = np.hypot(v.real, v.imag)
                 with np.errstate(divide="ignore"):
                     mag_db = np.where(mag > 0, 20 * np.log10(mag), -np.inf)
-                table = np.stack(np.broadcast_arrays(
-                    f, out, inp, v.real, v.imag, mag_db,
-                    np.degrees(np.angle(v))), axis=-1)
-                fh.write((row * (f.size * n_y * n_u))
-                         % tuple(table.ravel().tolist()))
+                table = np.stack((v.real, v.imag, mag_db,
+                                  np.degrees(np.angle(v))), axis=-1)
+                heads = ["%.12g," % x for x in f]
+                rows = "".join([head + cell for head in heads for cell in cells])
+                fh.write(rows % tuple(table.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -538,45 +544,80 @@ def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
 _CHUNK_ENTRIES = 2 ** 14
 
 
+def _general_resolvents(A) -> bool:
+    """Whether ``scipy.linalg.solve`` treats every slice s I - A as a general
+    matrix.
+
+    Its structure check gives a diagonal, triangular, tridiagonal (n > 3)
+    or symmetric slice a dedicated solver.  Off the diagonal s I - A has the
+    entries of -A at every point, so A's pattern and symmetry decide for all
+    points at once.
+    """
+    rows, cols = np.nonzero(A)
+    below, above = (rows - cols).max(initial=0), (cols - rows).max(initial=0)
+    if below == 0 or above == 0 or (below == above == 1 and A.shape[0] > 3):
+        return False
+    return not np.array_equal(A, A.T)
+
+
+def _structured_solve(M, B):
+    """``scipy.linalg.solve`` of the stacked resolvents ``M`` with ``B``
+    broadcast to the stack, ill-conditioning warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", la.LinAlgWarning)
+        return la.solve(M, np.broadcast_to(B, M.shape[:1] + B.shape))
+
+
 def _responses(g: StateSpaceModel, s):
     """C (s I - A)^{-1} B + D at the complex points ``s``, chunk by chunk.
 
     Yields (n_points, n_y, n_u) arrays in the order of ``s``; each chunk is
-    one batched solve on the stacked resolvents.  Responses are routinely
-    evaluated close to poles (integrators, lightly damped modes), where the
-    large value is the correct answer, so ill-conditioning warnings are
-    silenced; a resolvent that is singular, gives a non-finite solution or
-    leaves a residual above 1e-6 max(1, |B|) raises :class:`NumericError`.
+    one batched solve on the stacked resolvents.  When every resolvent is a
+    general matrix (:func:`_general_resolvents`, decided once from A) the
+    solve is ``np.linalg.solve``, LAPACK ``gesv`` on each slice: the bits
+    scipy's batched solve gives at one BLAS thread, at any thread count.
+    A structured A keeps scipy's solve and its dedicated solver.  Responses
+    are routinely evaluated close to poles (integrators, lightly damped
+    modes), where the large value is the correct answer, so
+    ill-conditioning is not an error; a resolvent that is singular, gives a
+    non-finite solution or leaves a residual above 1e-6 max(1, |B|) raises
+    :class:`NumericError`.
     """
     s = np.asarray(s, dtype=complex).ravel()
     n = g.n_states
     step = max(1, _CHUNK_ENTRIES // max(1, n * n))
     tol = 1e-6 * max(1.0, np.linalg.norm(g.B))
+    solve = np.linalg.solve if _general_resolvents(g.A) else _structured_solve
     for k in range(0, s.size, step):
         sk = s[k:k + step, None, None]
         if n == 0:
             yield np.tile(g.D.astype(complex), (sk.size, 1, 1))
             continue
         M = sk * np.eye(n) - g.A
-        B = np.broadcast_to(g.B, (sk.size,) + g.B.shape)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", la.LinAlgWarning)
-                X = la.solve(M, B)
+            X = solve(M, g.B)
         except la.LinAlgError as exc:
             raise NumericError(f"a point in s = {sk[0, 0, 0]:.6g} .. "
                                f"{sk[-1, 0, 0]:.6g} coincides with a system pole") from exc
         bad = ~np.all(np.isfinite(X), axis=(1, 2)) \
-            | (np.linalg.norm(M @ X - B, axis=(1, 2)) > tol)
+            | (np.linalg.norm(M @ X - g.B, axis=(1, 2)) > tol)
         if bad.any():
             raise NumericError(f"near-singular resolvent at s = {sk[bad.argmax(), 0, 0]:.6g}")
         yield g.C @ X + g.D
 
 
-def _sigma_max(g: StateSpaceModel, s) -> float:
-    """Largest singular value of the transfer matrix over the points ``s``."""
-    return max(float(np.linalg.svd(H, compute_uv=False).max())
-               for H in _responses(g, s))
+def sigma_max(g: StateSpaceModel, freqs_hz):
+    """Largest singular value of the frequency response over ``freqs_hz``,
+    and the first of those frequencies that attains it."""
+    f = np.asarray(freqs_hz, dtype=float).ravel()
+    best, at, k = -math.inf, 0, 0
+    for H in _responses(g, 2j * np.pi * f):
+        sv = np.linalg.svd(H, compute_uv=False)[:, 0]
+        i = int(sv.argmax())
+        if sv[i] > best:
+            best, at = float(sv[i]), k + i
+        k += len(H)
+    return best, float(f[at])
 
 
 def freq_response(g: StateSpaceModel, freqs_hz) -> FrequencyResponse:
@@ -593,7 +634,7 @@ def spectral_abscissa(g) -> float:
     A = g.A if isinstance(g, StateSpaceModel) else np.atleast_2d(np.asarray(g, float))
     if A.shape[0] == 0:
         return -np.inf
-    return float(np.max(la.eigvals(A).real))
+    return float(np.max(np.linalg.eigvals(A).real))
 
 
 def is_hurwitz(g, margin: float = 0.0) -> bool:
@@ -616,7 +657,7 @@ def hinf_norm_grid(g: StateSpaceModel, n_points: int = 100_000) -> float:
     if min(g.n_inputs, g.n_outputs) == 0:
         return 0.0
     freqs = np.concatenate([[0.0], _default_freq_grid(g, n_points)])
-    return _sigma_max(g, 2j * np.pi * freqs)
+    return sigma_max(g, freqs)[0]
 
 
 def _hamiltonian_has_imag_eig(g: StateSpaceModel, gamma: float) -> bool:
@@ -633,7 +674,7 @@ def _hamiltonian_has_imag_eig(g: StateSpaceModel, gamma: float) -> bool:
     H[:n, n:] = B @ Rinv @ B.T
     H[n:, :n] = -C.T @ (np.eye(g.n_outputs) + D @ Rinv @ D.T) @ C
     H[n:, n:] = -Ah.T
-    ev = la.eigvals(H)
+    ev = np.linalg.eigvals(H)
     scale = max(1.0, float(np.abs(ev).max()))
     return bool(np.any(np.abs(ev.real) <= 1e-8 * scale))
 
@@ -642,10 +683,12 @@ def hinf_lower_bound(g: StateSpaceModel, poles=None):
     """Proven lower bound on the H-infinity norm: the largest singular value
     at DC, at the pole frequencies and of the feed-through D.
 
-    Returns ``(bound, exact)``; ``exact`` marks a system whose norm needs no
-    bisection (no inputs or outputs, no states, zero B or C), for which
-    ``bound`` is the norm itself.  ``poles`` are the eigenvalues of ``g.A``
-    when the caller has them already.  Raises :class:`NumericError` for
+    Returns ``(bound, exact, peak_hz)``; ``exact`` marks a system whose norm
+    needs no bisection (no inputs or outputs, no states, zero B or C), for
+    which ``bound`` is the norm itself, and ``peak_hz`` is the frequency
+    that attains the bound (0 for a constant response, infinity where D
+    exceeds every candidate).  ``poles`` are the eigenvalues of ``g.A`` when
+    the caller has them already.  Raises :class:`NumericError` for
     non-Hurwitz systems and where a pole sits numerically on the imaginary
     axis (a near-singular resolvent).
     """
@@ -654,31 +697,33 @@ def hinf_lower_bound(g: StateSpaceModel, poles=None):
     if poles.size and not poles.real.max() < 0:
         raise NumericError("H-infinity norm undefined: system is not Hurwitz")
     if min(g.n_inputs, g.n_outputs) == 0:
-        return 0.0, True
+        return 0.0, True, 0.0
     if g.n_states == 0 or not (np.any(g.B) and np.any(g.C)):
-        return (float(la.svdvals(g.D).max()) if g.D.size else 0.0), True
+        return (float(la.svdvals(g.D).max()) if g.D.size else 0.0), True, 0.0
     # conjugate pairs and real poles repeat points, so each is evaluated once
     cand = np.unique(np.concatenate([[0.0], np.abs(poles.imag) / (2 * np.pi),
                                      np.abs(poles) / (2 * np.pi)]))
-    lo = _sigma_max(g, 2j * np.pi * cand)
-    lo = max(lo, float(la.svdvals(g.D).max()))
+    lo, peak_hz = sigma_max(g, cand)
+    d = float(la.svdvals(g.D).max())
+    if d > lo:
+        lo, peak_hz = d, math.inf
     if lo == 0.0:
         lo = 1e-14
-    return lo, False
+    return lo, False, peak_hz
 
 
 def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6, lower=None) -> float:
     """H-infinity norm by bisection on a Hamiltonian imaginary-eigenvalue test.
 
-    The bisection starts from ``lower``, the ``(bound, exact)`` pair of
-    :func:`hinf_lower_bound` for ``g``, which is computed here when not
-    given.  Every return is at least that bound, so a caller that only asks
-    whether the norm is below some threshold may stop at the bound.  Falls
+    The bisection starts from ``lower``, what :func:`hinf_lower_bound`
+    returns for ``g``, which is computed here when not given.  Every return
+    is at least that bound, so a caller that only asks whether the norm is
+    below some threshold may stop at the bound.  Falls
     back to a dense frequency grid, never below the bound, if the
     Hamiltonian solve misbehaves.  Raises :class:`NumericError` as
     :func:`hinf_lower_bound` does and when the norm cannot be bracketed.
     """
-    bound, exact = hinf_lower_bound(g) if lower is None else lower
+    bound, exact, _ = hinf_lower_bound(g) if lower is None else lower
     if exact:
         return bound
     lo = bound

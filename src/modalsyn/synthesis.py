@@ -14,7 +14,7 @@ local stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -42,6 +42,7 @@ from modalsyn.statespace import (
     hinf_norm,
     lmul,
     rmul,
+    sigma_max,
     spectral_abscissa,
 )
 
@@ -55,6 +56,11 @@ PENALTY_BASE = 1e6
 # per rigid-body channel: gain, integrator corner, lead zero, lead pole,
 # low-pass corner, low-pass damping -- all positive
 KRB_PARAM_NAMES = ("gain", "w_int", "w_zero", "w_pole", "w_lp", "zeta_lp")
+
+
+def _check_krb(krb):
+    if not ((krb > 0) & (krb < math.inf)).all():    # NaN fails both
+        raise ModelError("krb entries must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,7 @@ class StructuredControllerParams:
         krb = np.atleast_2d(np.asarray(self.krb, dtype=float))
         if krb.shape[1] != len(KRB_PARAM_NAMES):
             raise ModelError(f"krb needs {len(KRB_PARAM_NAMES)} columns")
-        if np.any(krb <= 0) or not np.all(np.isfinite(krb)):
-            raise ModelError("krb entries must be positive and finite")
+        _check_krb(krb)
         object.__setattr__(self, "krb", krb)
         object.__setattr__(self, "L", np.atleast_2d(np.asarray(self.L, float)))
         object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, float)))
@@ -130,15 +135,23 @@ class StructuredControllerParams:
                                self.L.ravel(), self.xi])
 
     def with_vector(self, vec) -> "StructuredControllerParams":
+        """Parameters at ``vec``, built from arrays of the right shapes and
+        type without the constructor's conversions.  K_RB's entries are
+        still checked: ``10 ** v`` underflows to 0 or overflows to infinity
+        for |v| beyond about 308."""
         vec = np.asarray(vec, dtype=float)
         if vec.size != self.n_params:
             raise ModelError(f"expected {self.n_params} entries, got {vec.size}")
         nk = self.krb.size
         nl = self.L.size
-        return replace(self,
-                       krb=10.0 ** vec[:nk].reshape(self.krb.shape),
-                       L=vec[nk:nk + nl].reshape(self.L.shape),
-                       xi=vec[nk + nl:])
+        krb = 10.0 ** vec[:nk].reshape(self.krb.shape)
+        _check_krb(krb)
+        new = object.__new__(type(self))
+        for name, value in (("krb", krb), ("L", vec[nk:nk + nl].reshape(self.L.shape)),
+                            ("xi", vec[nk + nl:]), ("omega", self.omega),
+                            ("Q", self.Q)):
+            object.__setattr__(new, name, value)
+        return new
 
     def to_dict(self):
         return {"krb": self.krb.tolist(), "L": self.L.tolist(),
@@ -505,22 +518,42 @@ def _objective(cl, template, grid_points=None, crossover_band=None):
 
     The value is ||M||_inf for a vector that passes every constraint and a
     penalty of at least ``PENALTY_BASE / 10`` otherwise.  A finite ``bar``
-    asks only whether the value is below it: once M is nominally stable, a
-    vector whose norm lower bound already reaches ``bar`` returns that
-    bound, which is at most its value, without the grid closure, the
-    crossover check or the norm.  A value below ``bar`` is always exact.
-    ``bar`` applies only up to ``PENALTY_BASE / 10``, the smallest penalty
-    of a later stage.  The poles of M serve both the stability test and the
-    bound, so M is eigensolved once.  A bound or norm that cannot be
-    computed scores ``PENALTY_BASE`` whatever the ``bar``.
+    asks only whether the value is below it, and a vector rejected early
+    returns some value at or above ``bar``; a value below ``bar`` is always
+    exact.  ``bar`` applies only up to ``PENALTY_BASE / 10``, the smallest
+    penalty of a later stage.  Two early rejections run in turn:
+
+    - the incumbent's peak: ``f`` keeps the frequency at which the norm
+      lower bound of its last exact value below ``bar`` peaked, and a
+      vector whose M reaches ``bar`` there returns that singular value,
+      before M is eigensolved.  A stable M has a norm at least as large,
+      and an unstable M, a failed bound and every later penalty score at
+      least ``bar``;
+    - the bound: once M is nominally stable, a vector whose norm lower
+      bound already reaches ``bar`` returns that bound, which is at most
+      its value, without the grid closure, the crossover check or the norm.
+
+    The poles of M serve both the stability test and the bound, so M is
+    eigensolved once.  A bound or norm that cannot be computed scores
+    ``PENALTY_BASE`` whatever the ``bar``.
     """
     grid_local = ([evaluate_local(cl.pm, p) for p in grid_points]
                   if grid_points is not None else None)
 
+    peak_hz = math.inf     # none known yet
+
     def f(vec, bar=math.inf):
+        nonlocal peak_hz
         try:
             params = template.with_vector(vec)
             M = cl.evaluate(params)
+            if peak_hz < math.inf and bar <= PENALTY_BASE / 10:
+                try:
+                    at_peak = sigma_max(M, [peak_hz])[0]
+                except NumericError:    # on or next to a pole of M
+                    at_peak = -math.inf
+                if at_peak >= bar:
+                    return at_peak
             poles = M.poles()
             a = float(np.max(poles.real)) if poles.size else -np.inf
             if not a < 0:
@@ -545,9 +578,12 @@ def _objective(cl, template, grid_points=None, crossover_band=None):
                 if miss.max() > 0:
                     return PENALTY_BASE / 10 + float(miss.max())
             try:
-                return hinf_norm(M, rel_tol=NORM_TOL, lower=lower)
+                value = hinf_norm(M, rel_tol=NORM_TOL, lower=lower)
             except NumericError:
                 return PENALTY_BASE
+            if value < bar:
+                peak_hz = lower[2]
+            return value
         except (NumericError, ModelError, FloatingPointError, la.LinAlgError):
             # a stage that cannot compute scores as a realization failure
             return PENALTY_BASE * 10

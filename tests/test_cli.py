@@ -146,6 +146,18 @@ class TestDecouple:
             doc = json.load(fh)
         assert doc["model"] == "model.json" and doc["p_star"] == [0.3]
 
+    def test_model_file_needs_no_grid(self, tmp_path):
+        """Decoupling never uses the scheduling grid: a model file decouples
+        with a design point alone, and a problem built on it still asks for
+        the grid."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(make_two_mass().to_dict()))
+        assert main(["decouple", "--model", str(path), "--p-star", "0.3",
+                     "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(CONFIG, model=str(path), p_star=0.3)))
+        assert main(["synth6", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
 
 class TestErrors:
     def test_missing_config_is_usage_error(self):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from modalsyn.statespace import (
@@ -57,6 +60,13 @@ class TestConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ModelError):
             StateSpaceModel([[np.nan]], [[1.0]], [[1.0]], [[0.0]])
+
+    @pytest.mark.parametrize("bad", "ABCD")
+    def test_built_names_the_nonfinite_array(self, bad):
+        mats = {name: np.ones((2, 2)) for name in "ABCD"}
+        mats[bad][1, 0] = np.inf
+        with pytest.raises(ModelError, match=f"non-finite entries in {bad}"):
+            StateSpaceModel._built(*mats.values())
 
     def test_pure_gain(self):
         g = StateSpaceModel.from_gain([[3.0, 0.0]])
@@ -256,6 +266,69 @@ class TestFreqResponse:
         assert b",-inf," in text
 
 
+def _pattern_systems(rng):
+    """(name, A, whether every resolvent of A is a general matrix) for
+    seeded A of each pattern that scipy's solve tells apart."""
+    for n in (2, 3, 5, 8):
+        A = rng.standard_normal((n, n))
+        yield "dense", A, True
+        yield "diagonal", np.diag(np.diag(A)), False
+        yield "lower", np.tril(A), False
+        yield "upper", np.triu(A), False
+        # scipy's tridiagonal solver takes n > 3 only
+        yield "tridiagonal", np.triu(np.tril(A, 1), -1), n <= 3
+        yield "symmetric", A + A.T, False
+        yield "hessenberg", np.triu(A, -1), True
+
+
+class TestResponseDispatch:
+    """``_responses`` gives the bits of a one-point-at-a-time reference:
+    LAPACK ``zgesv`` when every resolvent is general, scipy's solve, with
+    its structure check, otherwise."""
+
+    @staticmethod
+    def _reference(g, s, general):
+        out = []
+        for sk in s:
+            M = sk * np.eye(g.n_states) - g.A
+            if general:
+                X = lapack.zgesv(M, g.B.astype(complex))[2]
+            else:
+                X = la.solve(M, g.B)
+            out.append(g.C @ X + g.D)
+        return np.array(out)
+
+    def test_each_pattern_matches_its_reference(self):
+        rng = np.random.default_rng(11)
+        s = 2j * np.pi * np.concatenate([[0.0], np.geomspace(0.05, 50.0, 60)])
+        for name, A, general in _pattern_systems(rng):
+            assert statespace._general_resolvents(A) == general, name
+            n = A.shape[0]
+            g = StateSpaceModel(A, rng.standard_normal((n, 2)),
+                                rng.standard_normal((3, n)),
+                                rng.standard_normal((3, 2)))
+            got = np.concatenate(list(statespace._responses(g, s)))
+            want = self._reference(g, s, general)
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_a_point_on_a_pole_raises_on_both_paths(self):
+        """A zero first column puts a pole at s = 0 for every pattern."""
+        rng = np.random.default_rng(12)
+        paths = set()
+        for name, A, _ in _pattern_systems(rng):
+            A = A.copy()
+            A[:, 0] = 0.0
+            if name == "symmetric":
+                A[0, :] = 0.0
+            n = A.shape[0]
+            g = StateSpaceModel(A, np.ones((n, 1)), np.ones((1, n)),
+                                np.zeros((1, 1)))
+            paths.add(statespace._general_resolvents(A))
+            with pytest.raises(NumericError):
+                list(statespace._responses(g, [1j, 0.0]))
+        assert paths == {False, True}
+
+
 class TestStability:
     def test_scalar_stable(self):
         assert is_hurwitz(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
@@ -323,18 +396,25 @@ class TestHinfNorm:
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = random_stable(rng, int(rng.integers(1, 9)), 2, 2)
-            bound, exact = hinf_lower_bound(g, g.poles())
+            lower = hinf_lower_bound(g, g.poles())
+            bound, exact, _ = lower
             assert not exact
-            assert bound == hinf_lower_bound(g)[0]
+            assert lower == hinf_lower_bound(g)
             assert bound <= hinf_norm(g)
-            assert hinf_norm(g, lower=(bound, exact)) == hinf_norm(g)
+            assert hinf_norm(g, lower=lower) == hinf_norm(g)
 
     def test_lower_bound_is_exact_without_dynamics(self):
-        assert hinf_lower_bound(StateSpaceModel.from_gain([[3.0]])) == (3.0, True)
+        assert hinf_lower_bound(StateSpaceModel.from_gain([[3.0]])) == (3.0, True, 0.0)
         g = StateSpaceModel([[-1.0]], [[0.0]], [[1.0]], [[0.5]])
-        assert hinf_lower_bound(g) == (0.5, True)
+        assert hinf_lower_bound(g) == (0.5, True, 0.0)
         with pytest.raises(NumericError):
             hinf_lower_bound(StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+    def test_lower_bound_peaks_at_infinity_where_d_dominates(self):
+        """1/(s + 1) - 5 has |G| 4 at DC, 4.53 at the pole frequency and
+        tends to 5: the bound is |D|, reached at infinite frequency."""
+        g = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[-5.0]])
+        assert hinf_lower_bound(g) == (5.0, False, math.inf)
 
     def test_fallback_never_returns_below_the_bound(self, monkeypatch):
         """A 1 Hz pole with damping 1e-6 falls halfway between two points
@@ -344,7 +424,9 @@ class TestHinfNorm:
         g = StateSpaceModel([[0.0, 1.0], [-w * w, -2 * zeta * w]],
                             [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         peak = 1 / (2 * zeta * w * w * np.sqrt(1 - zeta ** 2))
-        bound, _ = hinf_lower_bound(g)
+        bound, _, peak_hz = hinf_lower_bound(g)
+        assert peak_hz == pytest.approx(w * np.sqrt(1 - 2 * zeta ** 2) / (2 * np.pi),
+                                        rel=1e-6)
         grid = hinf_norm_grid(g)
         assert grid < 0.1 * peak <= bound
 

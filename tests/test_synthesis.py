@@ -24,6 +24,7 @@ from modalsyn.statespace import (
     hinf_lower_bound,
     hinf_norm,
     is_hurwitz,
+    sigma_max,
     spectral_abscissa,
 )
 from modalsyn.synthesis import (
@@ -239,6 +240,30 @@ class TestStructuredParams:
         with pytest.raises(ModelError):
             params.with_vector(np.zeros(params.n_params + 1))
 
+    def test_with_vector_matches_the_constructor(self, cl6):
+        params = _active_params(cl6, xi=1.3)
+        x = params.to_vector() * 1.01
+        nk, nl = params.krb.size, params.L.size
+        want = StructuredControllerParams(
+            10.0 ** x[:nk].reshape(params.krb.shape),
+            x[nk:nk + nl].reshape(params.L.shape), x[nk + nl:], params.omega,
+            params.Q)
+        got = params.with_vector(x)
+        for name in ("krb", "L", "xi", "omega"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert got.Q == want.Q
+
+    @pytest.mark.parametrize("v", [-400.0, 400.0, math.nan])
+    def test_with_vector_refuses_a_krb_entry_out_of_range(self, cl6, v):
+        """10 ** v is 0 below about -308 and infinite above 308."""
+        params = initial_params(cl6)
+        x = params.to_vector()
+        x[2] = v
+        with np.errstate(over="ignore"), \
+                pytest.raises(ModelError, match="positive and finite"):
+            params.with_vector(x)
+
     def test_initial_loop_crosses_unity_at_bandwidth(self, cl6):
         init = initial_params(cl6)
         wb = 2j * np.pi * F_BW[0]
@@ -445,7 +470,7 @@ class TestObjective:
         cl = cl6 if kind == "6block" else cl4
         init = initial_params(cl)
         x = _active_params(cl).to_vector()
-        bound, _ = hinf_lower_bound(cl.evaluate(init.with_vector(x)))
+        bound = hinf_lower_bound(cl.evaluate(init.with_vector(x)))[0]
         grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
         f = _objective(cl, init, grid, self.BAND)
         for stage in ("close_full_loop", "rb_crossover", "hinf_norm"):
@@ -457,6 +482,30 @@ class TestObjective:
                             lambda *a: bounds.append(a) or hinf_lower_bound(*a))
         assert f(x, bound) == bound
         assert len(bounds) == 1
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_a_probe_stops_at_the_incumbents_peak(self, cl6, cl4, kind,
+                                                  monkeypatch):
+        """After an exact value, a probe whose M reaches the bar at the
+        frequency where that value's bound peaked returns its singular
+        value there, which is at most its norm, before M is eigensolved."""
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x = _active_params(cl).to_vector()
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f = _objective(cl, init, grid, self.BAND)
+        exact = f(x)
+        M = cl.evaluate(init.with_vector(x))
+        assert exact == hinf_norm(M, rel_tol=1e-5)
+        at_peak = sigma_max(M, [hinf_lower_bound(M)[2]])[0]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a stage after the peak ran")
+        for stage in ("hinf_lower_bound", "close_full_loop", "rb_crossover",
+                      "hinf_norm"):
+            monkeypatch.setattr(synthesis, stage, fail)
+        monkeypatch.setattr(StateSpaceModel, "poles", fail)
+        assert f(x, at_peak) == at_peak <= exact
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_bound_failure_scores_the_same_whatever_the_bar(self, cl6, cl4,
