@@ -27,14 +27,8 @@ class BenchmarkSpec:
 
     name: str
     model: MechanicalModel
-    n_rb: int
-    n_flex: int
     p_star: np.ndarray
     grid: np.ndarray  # (n_points, n_p)
-
-    @property
-    def n_q(self):
-        return self.model.n_q
 
 
 def make_two_mass(two_outputs: bool = False) -> MechanicalModel:
@@ -66,11 +60,11 @@ def make_two_mass(two_outputs: bool = False) -> MechanicalModel:
     return MechanicalModel(M, D, K, phi_a, phi_s)
 
 
-def two_mass_spec(n_grid: int = 11, p_star: float = 0.3,
-                  two_outputs: bool = False) -> BenchmarkSpec:
-    grid = np.linspace(0.0, 1.0, n_grid).reshape(-1, 1)
-    return BenchmarkSpec("two_mass", make_two_mass(two_outputs), n_rb=1, n_flex=1,
-                         p_star=np.array([p_star]), grid=grid)
+def two_mass_spec(two_outputs: bool = False) -> BenchmarkSpec:
+    """two_mass designed at p = 0.3 and gridded at 11 points over [0, 1]."""
+    return BenchmarkSpec("two_mass", make_two_mass(two_outputs),
+                         p_star=np.array([0.3]),
+                         grid=np.linspace(0.0, 1.0, 11).reshape(-1, 1))
 
 
 # mmpa_lite geometry: four corner masses plus a center mass, vertical motion only
@@ -155,11 +149,12 @@ def make_mmpa_lite() -> MechanicalModel:
     return MechanicalModel(M, D, K, phi_a, phi_s)
 
 
-def mmpa_lite_spec(n_grid_side: int = 5, p_star=(0.3, 0.4)) -> BenchmarkSpec:
-    side = np.linspace(0.0, 1.0, n_grid_side)
+def mmpa_lite_spec() -> BenchmarkSpec:
+    """mmpa_lite designed at p = (0.3, 0.4) and gridded at 5 x 5 points."""
+    side = np.linspace(0.0, 1.0, 5)
     grid = np.array([[x, y] for x in side for y in side])
-    return BenchmarkSpec("mmpa_lite", make_mmpa_lite(), n_rb=3, n_flex=2,
-                         p_star=np.asarray(p_star, dtype=float), grid=grid)
+    return BenchmarkSpec("mmpa_lite", make_mmpa_lite(),
+                         p_star=np.array([0.3, 0.4]), grid=grid)
 
 
 def by_name(name: str) -> BenchmarkSpec:

@@ -73,7 +73,6 @@ class DesignProblem:
     model: DecoupledModel
     grid: list               # scheduling points, one array each
     cl: ClosedLoopMap
-    init: StructuredControllerParams
     config: dict
 
 
@@ -96,6 +95,14 @@ def _json_flag(args, key):
         return None if flag is None else json.loads(flag)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--{key.replace('_', '-')} is not valid JSON: {exc}")
+
+
+def _typed(kind, key, value):
+    """``value`` of the setting ``key`` as a ``kind``, int or float."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"'{key}' is not a valid {kind.__name__}: {value!r}")
 
 
 def _setting(key, config, args, default):
@@ -146,8 +153,13 @@ def build_problem(config, args, kind) -> DesignProblem:
     """The ``kind`` design problem on the decoupled model; the scheduling
     grid comes from its flag, else the config, else the benchmark."""
     model = decoupled_model(config, args)
-    grid = [np.atleast_1d(np.asarray(p, float))
-            for p in _setting("grid", config, args, model.bench_grid)]
+    points = _setting("grid", config, args, model.bench_grid)
+    try:
+        grid = [np.atleast_1d(np.asarray(p, float)) for p in points]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"the grid must be a list of scheduling points: {exc}")
+    if not grid:
+        raise ConfigError("the grid has no scheduling points")
     dpm, p_star = model.pm, model.p_star
     controlled = config.get("controlled", list(dpm.retained))
     g_nom = evaluate_local(dpm, p_star)
@@ -167,9 +179,7 @@ def build_problem(config, args, kind) -> DesignProblem:
     cl = ClosedLoopMap(kind, dpm, p_star, sc,
                        design_weights(f_bw, f_flex, **wkw), controlled,
                        Q=float(config.get("Q", 10.0)), f_bw=f_bw)
-    init = initial_params(cl, q_weight=float(config.get("q_weight", 1e4)),
-                          v_weight=float(config.get("v_weight", 1.0)))
-    return DesignProblem(model, grid, cl, init, config)
+    return DesignProblem(model, grid, cl, config)
 
 
 def _out_dir(args):
@@ -226,11 +236,14 @@ def cmd_decouple(args):
 def _run_synth(args, kind):
     config = _load_config(args.config)
     prob = build_problem(config, args, kind)
-    budget = int(args.budget if args.budget is not None
-                 else config.get("budget", 2000))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    n_starts = int(config.get("n_starts", 5))
-    cl, init = prob.cl, prob.init
+    budget = _typed(int, "budget", args.budget if args.budget is not None
+                    else config.get("budget", 2000))
+    seed = _typed(int, "seed", args.seed if args.seed is not None
+                  else config.get("seed", 0))
+    n_starts = _typed(int, "n_starts", config.get("n_starts", 5))
+    cl = prob.cl
+    init = initial_params(cl, q_weight=float(config.get("q_weight", 1e4)),
+                          v_weight=float(config.get("v_weight", 1.0)))
     tol = float(config.get("crossover_tolerance", 0.06))
     band = ((1 - tol) * min(cl.f_bw), (1 + tol) * max(cl.f_bw))
 
@@ -238,7 +251,7 @@ def _run_synth(args, kind):
                      grid_points=prob.grid, crossover_band=band)
     conv = synthesize(ConventionalView(cl), init, budget=budget, seed=seed,
                       n_starts=n_starts, grid_points=prob.grid,
-                      crossover_band=band, freeze_xi=True)
+                      crossover_band=band)
     cert = grid_stability_check(cl, res.params, prob.grid)
     cert_conv = grid_stability_check(cl, conv.params, prob.grid)
 
@@ -286,14 +299,13 @@ def _load_results(args):
 def cmd_analyze(args):
     doc, prob = _load_results(args)
     out = _out_dir(args)
-    g_local = evaluate_local(prob.cl.pm, prob.cl.p_star)
     for label in ("proposed", "conventional"):
         if label not in doc:
             continue
         params = StructuredControllerParams.from_dict(doc[label]["params"])
         M = prob.cl.evaluate(params)
         _channel_csv(os.path.join(out, f"{label}_channels.csv"), M)
-        closed = close_full_loop(g_local, prob.cl, params)
+        closed = close_full_loop(prob.cl.plant, prob.cl, params)
         _channel_csv(os.path.join(out, f"{label}_closedloop.csv"), closed)
     print(f"analysis CSVs written to {out}")
     return 0
@@ -314,16 +326,22 @@ def cmd_simulate(args):
     doc, prob = _load_results(args)
     cl = prob.cl
     sim = prob.config.get("simulate", {})
-    dt = float(sim.get("dt", 1e-4))
-    duration = float(sim.get("duration", 2.0))
-    f_dist = float(sim.get("f_disturbance", 50.0))
-    seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
+    dt = _typed(float, "dt", sim.get("dt", 1e-4))
+    duration = _typed(float, "duration", sim.get("duration", 2.0))
+    f_dist = _typed(float, "f_disturbance", sim.get("f_disturbance", 50.0))
+    seed = _typed(int, "seed", args.seed if args.seed is not None
+                  else sim.get("seed", 0))
+    if not (0 < dt < np.inf and 0 < duration < np.inf):
+        raise ConfigError(f"'dt' ({dt}) and 'duration' ({duration}) must be "
+                          "positive and finite")
     n = int(round(duration / dt))
-    d = _band_disturbance(n, dt, f_dist, seed,
-                          amplitude=float(sim.get("amplitude", 1.0)))
+    if n < 2:
+        raise ConfigError(f"a duration of {duration} s at dt {dt} s gives "
+                          f"{n} samples, fewer than 2")
+    amplitude = _typed(float, "amplitude", sim.get("amplitude", 1.0))
+    d = _band_disturbance(n, dt, f_dist, seed, amplitude=amplitude)
     w = np.hstack([np.zeros((n, cl.n_rb)),
                    np.tile(d, (1, cl.n_flex))])
-    g_local = evaluate_local(cl.pm, cl.p_star)
     out = _out_dir(args)
     rows = {"t": np.arange(n) * dt}
     rms = {}
@@ -331,7 +349,7 @@ def cmd_simulate(args):
         if label not in doc:
             continue
         params = StructuredControllerParams.from_dict(doc[label]["params"])
-        closed = close_full_loop(g_local, cl, params)
+        closed = close_full_loop(cl.plant, cl, params)
         _, _, y = simulate(closed, w, dt)
         for j in range(y.shape[1]):
             rows[f"{label}_y{j}"] = y[:, j]

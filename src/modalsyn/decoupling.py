@@ -30,10 +30,6 @@ class DecouplingPair:
     n_rb: int
     n_flex: int
 
-    @property
-    def is_constant(self):
-        return self.p_design is None
-
     def to_dict(self):
         return {"T_u": self.T_u.tolist(), "T_y": self.T_y.tolist(),
                 "p_design": None if self.p_design is None else
@@ -74,28 +70,13 @@ def position_cols(n_modes):
     return [2 * i for i in range(n_modes)]
 
 
-def rb_decoupling(pm: PartitionedModalModel, p) -> DecouplingPair:
-    """Rigid-body decoupling: T_u from the velocity input rows, T_y from the
-    position output columns, both Moore-Penrose pseudo-inverses at p."""
-    n_rb = pm.n_rb
-    Bv = pm.B_RB(p)[velocity_rows(n_rb), :]
-    Cp = pm.C_RB(p)[:, position_cols(n_rb)]
-    T_u = _pinv_full_rank(Bv, n_rb, "row", "rigid-body input decoupling")
-    T_y = _pinv_full_rank(Cp, n_rb, "col", "rigid-body output decoupling")
-    if not np.allclose(Bv @ T_u, np.eye(n_rb), atol=1e-10):
-        raise NumericError("input decoupling consistency check failed")
-    if not np.allclose(T_y @ Cp, np.eye(n_rb), atol=1e-10):
-        raise NumericError("output decoupling consistency check failed")
-    constant = pm.B_RB.is_constant and pm.C_RB.is_constant
-    return DecouplingPair(T_u, T_y, None if constant else np.atleast_1d(np.asarray(p, float)),
-                          n_rb, 0)
-
-
 def extended_input_decoupling(pm: PartitionedModalModel, p, n_flex: int) -> DecouplingPair:
-    """Extend the input decoupling to the first ``n_flex`` retained flexible modes.
+    """Decoupling at p of the rigid-body modes and the first ``n_flex``
+    retained flexible modes.
 
-    T_u is the pseudo-inverse of the stacked velocity input rows of
-    [B_RB; B_FM_r] at p; T_y stays rigid-body only.
+    T_u is the Moore-Penrose pseudo-inverse of the stacked velocity input
+    rows of [B_RB; B_FM_r] at p, T_y that of the rigid-body position output
+    columns of C_RB; ``n_flex`` 0 gives the rigid-body decoupling.
     """
     n_rb = pm.n_rb
     if n_flex < 0 or n_flex > pm.n_flex:
@@ -103,17 +84,18 @@ def extended_input_decoupling(pm: PartitionedModalModel, p, n_flex: int) -> Deco
     if pm.n_u < n_rb + n_flex:
         raise ModelError(f"{pm.n_u} actuators cannot decouple {n_rb} rigid-body "
                          f"+ {n_flex} flexible modes")
-    rb = rb_decoupling(pm, p)
-    if n_flex == 0:
-        return rb
     Bv = np.vstack([pm.B_RB(p)[velocity_rows(n_rb), :],
-                    pm.B_FM_r(p)[velocity_rows(pm.n_flex), :][:n_flex, :]])
-    T_u = _pinv_full_rank(Bv, n_rb + n_flex, "row", "extended input decoupling")
+                    pm.B_FM_r(p)[velocity_rows(n_flex), :]])
+    Cp = pm.C_RB(p)[:, position_cols(n_rb)]
+    T_u = _pinv_full_rank(Bv, n_rb + n_flex, "row", "input decoupling")
+    T_y = _pinv_full_rank(Cp, n_rb, "col", "rigid-body output decoupling")
     if not np.allclose(Bv @ T_u, np.eye(n_rb + n_flex), atol=1e-10):
-        raise NumericError("extended input decoupling consistency check failed")
-    constant = (pm.B_RB.is_constant and pm.B_FM_r.is_constant
-                and pm.C_RB.is_constant)
-    return DecouplingPair(T_u, rb.T_y,
+        raise NumericError("input decoupling consistency check failed")
+    if not np.allclose(T_y @ Cp, np.eye(n_rb), atol=1e-10):
+        raise NumericError("output decoupling consistency check failed")
+    constant = (pm.B_RB.is_constant and pm.C_RB.is_constant
+                and (n_flex == 0 or pm.B_FM_r.is_constant))
+    return DecouplingPair(T_u, T_y,
                           None if constant else np.atleast_1d(np.asarray(p, float)),
                           n_rb, n_flex)
 

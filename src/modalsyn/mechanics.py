@@ -8,7 +8,6 @@ local LTI dynamics.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import scipy.linalg as la
 from modalsyn.statespace import ModelError, NumericError, StateSpaceModel, _block_diag
 
 RB_FREQ_RATIO = 1e-6  # eigenfrequency below this fraction of the max counts as rigid-body
+OFFDIAG_TOL = 1e-8    # relative off-diagonal modal damping taken as proportional
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,11 @@ class PositionMap:
         dom = np.atleast_2d(np.asarray(domain, dtype=float))
         return cls(matrix.shape, {(0,) * dom.shape[0]: matrix}, dom)
 
-    def contains(self, p, tol=1e-12):
+    def contains(self, p):
+        """Whether p lies in the domain box, widened by 1e-12 each way."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        return p.size == self.n_p and bool(
-            np.all(p >= self.domain[:, 0] - tol) and np.all(p <= self.domain[:, 1] + tol))
+        lo, hi = self.domain[:, 0] - 1e-12, self.domain[:, 1] + 1e-12
+        return p.size == self.n_p and bool(np.all(p >= lo) and np.all(p <= hi))
 
     def __call__(self, p):
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -174,10 +175,6 @@ class MechanicalModel:
     def n_y(self):
         return self.phi_s.shape[0]
 
-    @property
-    def domain(self):
-        return self.phi_a.domain
-
     def to_dict(self):
         return {"M": self.M.tolist(), "D": self.D.tolist(), "K": self.K.tolist(),
                 "phi_a": self.phi_a.to_dict(), "phi_s": self.phi_s.to_dict(),
@@ -217,14 +214,12 @@ class ModalDecomposition:
         return np.diag(self.zeta)
 
 
-def modal_decompose(model: MechanicalModel, force_diagonal: bool = False,
-                    offdiag_tol: float = 1e-8) -> ModalDecomposition:
+def modal_decompose(model: MechanicalModel) -> ModalDecomposition:
     """Solve K V = M V Lambda with mass normalization and extract modal damping.
 
     Damping must be proportional (Rayleigh-type): the modal damping matrix
-    Vtilde' D Vtilde has to be diagonal within ``offdiag_tol`` relative to its
-    norm, else a :class:`NumericError` is raised.  With ``force_diagonal`` the
-    off-diagonal part is discarded with a warning instead.
+    Vtilde' D Vtilde has to be diagonal within ``OFFDIAG_TOL`` relative to its
+    norm, else a :class:`NumericError` is raised.
     """
     lam, V = la.eigh(model.K, model.M)  # ascending, V' M V = I
     lam = np.clip(lam, 0.0, None)
@@ -236,13 +231,10 @@ def modal_decompose(model: MechanicalModel, force_diagonal: bool = False,
             V[:, j] = -V[:, j]
     Dm = V.T @ model.D @ V
     off = Dm - np.diag(np.diag(Dm))
-    if np.linalg.norm(off) > offdiag_tol * max(1.0, np.linalg.norm(Dm)):
-        if not force_diagonal:
-            raise NumericError(
-                "non-proportional damping: modal damping matrix is not diagonal "
-                f"(off-diagonal norm {np.linalg.norm(off):.3e}); "
-                "pass force_diagonal=True to discard the coupling")
-        warnings.warn("discarding off-diagonal modal damping terms", stacklevel=2)
+    if np.linalg.norm(off) > OFFDIAG_TOL * max(1.0, np.linalg.norm(Dm)):
+        raise NumericError(
+            "non-proportional damping: modal damping matrix is not diagonal "
+            f"(off-diagonal norm {np.linalg.norm(off):.3e})")
     zeta = np.zeros_like(omega)
     wmax = omega.max() if omega.size else 0.0
     flex = omega >= RB_FREQ_RATIO * max(wmax, 1e-300)
@@ -316,10 +308,6 @@ class PartitionedModalModel:
     def n_y(self):
         return self.C_RB.shape[0]
 
-    @property
-    def domain(self):
-        return self.B_RB.domain
-
 
 def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,
                         n_rb: int, retain) -> PartitionedModalModel:
@@ -374,15 +362,12 @@ def physical_ss(model: MechanicalModel, p) -> StateSpaceModel:
     return StateSpaceModel(A, B, C, np.zeros((model.n_y, model.n_u)))
 
 
-def evaluate_local(obj, p) -> StateSpaceModel:
+def evaluate_local(pm: PartitionedModalModel, p) -> StateSpaceModel:
     """Freeze all PositionMaps at p, producing local LTI dynamics.
 
-    For a :class:`PartitionedModalModel` the state order is
-    [RB; retained flexible; discarded flexible], each grouped per mode.
+    The state order is [RB; retained flexible; discarded flexible], each
+    grouped per mode.
     """
-    if isinstance(obj, MechanicalModel):
-        return physical_ss(obj, p)
-    pm = obj
     A = _block_diag(pm.A_RB, pm.A_FM_r, pm.A_FM_d)
     B = np.vstack([pm.B_RB(p), pm.B_FM_r(p), pm.B_FM_d(p)])
     C = np.hstack([pm.C_RB(p), pm.C_FM_r(p), pm.C_FM_d(p)])

@@ -78,10 +78,9 @@ def make_integral_filter(f_bw, K_s: float = DEFAULT_KS,
     return RationalDiagonalFilter(tuple(chans))
 
 
-def regularize_integral_filter(filt: RationalDiagonalFilter,
-                               factor: float = INTEGRATOR_REG_FACTOR
-                               ) -> RationalDiagonalFilter:
-    """Shift exact s=0 poles to -corner/factor so H-infinity norms exist.
+def regularize_integral_filter(filt: RationalDiagonalFilter) -> RationalDiagonalFilter:
+    """Shift exact s=0 poles to -corner / ``INTEGRATOR_REG_FACTOR`` so
+    H-infinity norms exist.
 
     Sections without a pole at the origin pass through unchanged.
     """
@@ -93,7 +92,7 @@ def regularize_integral_filter(filt: RationalDiagonalFilter,
             if den.size >= 2 and den[-1] == 0.0 and num[-1] != 0.0:
                 corner = abs(num[-1] / num[0]) if num[0] != 0 else abs(num[-1])
                 den = den.copy()
-                den[-1] = den[0] * corner / factor
+                den[-1] = den[0] * corner / INTEGRATOR_REG_FACTOR
             sec.append((num, den))
         chans.append(sec)
     return RationalDiagonalFilter(tuple(chans))

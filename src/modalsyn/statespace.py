@@ -94,16 +94,6 @@ class StateSpaceModel:
         return self.C.shape[0]
 
     @classmethod
-    def from_gain(cls, D):
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        return cls(np.zeros((0, 0)), np.zeros((0, D.shape[1])),
-                   np.zeros((D.shape[0], 0)), D)
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_gain(np.eye(n))
-
-    @classmethod
     def from_tf(cls, num, den):
         """SISO realization of num(s)/den(s), coefficients in descending powers."""
         A, B, C, D = _tf_section_realization(np.asarray(num, float),
@@ -146,9 +136,6 @@ class FrequencyResponse:
             raise ModelError("frequency grid must be strictly ascending")
         object.__setattr__(self, "freqs_hz", f)
         object.__setattr__(self, "values", v)
-
-    def magnitude(self):
-        return np.abs(self.values)
 
     def to_csv(self, path):
         """Write one row per grid point and channel:
@@ -271,7 +258,7 @@ def diagonal_ss(channels) -> StateSpaceModel:
 
 def diagonal_response(channels, s_values):
     """Values at ``s_values`` of a diagonal whose ``channels[i]`` is a list
-    of ``(num, den)`` sections, shape (n_channels, len(s_values)); the
+    of ``(num, den)`` sections, shape (len(channels), len(s_values)); the
     sections need not be wrapped in a :class:`RationalDiagonalFilter`."""
     s = np.asarray(s_values, dtype=complex).ravel()
     out = np.ones((len(channels), s.size), dtype=complex)
@@ -300,21 +287,9 @@ class RationalDiagonalFilter:
             _normalized_section(num, den)   # refuses a section that is not proper
         object.__setattr__(self, "channels", chans)
 
-    @property
-    def n_channels(self):
-        return len(self.channels)
-
-    @classmethod
-    def from_gains(cls, gains):
-        return cls(tuple([(np.array([g]), np.array([1.0]))] for g in gains))
-
     @classmethod
     def identity(cls, n):
-        return cls.from_gains([1.0] * n)
-
-    def evaluate(self, s_values):
-        """Complex diagonal values, shape (n_channels, len(s_values))."""
-        return diagonal_response(self.channels, s_values)
+        return cls(tuple([(np.array([1.0]), np.array([1.0]))] for _ in range(n)))
 
     def to_ss(self):
         """Block-diagonal state-space realization of the full filter."""
@@ -382,7 +357,7 @@ def _add_ports(table, kind, prefix, groups, start):
     for group, width in groups:
         name = prefix + group
         if name in table:
-            raise ModelError(f"connect: signal {name!r} is declared twice")
+            raise ModelError(f"interconnection: signal {name!r} is declared twice")
         table[name] = (kind, start, int(width))
         start += int(width)
     return start
@@ -392,14 +367,14 @@ def _check_ports(name, model, n_in, n_out):
     """Raise unless ``model`` has the declared widths of block ``name``."""
     if (n_in, n_out) != (model.n_inputs, model.n_outputs):
         raise ModelError(
-            f"connect: block {name!r} declares {n_in} inputs and "
+            f"interconnection: block {name!r} declares {n_in} inputs and "
             f"{n_out} outputs, its model has {model.n_inputs} and "
             f"{model.n_outputs}")
 
 
 def _lower(blocks, connections, inputs, outputs):
-    """Lower a :func:`connect` declaration to the routing matrices
-    ``(E_w, E_y, F_w, F_y)`` of :class:`Interconnection`.
+    """Lower a declaration to the routing matrices ``(E_w, E_y, F_w, F_y)``
+    of :class:`Interconnection`.
 
     Also returns the declared ``(inputs, outputs)`` widths of each block.  A
     block whose model is ``None`` is checked against its widths later, by
@@ -421,13 +396,13 @@ def _lower(blocks, connections, inputs, outputs):
     for to, frm, gain in connections:
         for port, table in ((to, dst), (frm, src)):
             if port not in table:
-                raise ModelError(f"connect: unknown signal {port!r}")
+                raise ModelError(f"interconnection: unknown signal {port!r}")
         (dk, r, nr), (sk, c, nc) = dst[to], src[frm]
         g = np.asarray(gain, dtype=float)
         if g.ndim == 0 and nr == nc:
             g = g * np.eye(nr)
         if g.shape != (nr, nc):
-            raise ModelError(f"connect: gain of shape {g.shape} from {frm!r} "
+            raise ModelError(f"interconnection: gain of shape {g.shape} from {frm!r} "
                              f"({nc} wide) to {to!r} ({nr} wide)")
         routing[dk, sk][r:r + nr, c:c + nc] += g
     return ((routing["u", "w"], routing["u", "y"], routing["z", "w"],
@@ -435,7 +410,18 @@ def _lower(blocks, connections, inputs, outputs):
 
 
 class Interconnection:
-    """A :func:`connect` declaration compiled once and closed many times.
+    """Blocks interconnected by named signals, compiled once and closed many
+    times.
+
+    ``blocks`` is a sequence of ``(name, model, input_groups,
+    output_groups)``; the groups are ``(group, width)`` pairs in the model's
+    port order and are addressed as ``"name.group"``.  ``inputs`` and
+    ``outputs`` are the ordered ``(signal, width)`` groups of the result.
+    Each connection ``(destination, source, gain)`` adds ``gain`` times the
+    source to the destination, where a destination is a block input port or
+    an external output and a source is a block output port or an external
+    input.  A scalar gain scales the identity; a matrix gain has shape
+    (destination width, source width).  Unconnected block inputs are zero.
 
     A block whose model is ``None`` is free: every :meth:`close` supplies
     its model by name, checked against the block's declared widths.  The
@@ -472,7 +458,7 @@ class Interconnection:
         for k in self._free:
             name = self.blocks[k][0]
             if models is None or name not in models:
-                raise ModelError(f"connect: block {name!r} has no model")
+                raise ModelError(f"interconnection: block {name!r} has no model")
             _check_ports(name, models[name], *self._widths[k])
             free.append(models[name])
         layout = tuple(g.n_states for g in free)
@@ -516,23 +502,6 @@ class Interconnection:
         Minv = la.solve(loop, np.eye(n_y))
         FM = F_y @ Minv
         return Minv, E_w + E_y @ Minv @ D @ E_w, FM, F_w + FM @ D @ E_w
-
-
-def connect(blocks, connections, inputs, outputs) -> StateSpaceModel:
-    """Interconnect blocks by named signals: one :class:`Interconnection`
-    closed once, with every model given.
-
-    ``blocks`` is a sequence of ``(name, model, input_groups,
-    output_groups)``; the groups are ``(group, width)`` pairs in the model's
-    port order and are addressed as ``"name.group"``.  ``inputs`` and
-    ``outputs`` are the ordered ``(signal, width)`` groups of the result.
-    Each connection ``(destination, source, gain)`` adds ``gain`` times the
-    source to the destination, where a destination is a block input port or
-    an external output and a source is a block output port or an external
-    input.  A scalar gain scales the identity; a matrix gain has shape
-    (destination width, source width).  Unconnected block inputs are zero.
-    """
-    return Interconnection(blocks, connections, inputs, outputs).close()
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +606,9 @@ def spectral_abscissa(g) -> float:
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def is_hurwitz(g, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue of A has real part < -margin."""
-    return spectral_abscissa(g) < -margin
+def is_hurwitz(g) -> bool:
+    """True iff every eigenvalue of A has a negative real part."""
+    return spectral_abscissa(g) < 0
 
 
 def _default_freq_grid(g: StateSpaceModel, n_points: int):
@@ -764,10 +733,11 @@ def _is_detectable(A, C, tol=1e-8):
     return True, None
 
 
-def care_solve(A, C, Q_weight, V_weight, residual_tol: float = 1e-6):
+def care_solve(A, C, Q_weight, V_weight):
     """Filter algebraic Riccati equation A P + P A' - P C' V^-1 C P + Q = 0.
 
-    Returns (P, L) with L = P C' V^-1 such that A - L C is Hurwitz.
+    Returns (P, L) with L = P C' V^-1 such that A - L C is Hurwitz; a
+    residual above 1e-6 max(1, |P| max(1, |A|)) raises :class:`NumericError`.
 
     Parameters follow the observer-design convention: Q_weight is the
     process-noise weight (PSD), V_weight the measurement weight (PD).
@@ -790,7 +760,7 @@ def care_solve(A, C, Q_weight, V_weight, residual_tol: float = 1e-6):
     L = P @ C.T @ la.solve(V, np.eye(V.shape[0]))
     res = A @ P + P @ A.T - P @ C.T @ la.solve(V, C @ P) + Q
     scale = max(1.0, np.linalg.norm(P) * max(1.0, np.linalg.norm(A)))
-    if np.linalg.norm(res) > residual_tol * scale:
+    if np.linalg.norm(res) > 1e-6 * scale:
         raise NumericError(f"Riccati residual {np.linalg.norm(res):.3e} above tolerance")
     if not is_hurwitz(A - L @ C):
         raise NumericError("Riccati gain does not stabilize A - L C")

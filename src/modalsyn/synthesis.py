@@ -31,7 +31,6 @@ from modalsyn.statespace import (
     Interconnection,
     ModelError,
     NumericError,
-    RationalDiagonalFilter,
     StateSpaceModel,
     _block_diag,
     care_solve,
@@ -91,10 +90,6 @@ class StructuredControllerParams:
             raise ModelError("xi and omega lengths must match")
 
     @property
-    def n_rb(self):
-        return self.krb.shape[0]
-
-    @property
     def n_params(self):
         return self.krb.size + self.L.size + self.xi.size
 
@@ -111,9 +106,6 @@ class StructuredControllerParams:
             return sections
         return tuple(chan + ((np.array([k]), np.array([1.0])),)
                      for chan, k in zip(sections, gains))
-
-    def krb_filter(self) -> RationalDiagonalFilter:
-        return RationalDiagonalFilter(self.krb_sections())
 
     def kfm_sections(self):
         """Per controlled mode, the band-pass section of K_FM,
@@ -185,7 +177,7 @@ def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
         # normalize so the scaled loop crosses 0 dB at f_bw
         probe = StructuredControllerParams(row[None, :], np.zeros((1, 1)),
                                            [], [], 1.0)
-        mag = np.abs(probe.krb_filter().evaluate(np.array([1j * wb]))[0, 0])
+        mag = np.abs(diagonal_response(probe.krb_sections(), [1j * wb])[0, 0])
         row[0] = 1.0 / mag
         krb[i] = row
     return StructuredControllerParams(krb, L, np.zeros(cl.n_ctrl),
@@ -379,10 +371,6 @@ class ClosedLoopMap:
         """
         return self._realize(params)[0]["G"]
 
-    def sigma(self, params) -> StateSpaceModel:
-        """Scaled flexible-loop subsystem (error-based problems only)."""
-        return self._realize(params)[0]["Sigma"]
-
     # -- M assembly ----------------------------------------------------
     def evaluate(self, params) -> StateSpaceModel:
         """Weighted closed-loop map M from the disturbances w to z."""
@@ -400,7 +388,8 @@ class ConventionalView(ClosedLoopMap):
 
     Mirrors the classical mixed-sensitivity comparison design: the flexible
     injection channel is dropped from the norm, everything else (structure,
-    weights, grid closure) is shared with the given problem.
+    weights, grid closure) is shared with the given problem.  The design has
+    no K_FM to tune: :func:`synthesize` keeps its gains xi where they start.
     """
 
     def __init__(self, cl: ClosedLoopMap):
@@ -632,8 +621,7 @@ def _compass_search(f, x0, budget, frozen=None):
 
 def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
                budget: int, seed: int = 0, n_starts: int = 5,
-               grid_points=None, crossover_band=None,
-               freeze_xi: bool = False) -> SynthesisResult:
+               grid_points=None, crossover_band=None) -> SynthesisResult:
     """Minimize ||M(params)||_inf by seeded multi-start pattern search.
 
     ``init`` is evaluated once; then each of ``max(n_starts, 1)`` starts
@@ -648,13 +636,13 @@ def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
     unstable at any frozen point are penalized too, so the returned design
     certifies.  ``crossover_band`` (lo, hi), in Hz, pins every rigid-body
     loop's unity-gain crossing inside the band, preserving the target
-    bandwidth while the flexible channel is shaped.  ``freeze_xi`` pins the
-    flexible-mode gains (conventional comparison runs).
+    bandwidth while the flexible channel is shaped.  For a
+    :class:`ConventionalView` the flexible-mode gains xi stay at ``init``'s.
     """
     f = _objective(cl, init, grid_points, crossover_band)
     x0 = init.to_vector()
     frozen = np.zeros(x0.size, bool)
-    if freeze_xi:
+    if isinstance(cl, ConventionalView):
         frozen[x0.size - init.xi.size:] = True
     g0 = f(x0)
     if budget <= 0:

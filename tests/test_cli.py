@@ -222,3 +222,29 @@ class TestErrors:
         path = tmp_path / "results.json"
         path.write_text(json.dumps(doc))
         assert main(["gridcheck", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_empty_grid_is_usage_error(self, tmp_path):
+        cfg = write_config(tmp_path / "config.json")
+        assert main(["synth6", "--config", cfg, "--grid", "[]",
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("sim", [{"dt": 0}, {"dt": -1e-3},
+                                     {"duration": 0}, {"duration": -1.0},
+                                     {"dt": 0.1, "duration": 0.1},
+                                     {"dt": "abc"}])
+    def test_simulation_without_two_samples_is_usage_error(
+            self, synth_run, tmp_path, sim):
+        _, out = synth_run
+        cfg = tmp_path / "config.json"
+        with open(cfg, "w") as fh:
+            json.dump(dict(CONFIG, simulate={**CONFIG["simulate"], **sim}), fh)
+        assert main(["simulate", os.path.join(out, "results.json"),
+                     "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["budget", "seed", "n_starts"])
+    def test_count_that_is_not_a_number_is_usage_error(self, tmp_path, key):
+        cfg = tmp_path / "config.json"
+        with open(cfg, "w") as fh:
+            json.dump(dict(CONFIG, **{key: "abc"}), fh)
+        assert main(["synth6", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2

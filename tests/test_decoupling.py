@@ -7,7 +7,7 @@ from modalsyn.decoupling import (
     apply_decoupling,
     apply_decoupling_partitioned,
     extended_input_decoupling,
-    rb_decoupling,
+    position_cols,
     velocity_rows,
 )
 from modalsyn.mechanics import (
@@ -40,29 +40,34 @@ def rb_only_model(phi_a, n_rb):
 class TestRbDecoupling:
     def test_already_decoupled(self):
         pm = partitioned(rb_only_model(np.eye(1), 1))
-        pair = rb_decoupling(pm, 0.0)
+        pair = extended_input_decoupling(pm, 0.0, 0)
         np.testing.assert_allclose(pair.T_u, np.eye(1), atol=1e-12)
 
     def test_two_identical_actuators(self):
         pm = partitioned(rb_only_model(np.array([[1.0, 1.0]]), 1))
-        pair = rb_decoupling(pm, 0.0)
+        pair = extended_input_decoupling(pm, 0.0, 0)
         np.testing.assert_allclose(pair.T_u, [[0.5], [0.5]], atol=1e-12)
 
     def test_underactuated_rank_error(self):
+        # two actuators that push both masses alike span one direction
+        pm = partitioned(rb_only_model(np.ones((2, 2)), 2))
+        with pytest.raises(NumericError, match="rank 1 < required 2"):
+            extended_input_decoupling(pm, 0.0, 0)
+        # one actuator for two modes is refused before any pseudo-inverse
         pm = partitioned(rb_only_model(np.array([[1.0], [1.0]]), 2))
-        with pytest.raises(NumericError):
-            rb_decoupling(pm, 0.0)
+        with pytest.raises(ModelError, match="1 actuators cannot decouple"):
+            extended_input_decoupling(pm, 0.0, 0)
 
     def test_consistency_two_mass(self):
         pm = partitioned(make_two_mass())
-        pair = rb_decoupling(pm, 0.3)
+        pair = extended_input_decoupling(pm, 0.3, 0)
         Bv = pm.B_RB(0.3)[velocity_rows(1), :]
         np.testing.assert_allclose(Bv @ pair.T_u, np.eye(1), atol=1e-10)
 
     def test_consistency_mmpa(self):
         spec = mmpa_lite_spec()
         pm = partitioned(spec.model)
-        pair = rb_decoupling(pm, spec.p_star)
+        pair = extended_input_decoupling(pm, spec.p_star, 0)
         Bv = pm.B_RB(spec.p_star)[velocity_rows(3), :]
         Cp = pm.C_RB(spec.p_star)[:, [0, 2, 4]]
         np.testing.assert_allclose(Bv @ pair.T_u, np.eye(3), atol=1e-10)
@@ -71,11 +76,17 @@ class TestRbDecoupling:
 
 class TestExtendedDecoupling:
     def test_nflex_zero_reduces_to_rb(self):
-        pm = partitioned(make_two_mass())
-        rb = rb_decoupling(pm, 0.3)
-        ext = extended_input_decoupling(pm, 0.3, 0)
-        np.testing.assert_allclose(ext.T_u, rb.T_u)
-        np.testing.assert_allclose(ext.T_y, rb.T_y)
+        """With no flexible mode T_u and T_y are the pseudo-inverses of the
+        rigid-body velocity input rows and position output columns."""
+        spec = mmpa_lite_spec()
+        pm = partitioned(spec.model)
+        p = spec.p_star
+        pair = extended_input_decoupling(pm, p, 0)
+        Bv = pm.B_RB(p)[velocity_rows(3), :]
+        Cp = pm.C_RB(p)[:, position_cols(3)]
+        assert pair.T_u.shape == (4, 3) and pair.n_flex == 0
+        np.testing.assert_allclose(pair.T_u, np.linalg.pinv(Bv), atol=1e-12)
+        np.testing.assert_allclose(pair.T_y, np.linalg.pinv(Cp), atol=1e-12)
 
     def test_two_mass_exact_inverse(self):
         pm = partitioned(make_two_mass())
@@ -167,7 +178,7 @@ class TestPositionDependentDecoupling:
         pair = extended_input_decoupling(pm, 0.4, 1)
         np.testing.assert_allclose(pair.p_design, [0.4])
         const_pair = extended_input_decoupling(partitioned(make_two_mass()), 0.3, 1)
-        assert const_pair.is_constant
+        assert const_pair.p_design is None
 
 
 def test_json_roundtrip(tmp_path):

@@ -21,11 +21,11 @@ from modalsyn.observer import (
 )
 from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
+    Interconnection,
     ModelError,
     NumericError,
     StateSpaceModel,
     care_solve,
-    connect,
     diagonal_response,
     diagonal_ss,
     freq_response,
@@ -50,12 +50,12 @@ def _joint_system(plant, obs):
     """Plant and observer sharing the input, measurement wired internally."""
     n_u, n_y = plant.n_inputs, plant.n_outputs
     n_eta = obs.n_outputs
-    return connect(
+    return Interconnection(
         [("P", plant, [("u", n_u)], [("y", n_y)]),
          ("O", obs, [("u", n_u), ("y", n_y)], [("eta", n_eta)])],
         [("P.u", "u", 1), ("O.u", "u", 1), ("O.y", "P.y", 1),
          ("eta", "O.eta", 1)],
-        inputs=[("u", n_u)], outputs=[("eta", n_eta)])
+        inputs=[("u", n_u)], outputs=[("eta", n_eta)]).close()
 
 
 def decoupled_two_mass(p=0.3):

@@ -1,7 +1,15 @@
-"""Every module-level private function or class of the package is referenced
-somewhere in the package: a helper left behind by a deletion fails here.
-Tests do not count as users; a reference inside the definition itself (a
-recursive call) does not either."""
+"""Every name the package defines is referenced somewhere in the package: a
+helper left behind by a deletion, or a public function, method or property
+that only tests call, fails here.
+
+Two rules share one walker.  The private rule covers module-level
+``_private`` functions and classes; the public rule covers public
+module-level functions and classes and the public methods and properties of
+the package's classes.  A name counts as referenced when a name or attribute
+outside its own definition spells it, so a recursive call does not count
+and tests do not count as users.  ``REFERENCES`` lists the public names kept
+for the tests alone: independent oracles of the package's fast paths, and
+the flexible channel of M that the acceptance criteria read."""
 
 import ast
 from pathlib import Path
@@ -9,25 +17,53 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "modalsyn").glob("*.py"))
 
+REFERENCES = {
+    "StateSpaceModel.from_tf",        # section realization, for diagonal_ss
+    "series",                         # cascade, for diagonal_ss
+    "blockdiag",                      # stacking, for diagonal_ss
+    "to_modal_ss",                    # modal form at a frozen point
+    "physical_ss",                    # second-order form at a frozen point
+    "apply_decoupling",               # T_y G T_u of a local model
+    "ClosedLoopMap.flexible_column",  # the flexible channel of M
+}
 
-def unreferenced_private(sources):
-    """``(module, line, name)`` of the module-level ``_private`` functions and
-    classes in ``sources`` (module name -> source) that no name or attribute
-    outside their own definition refers to."""
+
+def _covered(name, public):
+    """Whether ``name`` falls under the public or the private rule."""
+    if public:
+        return not name.startswith("_")
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced(sources, public=False):
+    """``(module, line, name)`` of the definitions in ``sources`` (module name
+    -> source) that the private rule, or with ``public`` the public rule,
+    covers and that no name or attribute outside their own definition refers
+    to; a method or property is named ``Class.name``."""
     trees = {module: ast.parse(src) for module, src in sources.items()}
-    defined = [(module, node) for module, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if _covered(node.name, public):
+                defined.append((module, node, node.name))
+            if public and isinstance(node, ast.ClassDef):
+                defined += [(module, sub, f"{node.name}.{sub.name}")
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and _covered(sub.name, public)]
+    refs = {}
+    for tree in trees.values():
+        for ref in ast.walk(tree):
+            name = getattr(ref, "id", None) or getattr(ref, "attr", None)
+            if isinstance(name, str):
+                refs.setdefault(name, []).append(ref)
     found = []
-    for module, node in defined:
-        used = any(
-            getattr(ref, "id", None) == node.name
-            or getattr(ref, "attr", None) == node.name
-            for tree in trees.values() for top in tree.body if top is not node
-            for ref in ast.walk(top))
-        if not used:
-            found.append((module, node.lineno, node.name))
+    for module, node, label in defined:
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(ref) in own for ref in refs.get(node.name, ())):
+            found.append((module, node.lineno, label))
     return sorted(found)
 
 
@@ -37,10 +73,32 @@ def test_checker_finds_an_unreferenced_helper():
                     "class _Orphan:\n    pass\n"
                     "def __getattr__(name):\n    pass\n",
                "b": "from a import _used\n_used()\n"}
-    assert unreferenced_private(sources) == [("a", 3, "_recursive"),
-                                             ("a", 5, "_Orphan")]
+    assert unreferenced(sources) == [("a", 3, "_recursive"),
+                                     ("a", 5, "_Orphan")]
+
+
+def test_checker_finds_an_unreferenced_public_name():
+    sources = {"a": "def used():\n    pass\n"
+                    "def orphan(n):\n    return orphan(n - 1)\n"
+                    "class Box:\n"
+                    "    def __init__(self):\n        self.size\n"
+                    "    @property\n    def size(self):\n        return 1\n"
+                    "    def unused(self):\n        return self._hidden()\n"
+                    "    def _hidden(self):\n        pass\n",
+               "b": "from a import Box, used\nused()\nBox()\n"}
+    assert unreferenced(sources, public=True) == [("a", 3, "orphan"),
+                                                  ("a", 11, "Box.unused")]
+    assert unreferenced(sources) == []
 
 
 def test_every_private_helper_is_used():
     sources = {path.stem: path.read_text() for path in PACKAGE}
-    assert unreferenced_private(sources) == []
+    assert unreferenced(sources) == []
+
+
+def test_every_public_name_is_used():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    orphans = unreferenced(sources, public=True)
+    assert [o for o in orphans if o[2] not in REFERENCES] == []
+    # an exemption whose name is gone or used again is stale
+    assert sorted(REFERENCES) == sorted(o[2] for o in orphans)

@@ -24,10 +24,10 @@ from modalsyn.statespace import (
     Interconnection,
     ModelError,
     NumericError,
+    RationalDiagonalFilter,
     StateSpaceModel,
     _lower,
     blockdiag,
-    connect,
     diagonal_response,
     diagonal_ss,
     freq_response,
@@ -41,6 +41,7 @@ from modalsyn.synthesis import (
     _objective,
     _rb_unscaling,
     close_full_loop,
+    initial_params,
     rb_crossover,
 )
 
@@ -85,7 +86,7 @@ def cascade_ss(channels):
     stacked by ``blockdiag``."""
     return blockdiag(
         reduce(lambda g, section: series(g, StateSpaceModel.from_tf(*section)),
-               sections, StateSpaceModel.identity(1))
+               sections, StateSpaceModel([], [], [], np.eye(1)))
         for sections in channels)
 
 
@@ -244,18 +245,19 @@ class TestCrossover:
         params = StructuredControllerParams(np.array(rows), np.zeros((1, 1)),
                                             [], [], 1.0)
         s = 2j * np.pi * np.geomspace(1e-2, 1e4, 50)
+        filt = RationalDiagonalFilter(params.krb_sections())
         assert (diagonal_response(params.krb_sections(), s).tobytes()
-                == params.krb_filter().evaluate(s).tobytes())
+                == diagonal_response(filt.channels, s).tobytes())
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_crossover_matches_the_filter_evaluation(self, problems, kind):
         prob = problems("two_mass", kind)
-        cl, init = prob.cl, prob.init
+        cl, init = prob.cl, initial_params(prob.cl)
         for scale in (0.0, 0.1, 0.3):
             params = init.with_vector(init.to_vector() * (1.0 + scale))
             f = np.geomspace(min(cl.f_bw) / 20.0, max(cl.f_bw) * 50.0, 300)
             Gv = freq_response(cl.g_delta(params), f).values
-            Kv = params.krb_filter().evaluate(2j * np.pi * f)
+            Kv = diagonal_response(params.krb_sections(), 2j * np.pi * f)
             want = np.full(cl.n_rb, np.nan)
             for i in range(cl.n_rb):
                 idx = np.flatnonzero(np.abs(Gv[:, i, i] * Kv[i]) >= 1.0)
@@ -276,7 +278,7 @@ class TestCompiledClose:
         """M, the block the inner loop fills and the full loop at every grid
         point, for random parameters: the same bytes, or the same error."""
         prob = problems(plant, kind)
-        cl, init = prob.cl, prob.init
+        cl, init = prob.cl, initial_params(prob.cl)
         x0 = init.to_vector()
         unit = data.draw(arrays(float, x0.size, elements=st.floats(-1.0, 1.0)))
         params = init.with_vector(x0 + scale * unit * np.maximum(np.abs(x0), 1.0))
@@ -302,7 +304,7 @@ class TestCompiledClose:
         """Earlier results survive later closes unchanged: the realized
         blocks, M and the full loop are kept by their callers."""
         prob = problems("two_mass", kind)
-        cl, init = prob.cl, prob.init
+        cl, init = prob.cl, initial_params(prob.cl)
         g = evaluate_local(cl.pm, prob.grid[3])
         p1 = init.with_vector(init.to_vector() * 1.1)
         p2 = init.with_vector(init.to_vector() * 0.9)
@@ -339,8 +341,8 @@ def feedback(G, K):
 class TestInterconnection:
     def test_a_changed_feed_through_is_solved_again(self, monkeypatch):
         """The loop products are kept for one stacked D only: every close
-        equals a fresh connect and the formula solved afresh, and a D seen
-        before the last one is solved again."""
+        equals a fresh interconnection closed once and the formula solved
+        afresh, and a D seen before the last one is solved again."""
         rng = np.random.default_rng(5)
         G = random_block(rng, 3, 0.4)
         ic = Interconnection(feedback(G, None), **FEEDBACK)
@@ -359,7 +361,8 @@ class TestInterconnection:
                        (K1b, False), (K0, True), (K0, False)):
             before = len(solves)
             got = ic.close({"K": K})
-            assert_same_bytes(got, connect(feedback(G, K), **FEEDBACK))
+            fresh = Interconnection(feedback(G, K), **FEEDBACK).close()
+            assert_same_bytes(got, fresh)
             assert_same_bytes(got, route_declaration(ic, {"K": K}))
             assert len(solves) == before + new
 
@@ -369,11 +372,11 @@ class TestInterconnection:
         ic = Interconnection(feedback(G, None), **FEEDBACK)
         for n in (2, 4, 2, 0):
             K = (random_block(rng, n, 0.3) if n else
-                 StateSpaceModel.from_gain(0.3 * rng.standard_normal((2, 2))))
+                 StateSpaceModel([], [], [], 0.3 * rng.standard_normal((2, 2))))
             assert_same_bytes(ic.close({"K": K}), route_declaration(ic, {"K": K}))
 
     def test_a_singular_loop_is_refused_on_every_close(self):
-        one = StateSpaceModel.from_gain(np.eye(2))
+        one = StateSpaceModel([], [], [], np.eye(2))
         ic = Interconnection(feedback(one, None),
                              [("G.u", "r", 1), ("G.u", "K.y", 1),
                               ("K.u", "G.y", 1), ("y", "G.y", 1)],
@@ -385,7 +388,7 @@ class TestInterconnection:
     def test_a_missing_model_is_named(self):
         G = random_block(np.random.default_rng(7), 2, 0.0)
         with pytest.raises(ModelError, match="block 'K' has no model"):
-            connect(feedback(G, None), **FEEDBACK)
+            Interconnection(feedback(G, None), **FEEDBACK).close()
 
     def test_a_result_that_overflows_is_refused(self):
         """Finite blocks whose closed loop overflows raise ModelError, so no
@@ -393,7 +396,7 @@ class TestInterconnection:
         G = StateSpaceModel(-np.eye(2), np.eye(2), 1e200 * np.eye(2), np.zeros((2, 2)))
         K = StateSpaceModel(-np.eye(2), 1e200 * np.eye(2), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(ModelError, match="non-finite"):
-            connect(feedback(G, K), **FEEDBACK)
+            Interconnection(feedback(G, K), **FEEDBACK).close()
 
 
 class TestObjectiveGuard:
@@ -405,7 +408,7 @@ class TestObjectiveGuard:
         refused and the vector scores the realization penalty.  Neither
         raises."""
         prob = problems("two_mass", kind)
-        cl, init = prob.cl, prob.init
+        cl, init = prob.cl, initial_params(prob.cl)
         f = _objective(cl, init, prob.grid, (9.4, 10.6))
         with np.errstate(all="ignore"):
             finite = StructuredControllerParams(
@@ -426,7 +429,7 @@ class TestObjectiveGuard:
             la.solve(np.array([[np.nan]]), np.eye(1))
         assert type(exc.value) is ValueError
         prob = problems("two_mass", "6block")
-        cl, init = prob.cl, prob.init
+        cl, init = prob.cl, initial_params(prob.cl)
         f = _objective(cl, init, prob.grid, (9.4, 10.6))
 
         def nan_solve(*args, **kwargs):

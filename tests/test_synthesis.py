@@ -112,7 +112,7 @@ class TestClosedLoopFormulas:
         params = _active_params(cl6)
         M = cl6.evaluate(params)
         Gd = cl6.g_delta(params)
-        K = params.krb_filter().to_ss()
+        K = diagonal_ss(params.krb_sections())
         for f in np.logspace(-1, 3, 100):
             s = 2j * np.pi * f
             G = Gd.transfer_at(s)       # 1 x 2: RB column, flexible column
@@ -133,8 +133,8 @@ class TestClosedLoopFormulas:
         params = _active_params(cl4)
         M = cl4.evaluate(params)
         Gt = cl4.g_delta(params)
-        K = params.krb_filter().to_ss()
-        Sig = cl4.sigma(params)
+        K = diagonal_ss(params.krb_sections())
+        Sig = cl4._realize(params)[0]["Sigma"]
         for f in np.logspace(-1, 3, 100):
             s = 2j * np.pi * f
             G = Gt.transfer_at(s)
@@ -267,7 +267,7 @@ class TestStructuredParams:
     def test_initial_loop_crosses_unity_at_bandwidth(self, cl6):
         init = initial_params(cl6)
         wb = 2j * np.pi * F_BW[0]
-        k = np.abs(init.krb_filter().evaluate(np.array([wb]))[0, 0])
+        k = np.abs(diagonal_response(init.krb_sections(), [wb])[0, 0])
         assert k == pytest.approx(1.0, rel=1e-12)
 
 
@@ -277,7 +277,7 @@ class TestPhysicalController:
         kp = params.krb_sections(_rb_unscaling(cl6.scalings, cl6.n_rb))
         s = 2j * np.pi * 3.0
         expect = (cl6.scalings.ww1[0] * cl6.scalings.wz[0]
-                  * params.krb_filter().evaluate(np.array([s]))[0, 0])
+                  * diagonal_response(params.krb_sections(), [s])[0, 0])
         assert _diag_eval(kp, s)[0] == pytest.approx(expect, rel=1e-12)
         assert diagonal_ss(kp).transfer_at(s)[0, 0] == pytest.approx(expect,
                                                                       rel=1e-9)
@@ -418,7 +418,7 @@ class TestObjective:
         cl = cl6 if kind == "6block" else cl4
         models = dict(cl._realize(_active_params(cl))[0])
         cl._map.close(models)
-        models["K_RB"] = StateSpaceModel.identity(cl.n_rb + 1)
+        models["K_RB"] = StateSpaceModel([], [], [], np.eye(cl.n_rb + 1))
         with pytest.raises(ModelError, match="block 'K_RB' declares 1 inputs"):
             cl._map.close(models)
 
@@ -666,7 +666,11 @@ class TestOptimizer:
         assert r1.gamma == r2.gamma
 
     def test_freeze_xi_keeps_flexible_gain(self, cl6):
+        """The conventional design keeps xi where it starts; the same run on
+        the full map moves it."""
         init = initial_params(cl6)
-        res = synthesize(ConventionalView(cl6), init, budget=100, seed=0,
-                         n_starts=1, freeze_xi=True)
-        np.testing.assert_array_equal(res.params.xi, init.xi)
+        conv = synthesize(ConventionalView(cl6), init, budget=100, seed=0,
+                          n_starts=1)
+        np.testing.assert_array_equal(conv.params.xi, init.xi)
+        res = synthesize(cl6, init, budget=100, seed=0, n_starts=1)
+        assert np.all(res.params.xi != init.xi)
