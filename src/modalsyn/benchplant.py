@@ -61,8 +61,10 @@ def make_two_mass(two_outputs: bool = False) -> MechanicalModel:
 
 
 def two_mass_spec(two_outputs: bool = False) -> BenchmarkSpec:
-    """two_mass designed at p = 0.3 and gridded at 11 points over [0, 1]."""
-    return BenchmarkSpec("two_mass", make_two_mass(two_outputs),
+    """two_mass, or two_mass_square with ``two_outputs``, designed at p = 0.3
+    and gridded at 11 points over [0, 1]."""
+    return BenchmarkSpec("two_mass_square" if two_outputs else "two_mass",
+                         make_two_mass(two_outputs),
                          p_star=np.array([0.3]),
                          grid=np.linspace(0.0, 1.0, 11).reshape(-1, 1))
 

@@ -143,7 +143,9 @@ def decoupled_model(config, args) -> DecoupledModel:
     dec = modal_decompose(model)
     retain = config.get("retain", list(range(dec.n_rb, dec.n_modes)))
     pm = group_and_partition(dec, model, dec.n_rb, retain)
-    n_flex_dec = int(config.get("n_flex_decouple", pm.n_flex))
+    # by default as many retained modes as the spare actuators can decouple
+    n_flex_dec = int(config.get("n_flex_decouple",
+                                max(0, min(pm.n_flex, pm.n_u - pm.n_rb))))
     pair = extended_input_decoupling(pm, p_star, n_flex_dec)
     return DecoupledModel(name, p_star, grid, pair,
                           apply_decoupling_partitioned(pm, pair))

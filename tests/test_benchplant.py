@@ -97,6 +97,7 @@ class TestPositionDependence:
 
 def test_by_name():
     assert by_name("two_mass").name == "two_mass"
+    assert by_name("two_mass_square").name == "two_mass_square"
     assert by_name("mmpa_lite").name == "mmpa_lite"
     with pytest.raises(KeyError):
         by_name("nope")

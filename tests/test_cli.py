@@ -158,6 +158,19 @@ class TestDecouple:
         cfg.write_text(json.dumps(dict(CONFIG, model=str(path), p_star=0.3)))
         assert main(["synth6", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_mmpa_lite_decouples_without_config(self, tmp_path):
+        """With no config, as many retained modes are decoupled as the
+        actuators left after the rigid-body ones can take: one of
+        mmpa_lite's two, with four actuators and three rigid-body modes."""
+        assert main(["decouple", "--model", "mmpa_lite",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "modal_summary.json") as fh:
+            summary = json.load(fh)
+        with open(tmp_path / "decoupling.json") as fh:
+            pair = json.load(fh)
+        assert summary["model"] == "mmpa_lite" and summary["retained"] == [3, 4]
+        assert pair["n_rb"] == 3 and pair["n_flex"] == 1
+
 
 class TestErrors:
     def test_missing_config_is_usage_error(self):

@@ -3,7 +3,7 @@ output.  ``synth6 --seed 0`` must reproduce the committed benchmark fixtures
 for both plants, two ``synth4`` runs must write identical files, and
 ``analyze``, ``simulate`` and ``gridcheck`` on the fixtures must write the
 files whose SHA-256 digests are recorded below, as must a ``synth6`` run
-with random starts."""
+with random starts and ``decouple`` on each benchmark with no config."""
 
 import hashlib
 import json
@@ -95,3 +95,29 @@ def test_multistart_synth6_matches_recorded_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir()}
     assert digests == MULTISTART_SHA256
+
+
+# decouple on each benchmark with its defaults: every retained mode, as many
+# of them decoupled as the actuators allow, at the benchmark's design point
+DECOUPLE_SHA256 = {
+    "two_mass": {
+        "decoupling.json": "0ff07c1613a63d4689a8cb3c404a1166f319cb8b31ecfdfbec0f84a577494276",
+        "modal_summary.json": "8111e0859306149197a8da163ce2383670a9aae8266763eeafc44ffab96f7d11",
+    },
+    "two_mass_square": {
+        "decoupling.json": "9a3ce545abb7c0ef18597f42c2c7c9c338d0b419ccdda7ba955d7402c5562a93",
+        "modal_summary.json": "e3b5fe7cd859fb20fedfbaf500fab79e63bd658c4d0f3586d1caf5c02804a827",
+    },
+    "mmpa_lite": {
+        "decoupling.json": "d2dcdec9d755d14986926be786d41d902c72f229784507da6402c9cad2fba27a",
+        "modal_summary.json": "76fb0b516c386fed68d73b12ba8c2ef1afe3a94b9979d0ccb31e1cbc676e77ba",
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(DECOUPLE_SHA256))
+def test_decouple_matches_recorded_digests(tmp_path, model):
+    assert cli.main(["decouple", "--model", model, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == DECOUPLE_SHA256[model]

@@ -2,9 +2,9 @@
 
 The commands of ``test_reproducible.py`` (``synth6`` on both plants, the
 multi-start ``synth6``, ``analyze``, ``simulate`` and ``gridcheck`` on both
-fixtures) and ``synth4`` on ``two_mass`` run in two fresh interpreters, one
-with BLAS pinned to 1 thread and one to 2; every file they write must have
-the same SHA-256 in both."""
+fixtures, ``decouple`` on each benchmark) and ``synth4`` on ``two_mass`` run
+in two fresh interpreters, one with BLAS pinned to 1 thread and one to 2;
+every file they write must have the same SHA-256 in both."""
 
 import hashlib
 import os
@@ -36,6 +36,9 @@ path = out / "multistart.json"
 path.write_text(json.dumps(config))
 assert cli.main(["synth6", "--config", str(path), "--seed", "3", "--budget",
                  "36", "--out", str(out / "multistart")]) == 0
+for model in ("two_mass", "two_mass_square", "mmpa_lite"):
+    assert cli.main(["decouple", "--model", model,
+                     "--out", str(out / "decouple" / model)]) == 0, model
 """
 
 
@@ -66,7 +69,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             proc.kill()
             proc.wait()
     one, two = (_digests(out) for out in outs.values())
-    # 3 files per synth run (4 runs), 7 per plant from the validate commands
-    # and the multi-start config
-    assert len(one) == 4 * 3 + 2 * 7 + 1
+    # 3 files per synth run (4 runs), 7 per plant from the validate commands,
+    # the multi-start config and 2 per decouple run (3 runs)
+    assert len(one) == 4 * 3 + 2 * 7 + 1 + 3 * 2
     assert one == two
