@@ -105,6 +105,15 @@ def _typed(kind, key, value):
         raise ConfigError(f"'{key}' is not a valid {kind.__name__}: {value!r}")
 
 
+def _modes(key, value, allowed):
+    """``value`` of the setting ``key``: a list of mode indices in ``allowed``."""
+    modes = [_typed(int, key, v) for v in value] if isinstance(value, list) else None
+    if modes is None or not set(modes) <= set(allowed):
+        raise ConfigError(f"'{key}' must be a list of modes from "
+                          f"{list(allowed)}: {value!r}")
+    return modes
+
+
 def _setting(key, config, args, default):
     """``key`` from its flag, else the config, else ``default``."""
     value = _json_flag(args, key)
@@ -141,11 +150,12 @@ def decoupled_model(config, args) -> DecoupledModel:
     p_star = np.atleast_1d(np.asarray(_setting("p_star", config, args, p_star),
                                       float))
     dec = modal_decompose(model)
-    retain = config.get("retain", list(range(dec.n_rb, dec.n_modes)))
-    pm = group_and_partition(dec, model, dec.n_rb, retain)
+    flexible = list(range(dec.n_rb, dec.n_modes))
+    retain = _modes("retain", config.get("retain", flexible), flexible)
+    pm = group_and_partition(dec, model, retain)
     # by default as many retained modes as the spare actuators can decouple
-    n_flex_dec = int(config.get("n_flex_decouple",
-                                max(0, min(pm.n_flex, pm.n_u - pm.n_rb))))
+    n_flex_dec = _typed(int, "n_flex_decouple", config.get(
+        "n_flex_decouple", max(0, min(pm.n_flex, pm.n_u - pm.n_rb))))
     pair = extended_input_decoupling(pm, p_star, n_flex_dec)
     return DecoupledModel(name, p_star, grid, pair,
                           apply_decoupling_partitioned(pm, pair))
@@ -163,8 +173,8 @@ def build_problem(config, args, kind) -> DesignProblem:
     if not grid:
         raise ConfigError("the grid has no scheduling points")
     dpm, p_star = model.pm, model.p_star
-    controlled = config.get("controlled", list(dpm.retained))
-    g_nom = evaluate_local(dpm, p_star)
+    controlled = _modes("controlled", config.get("controlled", list(dpm.retained)),
+                        dpm.retained)
     try:
         f_bw = [float(f) for f in config["f_bw"]]
         expected_error = [float(e) for e in config["expected_error"]]
@@ -173,14 +183,22 @@ def build_problem(config, args, kind) -> DesignProblem:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'f_bw' and 'expected_error' must be lists of "
                           f"numbers: {exc}")
-    sc = compute_scalings(g_nom, f_bw, expected_error, n_flex=dpm.n_flex)
+    if not len(f_bw) == len(expected_error) == dpm.n_rb:
+        raise ConfigError(f"'f_bw' and 'expected_error' need one entry per "
+                          f"rigid-body channel ({dpm.n_rb})")
+    sc = compute_scalings(evaluate_local(dpm, p_star), f_bw, expected_error)
     f_flex = [float(dpm.omega[i]) / (2 * np.pi) for i in controlled]
     wcfg = config.get("weights", {})
+    if not isinstance(wcfg, dict):
+        raise ConfigError(f"'weights' must be an object: {wcfg!r}")
     wkw = {k: wcfg[k] for k in ("K_s", "K_r", "alpha", "beta1", "beta2",
                                 "eps", "f_int", "f_roll") if k in wcfg}
-    cl = ClosedLoopMap(kind, dpm, p_star, sc,
-                       design_weights(f_bw, f_flex, **wkw), controlled,
-                       Q=float(config.get("Q", 10.0)), f_bw=f_bw)
+    try:
+        weights = design_weights(f_bw, f_flex, **wkw)
+    except (TypeError, ValueError) as exc:   # ModelError included
+        raise ConfigError(f"'weights' {wcfg} do not give shaping filters: {exc}")
+    cl = ClosedLoopMap(kind, dpm, p_star, sc, weights, controlled,
+                       Q=_typed(float, "Q", config.get("Q", 10.0)), f_bw=f_bw)
     return DesignProblem(model, grid, cl, config)
 
 
@@ -244,9 +262,11 @@ def _run_synth(args, kind):
                   else config.get("seed", 0))
     n_starts = _typed(int, "n_starts", config.get("n_starts", 5))
     cl = prob.cl
-    init = initial_params(cl, q_weight=float(config.get("q_weight", 1e4)),
-                          v_weight=float(config.get("v_weight", 1.0)))
-    tol = float(config.get("crossover_tolerance", 0.06))
+    init = initial_params(
+        cl, q_weight=_typed(float, "q_weight", config.get("q_weight", 1e4)),
+        v_weight=_typed(float, "v_weight", config.get("v_weight", 1.0)))
+    tol = _typed(float, "crossover_tolerance",
+                 config.get("crossover_tolerance", 0.06))
     band = ((1 - tol) * min(cl.f_bw), (1 + tol) * max(cl.f_bw))
 
     res = synthesize(cl, init, budget=budget, seed=seed, n_starts=n_starts,
@@ -341,6 +361,9 @@ def cmd_simulate(args):
         raise ConfigError(f"a duration of {duration} s at dt {dt} s gives "
                           f"{n} samples, fewer than 2")
     amplitude = _typed(float, "amplitude", sim.get("amplitude", 1.0))
+    if not (0 < f_dist < 0.5 / dt and 0 < amplitude < np.inf):
+        raise ConfigError(f"need 0 < 'f_disturbance' ({f_dist}) < {0.5 / dt} Hz "
+                          f"(Nyquist) and 0 < 'amplitude' ({amplitude}) < inf")
     d = _band_disturbance(n, dt, f_dist, seed, amplitude=amplitude)
     w = np.hstack([np.zeros((n, cl.n_rb)),
                    np.tile(d, (1, cl.n_flex))])

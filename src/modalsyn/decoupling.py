@@ -9,7 +9,7 @@ singular-value cutoff so rank deficiencies fail loudly instead of silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -61,22 +61,13 @@ def _pinv_full_rank(M, need_rank, side, what):
     return Vt[:rank].T @ np.diag(1.0 / s[:rank]) @ U[:, :rank].T
 
 
-def velocity_rows(n_modes):
-    """Row indices of the velocity states in a per-mode grouped block."""
-    return [2 * i + 1 for i in range(n_modes)]
-
-
-def position_cols(n_modes):
-    return [2 * i for i in range(n_modes)]
-
-
 def extended_input_decoupling(pm: PartitionedModalModel, p, n_flex: int) -> DecouplingPair:
     """Decoupling at p of the rigid-body modes and the first ``n_flex``
     retained flexible modes.
 
-    T_u is the Moore-Penrose pseudo-inverse of the stacked velocity input
-    rows of [B_RB; B_FM_r] at p, T_y that of the rigid-body position output
-    columns of C_RB; ``n_flex`` 0 gives the rigid-body decoupling.
+    T_u is the Moore-Penrose pseudo-inverse of the velocity input rows of
+    those modes in B(p), T_y that of the rigid-body position output columns
+    of C(p); ``n_flex`` 0 gives the rigid-body decoupling.
     """
     n_rb = pm.n_rb
     if n_flex < 0 or n_flex > pm.n_flex:
@@ -84,17 +75,16 @@ def extended_input_decoupling(pm: PartitionedModalModel, p, n_flex: int) -> Deco
     if pm.n_u < n_rb + n_flex:
         raise ModelError(f"{pm.n_u} actuators cannot decouple {n_rb} rigid-body "
                          f"+ {n_flex} flexible modes")
-    Bv = np.vstack([pm.B_RB(p)[velocity_rows(n_rb), :],
-                    pm.B_FM_r(p)[velocity_rows(n_flex), :]])
-    Cp = pm.C_RB(p)[:, position_cols(n_rb)]
+    Bv = pm.B(p)[pm.kept][1::2][:n_rb + n_flex]   # velocity rows
+    Cp = pm.C(p)[:, pm.rb][:, ::2]                # position columns
     T_u = _pinv_full_rank(Bv, n_rb + n_flex, "row", "input decoupling")
     T_y = _pinv_full_rank(Cp, n_rb, "col", "rigid-body output decoupling")
     if not np.allclose(Bv @ T_u, np.eye(n_rb + n_flex), atol=1e-10):
         raise NumericError("input decoupling consistency check failed")
     if not np.allclose(T_y @ Cp, np.eye(n_rb), atol=1e-10):
         raise NumericError("output decoupling consistency check failed")
-    constant = (pm.B_RB.is_constant and pm.C_RB.is_constant
-                and (n_flex == 0 or pm.B_FM_r.is_constant))
+    constant = (pm.B.select_rows(pm.kept if n_flex else pm.rb).is_constant
+                and pm.C.select_cols(pm.rb).is_constant)
     return DecouplingPair(T_u, T_y,
                           None if constant else np.atleast_1d(np.asarray(p, float)),
                           n_rb, n_flex)
@@ -109,17 +99,9 @@ def apply_decoupling(g: StateSpaceModel, pair: DecouplingPair) -> StateSpaceMode
 
 def apply_decoupling_partitioned(pm: PartitionedModalModel,
                                  pair: DecouplingPair) -> PartitionedModalModel:
-    """Decoupled partitioned model: B blocks right-multiplied by T_u, C blocks
+    """Decoupled partitioned model: B right-multiplied by T_u, C
     left-multiplied by T_y; the PositionMaps keep their p dependence."""
     if pm.n_u != pair.T_u.shape[0] or pm.n_y != pair.T_y.shape[1]:
         raise ModelError("decoupling pair does not conform to the partitioned model")
-    return PartitionedModalModel(
-        A_RB=pm.A_RB, A_FM_r=pm.A_FM_r, A_FM_d=pm.A_FM_d,
-        B_RB=pm.B_RB.matmul_right(pair.T_u),
-        B_FM_r=pm.B_FM_r.matmul_right(pair.T_u),
-        B_FM_d=pm.B_FM_d.matmul_right(pair.T_u),
-        C_RB=pm.C_RB.matmul_left(pair.T_y),
-        C_FM_r=pm.C_FM_r.matmul_left(pair.T_y),
-        C_FM_d=pm.C_FM_d.matmul_left(pair.T_y),
-        omega=pm.omega, zeta=pm.zeta,
-        retained=pm.retained, discarded=pm.discarded)
+    return replace(pm, B=pm.B.matmul_right(pair.T_u),
+                   C=pm.C.matmul_left(pair.T_y))

@@ -91,13 +91,13 @@ class PositionMap:
                            {e: c @ M for e, c in self.coeffs.items()}, self.domain)
 
     def select_rows(self, idx):
-        idx = list(idx)
-        return PositionMap((len(idx), self.shape[1]),
+        idx = np.arange(self.shape[0])[idx]
+        return PositionMap((idx.size, self.shape[1]),
                            {e: c[idx, :] for e, c in self.coeffs.items()}, self.domain)
 
     def select_cols(self, idx):
-        idx = list(idx)
-        return PositionMap((self.shape[0], len(idx)),
+        idx = np.arange(self.shape[1])[idx]
+        return PositionMap((self.shape[0], idx.size),
                            {e: c[:, idx] for e, c in self.coeffs.items()}, self.domain)
 
     def to_dict(self):
@@ -267,54 +267,59 @@ def _mode_block(w, z):
 
 @dataclass(frozen=True)
 class PartitionedModalModel:
-    """Mode-grouped modal model split into RB / retained / discarded blocks.
+    """Mode-grouped modal model.
 
-    States are grouped per mode as (position, velocity) pairs.  The B blocks
-    are PositionMaps with two rows per mode; the C blocks have two columns
-    per mode.
+    The states are the rigid-body modes, then the retained flexible modes,
+    then the discarded flexible modes, each mode a (position, velocity) pair.
+    ``A`` is block diagonal with a 2x2 block per mode, the PositionMap ``B``
+    has two rows per mode and ``C`` two columns per mode.  The slices ``rb``,
+    ``fm_r`` and ``fm_d`` pick the states of one group, ``kept`` those of the
+    rigid-body and retained modes, which the truncated design model keeps.
     """
 
-    A_RB: np.ndarray
-    A_FM_r: np.ndarray
-    A_FM_d: np.ndarray
-    B_RB: PositionMap
-    B_FM_r: PositionMap
-    B_FM_d: PositionMap
-    C_RB: PositionMap
-    C_FM_r: PositionMap
-    C_FM_d: PositionMap
+    A: np.ndarray
+    B: PositionMap
+    C: PositionMap
     omega: np.ndarray          # all modal eigenfrequencies, ascending
     zeta: np.ndarray
+    n_rb: int
     retained: tuple            # global mode indices kept in the flexible block
     discarded: tuple
-
-    @property
-    def n_rb(self):
-        return self.A_RB.shape[0] // 2
 
     @property
     def n_flex(self):
         return len(self.retained)
 
     @property
-    def n_disc(self):
-        return len(self.discarded)
-
-    @property
     def n_u(self):
-        return self.B_RB.shape[1]
+        return self.B.shape[1]
 
     @property
     def n_y(self):
-        return self.C_RB.shape[0]
+        return self.C.shape[0]
+
+    @property
+    def rb(self):
+        return slice(0, 2 * self.n_rb)
+
+    @property
+    def fm_r(self):
+        return slice(2 * self.n_rb, 2 * (self.n_rb + self.n_flex))
+
+    @property
+    def fm_d(self):
+        return slice(2 * (self.n_rb + self.n_flex), self.A.shape[0])
+
+    @property
+    def kept(self):
+        return slice(0, 2 * (self.n_rb + self.n_flex))
 
 
 def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,
-                        n_rb: int, retain) -> PartitionedModalModel:
-    """Apply the per-mode grouping permutation and split into RB/retained/discarded."""
-    if n_rb != dec.n_rb:
-        raise ModelError(f"n_rb={n_rb} but the decomposition has {dec.n_rb} "
-                         "zero-frequency modes")
+                        retain) -> PartitionedModalModel:
+    """Apply the per-mode grouping permutation and order the modes rigid-body,
+    retained flexible, discarded flexible."""
+    n_rb = dec.n_rb
     retain = sorted(set(int(i) for i in retain))
     if any(i < n_rb or i >= dec.n_modes for i in retain):
         raise ModelError("retain set must reference flexible (nonzero-frequency) modes")
@@ -323,29 +328,14 @@ def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,
     # grouped input/output composition matrices: B_g(p) = S_B Phi_a(p), C_g(p) = Phi_s(p) S_C
     S_B = T @ np.vstack([np.zeros((n, n)), dec.Vtilde.T])
     S_C = np.hstack([dec.Vtilde, np.zeros((n, n))]) @ T.T
-    B_g = model.phi_a.matmul_left(S_B)
-    C_g = model.phi_s.matmul_right(S_C)
-
-    rb_modes = list(range(n_rb))
     discarded = [i for i in range(n_rb, n) if i not in retain]
-
-    def rows(modes):
-        return [r for i in modes for r in (2 * i, 2 * i + 1)]
-
-    def ablock(modes):
-        if not modes:
-            return np.zeros((0, 0))
-        return _block_diag(*[_mode_block(dec.omega[i], dec.zeta[i]) for i in modes])
-
+    modes = list(range(n_rb)) + retain + discarded
+    states = [r for i in modes for r in (2 * i, 2 * i + 1)]
     return PartitionedModalModel(
-        A_RB=ablock(rb_modes), A_FM_r=ablock(retain), A_FM_d=ablock(discarded),
-        B_RB=B_g.select_rows(rows(rb_modes)),
-        B_FM_r=B_g.select_rows(rows(retain)),
-        B_FM_d=B_g.select_rows(rows(discarded)),
-        C_RB=C_g.select_cols(rows(rb_modes)),
-        C_FM_r=C_g.select_cols(rows(retain)),
-        C_FM_d=C_g.select_cols(rows(discarded)),
-        omega=dec.omega.copy(), zeta=dec.zeta.copy(),
+        A=_block_diag(*[_mode_block(dec.omega[i], dec.zeta[i]) for i in modes]),
+        B=model.phi_a.matmul_left(S_B).select_rows(states),
+        C=model.phi_s.matmul_right(S_C).select_cols(states),
+        omega=dec.omega.copy(), zeta=dec.zeta.copy(), n_rb=n_rb,
         retained=tuple(retain), discarded=tuple(discarded))
 
 
@@ -363,12 +353,6 @@ def physical_ss(model: MechanicalModel, p) -> StateSpaceModel:
 
 
 def evaluate_local(pm: PartitionedModalModel, p) -> StateSpaceModel:
-    """Freeze all PositionMaps at p, producing local LTI dynamics.
-
-    The state order is [RB; retained flexible; discarded flexible], each
-    grouped per mode.
-    """
-    A = _block_diag(pm.A_RB, pm.A_FM_r, pm.A_FM_d)
-    B = np.vstack([pm.B_RB(p), pm.B_FM_r(p), pm.B_FM_d(p)])
-    C = np.hstack([pm.C_RB(p), pm.C_FM_r(p), pm.C_FM_d(p)])
-    return StateSpaceModel(A, B, C, np.zeros((C.shape[0], B.shape[1])))
+    """Local LTI dynamics at p, in the state order of ``pm``."""
+    return StateSpaceModel(pm.A.copy(), pm.B(p), pm.C(p),
+                           np.zeros((pm.n_y, pm.n_u)))

@@ -7,36 +7,29 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
-from modalsyn.mechanics import PartitionedModalModel
-from modalsyn.statespace import (
-    ModelError,
-    NumericError,
-    StateSpaceModel,
-    _block_diag,
-)
+from modalsyn.mechanics import PartitionedModalModel, evaluate_local
+from modalsyn.statespace import ModelError, NumericError, StateSpaceModel
 
 
-def discarded_static_gain(pm: PartitionedModalModel, p) -> np.ndarray:
-    """Compliance correction -C_FM_d(p) A_FM_d^{-1} B_FM_d(p)."""
-    if pm.n_disc == 0:
+def discarded_static_gain(pm: PartitionedModalModel, g: StateSpaceModel) -> np.ndarray:
+    """Compliance correction -C_d A_d^{-1} B_d of the discarded modes' states
+    of ``g = evaluate_local(pm, p)``."""
+    if not pm.discarded:
         return np.zeros((pm.n_y, pm.n_u))
-    w_disc = pm.omega[list(pm.discarded)]
-    if np.any(w_disc <= 0):
+    if np.any(pm.omega[list(pm.discarded)] <= 0):
         raise NumericError("discarded block contains a zero-stiffness mode; "
                            "its static gain does not exist")
-    return -pm.C_FM_d(p) @ la.solve(pm.A_FM_d, pm.B_FM_d(p))
+    d = pm.fm_d
+    return -g.C[:, d] @ la.solve(g.A[d, d], g.B[d])
 
 
 def truncate_with_compliance(pm: PartitionedModalModel, p) -> StateSpaceModel:
-    """Design model of the output-based observer: states [rigid-body pairs;
-    retained flexible pairs], with the static gain of the discarded flexible
-    block at ``p`` kept as feed-through."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    D_o = discarded_static_gain(pm, p)
-    A = _block_diag(pm.A_RB, pm.A_FM_r)
-    B = np.vstack([pm.B_RB(p), pm.B_FM_r(p)])
-    C = np.hstack([pm.C_RB(p), pm.C_FM_r(p)])
-    return StateSpaceModel(A, B, C, D_o)
+    """Design model of the output-based observer: the states of the
+    rigid-body and retained modes, with the static gain of the discarded
+    modes at ``p`` kept as feed-through."""
+    g = evaluate_local(pm, p)
+    k = pm.kept
+    return StateSpaceModel(g.A[k, k], g.B[k], g.C[:, k], discarded_static_gain(pm, g))
 
 
 def selection_matrix(pm: PartitionedModalModel, controlled_modes,
@@ -51,12 +44,8 @@ def selection_matrix(pm: PartitionedModalModel, controlled_modes,
     for i in controlled:
         if i not in pm.retained:
             raise ModelError(f"mode {i} is not in the retained set {pm.retained}")
-    offset = n_states // 2 - pm.n_flex
-    psi = np.zeros((len(controlled), n_states))
-    for row, i in enumerate(controlled):
-        j = pm.retained.index(i)
-        psi[row, 2 * (offset + j) + 1] = 1.0
-    return psi
+    velocities = np.eye(n_states)[n_states - 2 * pm.n_flex:][1::2]
+    return velocities[[pm.retained.index(i) for i in controlled]]
 
 
 def error_design_model(pm: PartitionedModalModel, p) -> StateSpaceModel:
@@ -66,12 +55,12 @@ def error_design_model(pm: PartitionedModalModel, p) -> StateSpaceModel:
     Assumes the rigid-body feedforward cancels the rigid modes from the
     tracking error, so the measurement is e = -y_flex: the output map and the
     compliance feed-through enter negated, and the observer's estimation
-    error evolves as A_FM_r + L C_FM_r(p).
+    error evolves as A_r + L C_r(p) on the retained states.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    fm = list(range(pm.n_rb, pm.n_rb + pm.n_flex))
-    return StateSpaceModel(pm.A_FM_r, pm.B_FM_r(p)[:, fm], -pm.C_FM_r(p),
-                           -discarded_static_gain(pm, p)[:, fm])
+    g = evaluate_local(pm, p)
+    r, fm = pm.fm_r, slice(pm.n_rb, pm.n_rb + pm.n_flex)
+    return StateSpaceModel(g.A[r, r], g.B[r, fm], -g.C[:, r],
+                           -discarded_static_gain(pm, g)[:, fm])
 
 
 def modal_observer(design: StateSpaceModel, L, Psi) -> StateSpaceModel:

@@ -32,18 +32,16 @@ class ScalingSet:
 
     wz: np.ndarray    # output scaling, reciprocal expected error
     ww1: np.ndarray   # rigid-body input scaling
-    ww2: np.ndarray   # flexible input scaling (identity by default)
 
     def __post_init__(self):
-        for name in ("wz", "ww1", "ww2"):
+        for name in ("wz", "ww1"):
             v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if np.any(v <= 0) or not np.all(np.isfinite(v)):
                 raise ModelError(f"{name} scaling entries must be positive and finite")
             object.__setattr__(self, name, v)
 
 
-def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error,
-                     n_flex: int = 0) -> ScalingSet:
+def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error) -> ScalingSet:
     """Normalize plant channels: output scaling is the reciprocal expected
     tracking error; the rigid-body input scaling puts the scaled diagonal
     0 dB crossing at the target bandwidth f_bw per channel."""
@@ -62,7 +60,7 @@ def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error,
             raise ModelError(f"zero diagonal response at {f} Hz in channel {i}; "
                              "scaling is ill-posed")
     ww1 = 1.0 / (gains * wz[:n_rb])
-    return ScalingSet(wz, ww1, np.ones(max(n_flex, 1)))
+    return ScalingSet(wz, ww1)
 
 
 def make_integral_filter(f_bw, K_s: float = DEFAULT_KS,

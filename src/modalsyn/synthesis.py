@@ -276,9 +276,8 @@ def _interconnections(kind, pm, p_star, plant, weights, embed, left, right):
             loop + (("G.u_fm", "Sigma.u", -1), ("Sigma.e", "d", 1),
                     ("Sigma.e", "G.y", 1)),
             d, e)
-        # Sigma maps the scaled error to the scaled flexible input
-        slot = ("Sigma", np.diag(1.0 / np.diag(right)[n_rb:]),
-                np.diag(1.0 / np.diag(left)))
+        # Sigma maps the scaled error to the flexible input, which M leaves unscaled
+        slot = ("Sigma", np.eye(n_flex), np.diag(1.0 / np.diag(left)))
         return error_design_model(pm, p_star), slot, inner, weighted, full
     raise ModelError(f"unknown interconnection kind {kind!r}")
 
@@ -318,8 +317,7 @@ class ClosedLoopMap:
         embed = np.eye(self.n_flex)[:, [pm.retained.index(i)
                                         for i in self.controlled_modes]]
         left = np.diag(scalings.wz)
-        right = _block_diag(np.diag(scalings.ww1),
-                            np.diag(scalings.ww2[:self.n_flex]))
+        right = _block_diag(np.diag(scalings.ww1), np.eye(self.n_flex))
         self._rb_unscaling = _rb_unscaling(scalings, self.n_rb)
         # M's plant block, unless the inner loop takes its slot
         self._g_plant = lmul(left, rmul(self.plant, right))

@@ -16,8 +16,6 @@ from modalsyn.benchplant import by_name
 from modalsyn.decoupling import (
     apply_decoupling_partitioned,
     extended_input_decoupling,
-    position_cols,
-    velocity_rows,
 )
 from modalsyn.mechanics import (
     MechanicalModel,
@@ -66,11 +64,11 @@ def report(num, ok, text):
 def two_mass_problem(kind, **weight_kw):
     spec = by_name("two_mass")
     dec = modal_decompose(spec.model)
-    pm = group_and_partition(dec, spec.model, dec.n_rb, [1])
+    pm = group_and_partition(dec, spec.model, [1])
     pair = extended_input_decoupling(pm, spec.p_star, 1)
     dpm = apply_decoupling_partitioned(pm, pair)
     g_nom = evaluate_local(dpm, spec.p_star)
-    sc = compute_scalings(g_nom, [10.0], [1e-4], n_flex=1)
+    sc = compute_scalings(g_nom, [10.0], [1e-4])
     f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
     kw = dict(eps=EPS_DAMP)
     kw.update(weight_kw)
@@ -82,12 +80,12 @@ def two_mass_problem(kind, **weight_kw):
 def mmpa_problem(kind="6block"):
     spec = by_name("mmpa_lite")
     dec = modal_decompose(spec.model)
-    pm = group_and_partition(dec, spec.model, dec.n_rb, [3])
+    pm = group_and_partition(dec, spec.model, [3])
     pair = extended_input_decoupling(pm, spec.p_star, 1)
     dpm = apply_decoupling_partitioned(pm, pair)
     g_nom = evaluate_local(dpm, spec.p_star)
     f_bw = [10.0, 10.0, 10.0]
-    sc = compute_scalings(g_nom, f_bw, [1e-4] * 3, n_flex=1)
+    sc = compute_scalings(g_nom, f_bw, [1e-4] * 3)
     f_flex = [float(dpm.omega[3]) / (2 * np.pi)]
     ws = design_weights(f_bw, f_flex, eps=EPS_DAMP)
     return ClosedLoopMap(kind, dpm, spec.p_star, sc, ws, [3], Q=10.0,
@@ -206,16 +204,16 @@ def test_criterion_2_decoupling_exactness():
     for name, retain, n_dec in (("two_mass", [1], 1), ("mmpa_lite", [3], 1)):
         spec = by_name(name)
         dec = modal_decompose(spec.model)
-        pm = group_and_partition(dec, spec.model, dec.n_rb, retain)
+        pm = group_and_partition(dec, spec.model, retain)
         pair = extended_input_decoupling(pm, spec.p_star, n_dec)
         n_rb = pm.n_rb
-        Bv = np.vstack([pm.B_RB(spec.p_star)[velocity_rows(n_rb), :],
-                        pm.B_FM_r(spec.p_star)[velocity_rows(pm.n_flex), :][:n_dec]])
-        Cp = pm.C_RB(spec.p_star)[:, position_cols(n_rb)]
+        B, C = pm.B(spec.p_star), pm.C(spec.p_star)
+        Bv = np.vstack([B[pm.rb][1::2], B[pm.fm_r][1::2][:n_dec]])
+        Cp = C[:, pm.rb][:, ::2]
         worst = max(worst, np.abs(Bv @ pair.T_u - np.eye(n_rb + n_dec)).max())
         worst = max(worst, np.abs(pair.T_y @ Cp - np.eye(n_rb)).max())
         dpm = apply_decoupling_partitioned(pm, pair)
-        rb_cols = dpm.B_FM_r(spec.p_star)[velocity_rows(pm.n_flex), :n_rb]
+        rb_cols = dpm.B(spec.p_star)[dpm.fm_r][1::2, :n_rb]
         worst = max(worst, np.abs(rb_cols[:n_dec]).max())
     ok = worst < 1e-10
     assert report(2, ok, f"decoupling exactness: worst residual {worst:.2e} "
@@ -229,14 +227,14 @@ def test_criterion_2_decoupling_exactness():
 def test_criterion_3_compliance_correction():
     spec = by_name("two_mass")
     dec = modal_decompose(spec.model)
-    pm = group_and_partition(dec, spec.model, dec.n_rb, [])  # discard the mode
+    pm = group_and_partition(dec, spec.model, [])  # discard the mode
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 11):
         tm = truncate_with_compliance(pm, p)
         # independent oracle: discarded-mode static contribution from the raw
         # partitioned matrices, c_i b_i^T / omega_i^2
-        Bd = pm.B_FM_d(p)[velocity_rows(pm.n_disc), :]
-        Cd = pm.C_FM_d(p)[:, position_cols(pm.n_disc)]
+        Bd = pm.B(p)[pm.fm_d][1::2]
+        Cd = pm.C(p)[:, pm.fm_d][:, ::2]
         oracle = np.zeros((pm.n_y, pm.n_u))
         for i, mode in enumerate(pm.discarded):
             oracle += np.outer(Cd[:, i], Bd[i]) / pm.omega[mode] ** 2

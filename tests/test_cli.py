@@ -244,7 +244,11 @@ class TestErrors:
     @pytest.mark.parametrize("sim", [{"dt": 0}, {"dt": -1e-3},
                                      {"duration": 0}, {"duration": -1.0},
                                      {"dt": 0.1, "duration": 0.1},
-                                     {"dt": "abc"}])
+                                     {"dt": "abc"}, {"f_disturbance": -50},
+                                     {"f_disturbance": 0},
+                                     {"f_disturbance": 1e9},
+                                     {"f_disturbance": 500.0},
+                                     {"amplitude": 0}, {"amplitude": "inf"}])
     def test_simulation_without_two_samples_is_usage_error(
             self, synth_run, tmp_path, sim):
         _, out = synth_run
@@ -254,10 +258,20 @@ class TestErrors:
         assert main(["simulate", os.path.join(out, "results.json"),
                      "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("key", ["budget", "seed", "n_starts"])
-    def test_count_that_is_not_a_number_is_usage_error(self, tmp_path, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, "abc", id=key) for key in ("budget", "seed", "n_starts")
+    ] + [("Q", "abc"), ("Q", [10.0]), ("q_weight", "abc"), ("v_weight", [1.0]),
+         ("crossover_tolerance", "abc"), ("n_flex_decouple", "abc"),
+         ("n_flex_decouple", [1]), ("retain", ["a"]), ("retain", 1),
+         ("retain", [0]), ("weights", [0.02]), ("weights", {"K_s": "a"}),
+         ("weights", {"eps": "a"}), ("weights", {"f_int": [1.0, 2.0]}),
+         ("weights", {"K_s": -1.0}), ("f_bw", [10.0, 20.0]),
+         ("expected_error", [1e-4, 1e-4]), ("controlled", [0]),
+         ("controlled", [5]), ("controlled", ["a"]), ("controlled", 1)],
+        ids=lambda v: json.dumps(v, separators=(",", ":")).strip('"'))
+    def test_malformed_setting_is_usage_error(self, tmp_path, key, value):
         cfg = tmp_path / "config.json"
         with open(cfg, "w") as fh:
-            json.dump(dict(CONFIG, **{key: "abc"}), fh)
+            json.dump(dict(CONFIG, **{key: value}), fh)
         assert main(["synth6", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2

@@ -7,8 +7,6 @@ from modalsyn.decoupling import (
     apply_decoupling,
     apply_decoupling_partitioned,
     extended_input_decoupling,
-    position_cols,
-    velocity_rows,
 )
 from modalsyn.mechanics import (
     MechanicalModel,
@@ -22,10 +20,9 @@ from modalsyn.statespace import ModelError, NumericError, freq_response
 
 def partitioned(model, retain=None):
     dec = modal_decompose(model)
-    n_rb = dec.n_rb
     if retain is None:
-        retain = range(n_rb, dec.n_modes)
-    return group_and_partition(dec, model, n_rb, retain)
+        retain = range(dec.n_rb, dec.n_modes)
+    return group_and_partition(dec, model, retain)
 
 
 def rb_only_model(phi_a, n_rb):
@@ -61,15 +58,15 @@ class TestRbDecoupling:
     def test_consistency_two_mass(self):
         pm = partitioned(make_two_mass())
         pair = extended_input_decoupling(pm, 0.3, 0)
-        Bv = pm.B_RB(0.3)[velocity_rows(1), :]
+        Bv = pm.B(0.3)[pm.rb][1::2]
         np.testing.assert_allclose(Bv @ pair.T_u, np.eye(1), atol=1e-10)
 
     def test_consistency_mmpa(self):
         spec = mmpa_lite_spec()
         pm = partitioned(spec.model)
         pair = extended_input_decoupling(pm, spec.p_star, 0)
-        Bv = pm.B_RB(spec.p_star)[velocity_rows(3), :]
-        Cp = pm.C_RB(spec.p_star)[:, [0, 2, 4]]
+        Bv = pm.B(spec.p_star)[pm.rb][1::2]
+        Cp = pm.C(spec.p_star)[:, pm.rb][:, [0, 2, 4]]
         np.testing.assert_allclose(Bv @ pair.T_u, np.eye(3), atol=1e-10)
         np.testing.assert_allclose(pair.T_y @ Cp, np.eye(3), atol=1e-10)
 
@@ -82,8 +79,8 @@ class TestExtendedDecoupling:
         pm = partitioned(spec.model)
         p = spec.p_star
         pair = extended_input_decoupling(pm, p, 0)
-        Bv = pm.B_RB(p)[velocity_rows(3), :]
-        Cp = pm.C_RB(p)[:, position_cols(3)]
+        Bv = pm.B(p)[pm.rb][1::2]
+        Cp = pm.C(p)[:, pm.rb][:, ::2]
         assert pair.T_u.shape == (4, 3) and pair.n_flex == 0
         np.testing.assert_allclose(pair.T_u, np.linalg.pinv(Bv), atol=1e-12)
         np.testing.assert_allclose(pair.T_y, np.linalg.pinv(Cp), atol=1e-12)
@@ -91,7 +88,7 @@ class TestExtendedDecoupling:
     def test_two_mass_exact_inverse(self):
         pm = partitioned(make_two_mass())
         pair = extended_input_decoupling(pm, 0.3, 1)
-        stacked = np.vstack([pm.B_RB(0.3)[[1], :], pm.B_FM_r(0.3)[[1], :]])
+        stacked = np.vstack([pm.B(0.3)[pm.rb][[1]], pm.B(0.3)[pm.fm_r][[1]]])
         np.testing.assert_allclose(stacked @ pair.T_u, np.eye(2), atol=1e-12)
         # square case: pseudo-inverse equals the plain inverse
         np.testing.assert_allclose(pair.T_u, np.linalg.inv(stacked), atol=1e-12)
@@ -105,8 +102,8 @@ class TestExtendedDecoupling:
         spec = mmpa_lite_spec()
         pm = partitioned(spec.model)
         pair = extended_input_decoupling(pm, spec.p_star, 1)
-        stacked = np.vstack([pm.B_RB(spec.p_star)[velocity_rows(3), :],
-                             pm.B_FM_r(spec.p_star)[[1], :]])
+        stacked = np.vstack([pm.B(spec.p_star)[pm.rb][1::2],
+                             pm.B(spec.p_star)[pm.fm_r][[1]]])
         np.testing.assert_allclose(stacked @ pair.T_u, np.eye(4), atol=1e-10)
 
 
@@ -133,7 +130,7 @@ class TestApplyDecoupling:
         pm = partitioned(make_two_mass())
         pair = extended_input_decoupling(pm, 0.3, 1)
         dpm = apply_decoupling_partitioned(pm, pair)
-        B_flex = dpm.B_FM_r(0.3)
+        B_flex = dpm.B(0.3)[dpm.fm_r]
         # RB input column of the retained flexible mode rows vanishes at p*
         assert np.max(np.abs(B_flex[:, 0])) <= 1e-10
         # and the flexible input column is the unit selection on the velocity row
@@ -168,9 +165,9 @@ class TestPositionDependentDecoupling:
         p_star = 0.4
         pair = extended_input_decoupling(pm, p_star, 1)
         dpm = apply_decoupling_partitioned(pm, pair)
-        np.testing.assert_allclose(dpm.B_FM_r(p_star)[1, :], [0.0, 1.0], atol=1e-10)
-        dev_near = np.abs(dpm.B_FM_r(0.5)[1, :] - [0.0, 1.0]).max()
-        dev_far = np.abs(dpm.B_FM_r(1.0)[1, :] - [0.0, 1.0]).max()
+        np.testing.assert_allclose(dpm.B(p_star)[dpm.fm_r][1], [0.0, 1.0], atol=1e-10)
+        dev_near = np.abs(dpm.B(0.5)[dpm.fm_r][1] - [0.0, 1.0]).max()
+        dev_far = np.abs(dpm.B(1.0)[dpm.fm_r][1] - [0.0, 1.0]).max()
         assert 0 < dev_near < dev_far
 
     def test_pair_records_design_point(self):

@@ -161,28 +161,30 @@ class TestGroupAndPartition:
         D = (2 * zeta / w) * K
         model = simple_model(np.eye(2), D, K)
         dec = modal_decompose(model)
-        pm = group_and_partition(dec, model, 1, retain={1})
-        np.testing.assert_allclose(pm.A_RB, [[0, 1], [0, 0]], atol=1e-12)
-        np.testing.assert_allclose(pm.A_FM_r, [[0, 1], [-2.0, -2 * zeta * w]],
+        pm = group_and_partition(dec, model, retain={1})
+        np.testing.assert_allclose(pm.A[pm.rb, pm.rb], [[0, 1], [0, 0]],
                                    atol=1e-12)
-        assert pm.A_FM_d.shape == (0, 0)
+        np.testing.assert_allclose(pm.A[pm.fm_r, pm.fm_r],
+                                   [[0, 1], [-2.0, -2 * zeta * w]], atol=1e-12)
+        assert pm.A[pm.fm_d, pm.fm_d].shape == (0, 0)
+        np.testing.assert_array_equal(pm.A[pm.rb, pm.fm_r], np.zeros((2, 2)))
 
     def test_retain_all_flexible(self):
         model = make_two_mass()
         dec = modal_decompose(model)
-        pm = group_and_partition(dec, model, 1, retain={1})
-        assert pm.n_disc == 0
+        pm = group_and_partition(dec, model, retain={1})
+        assert pm.discarded == () and pm.A.shape == (4, 4)
 
     def test_retain_rigid_rejected(self):
         model = make_two_mass()
         dec = modal_decompose(model)
         with pytest.raises(ModelError):
-            group_and_partition(dec, model, 1, retain={0})
+            group_and_partition(dec, model, retain={0})
 
     def test_partition_preserves_transfer(self):
         model = make_two_mass()
         dec = modal_decompose(model)
-        pm = group_and_partition(dec, model, 1, retain={1})
+        pm = group_and_partition(dec, model, retain={1})
         f = np.logspace(0, 2.5, 30)
         for p in (0.0, 0.3, 0.7):
             got = freq_response(evaluate_local(pm, p), f).values
@@ -194,11 +196,15 @@ class TestEvaluateLocal:
     def test_grid_matches_direct_construction(self):
         model = make_two_mass()
         dec = modal_decompose(model)
-        pm = group_and_partition(dec, model, 1, retain={1})
+        pm = group_and_partition(dec, model, retain={1})
         for p in np.linspace(0, 1, 11):
             g = evaluate_local(pm, p)
-            direct = np.hstack([pm.C_RB(p), pm.C_FM_r(p), pm.C_FM_d(p)])
-            np.testing.assert_allclose(g.C, direct, atol=1e-12)
+            # modes in their natural order, each a (position, velocity) pair
+            direct_C, direct_B = np.zeros((1, 4)), np.zeros((4, 2))
+            direct_C[:, ::2] = model.phi_s(p) @ dec.Vtilde
+            direct_B[1::2] = dec.Vtilde.T @ model.phi_a(p)
+            np.testing.assert_allclose(g.C, direct_C, atol=1e-12)
+            np.testing.assert_allclose(g.B, direct_B, atol=1e-12)
 
     def test_sensing_endpoint(self):
         model = make_two_mass()

@@ -43,7 +43,7 @@ def partitioned(model, retain=None):
     dec = modal_decompose(model)
     if retain is None:
         retain = range(dec.n_rb, dec.n_modes)
-    return group_and_partition(dec, model, dec.n_rb, retain)
+    return group_and_partition(dec, model, retain)
 
 
 def _joint_system(plant, obs):
@@ -67,16 +67,16 @@ def decoupled_two_mass(p=0.3):
 class TestCompliance:
     def test_zero_when_nothing_discarded(self):
         pm = partitioned(make_two_mass())
-        np.testing.assert_array_equal(discarded_static_gain(pm, 0.3),
-                                      np.zeros((1, 2)))
+        np.testing.assert_array_equal(
+            discarded_static_gain(pm, evaluate_local(pm, 0.3)), np.zeros((1, 2)))
 
     def test_matches_low_frequency_residual(self):
         # discard the only flexible mode of the two-mass plant; the
         # feed-through must equal the missing low-frequency contribution
         pm = partitioned(make_two_mass(), retain=[])
         p = 0.3
-        D_o = discarded_static_gain(pm, p)
         g_full = evaluate_local(pm, p)
+        D_o = discarded_static_gain(pm, g_full)
         tm = truncate_with_compliance(pm, p)
         f = np.array([1e-3])
         full = freq_response(g_full, f).values[0]
@@ -87,17 +87,20 @@ class TestCompliance:
     def test_direct_formula_mmpa(self):
         pm = partitioned(make_mmpa_lite(), retain=[3])
         p = np.array([0.3, 0.4])
-        want = -pm.C_FM_d(p) @ la.solve(pm.A_FM_d, pm.B_FM_d(p))
-        np.testing.assert_allclose(discarded_static_gain(pm, p), want)
+        d = pm.fm_d
+        want = -pm.C(p)[:, d] @ la.solve(pm.A[d, d], pm.B(p)[d])
+        np.testing.assert_allclose(
+            discarded_static_gain(pm, evaluate_local(pm, p)), want)
 
     def test_zero_stiffness_discard_rejected(self):
         # a zero-frequency mode in the discarded block has no static gain
         from dataclasses import replace
         pm = partitioned(make_two_mass(), retain=[])
-        bad = replace(pm, A_FM_d=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                      omega=np.array([0.0, 0.0]))
+        A = pm.A.copy()
+        A[pm.fm_d, pm.fm_d] = [[0.0, 1.0], [0.0, 0.0]]
+        bad = replace(pm, A=A, omega=np.array([0.0, 0.0]))
         with pytest.raises(NumericError):
-            discarded_static_gain(bad, 0.3)
+            discarded_static_gain(bad, evaluate_local(bad, 0.3))
 
 
 class TestTruncation:
@@ -107,14 +110,16 @@ class TestTruncation:
         assert tm.n_states == 2 * (pm.n_rb + 1)
         poles = np.sort_complex(tm.poles())
         want = np.sort_complex(np.concatenate(
-            [la.eigvals(pm.A_RB), la.eigvals(pm.A_FM_r)]))
+            [la.eigvals(pm.A[pm.rb, pm.rb]),
+             la.eigvals(pm.A[pm.fm_r, pm.fm_r])]))
         np.testing.assert_allclose(poles, want, atol=1e-8)
 
     def test_feedthrough_is_compliance(self):
         pm = partitioned(make_mmpa_lite(), retain=[3])
         p = (0.3, 0.4)
         tm = truncate_with_compliance(pm, p)
-        np.testing.assert_allclose(tm.D, discarded_static_gain(pm, p))
+        np.testing.assert_allclose(
+            tm.D, discarded_static_gain(pm, evaluate_local(pm, p)))
 
 
 class TestSelectionMatrix:
@@ -197,8 +202,8 @@ class TestOutputObserver:
 class TestErrorObserver:
     def riccati_observer(self, pm, p=0.3, q=1.0):
         """Observer realization, its gain L and its selection matrix."""
-        A = pm.A_FM_r
-        C = pm.C_FM_r(np.atleast_1d(p))
+        A = pm.A[pm.fm_r, pm.fm_r]
+        C = pm.C(p)[:, pm.fm_r]
         _, L = care_solve(A, -C, q * np.eye(A.shape[0]), np.eye(C.shape[0]))
         psi = selection_matrix(pm, [1], A.shape[0])
         return modal_observer(error_design_model(pm, p), L, psi), L, psi
@@ -215,7 +220,7 @@ class TestErrorObserver:
         # the error e = x_hat - x must evolve as A + L C regardless of input
         pm = decoupled_two_mass()
         obs, L, _ = self.riccati_observer(pm)
-        want = pm.A_FM_r + L @ pm.C_FM_r(np.atleast_1d(0.3))
+        want = pm.A[pm.fm_r, pm.fm_r] + L @ pm.C(0.3)[:, pm.fm_r]
         np.testing.assert_allclose(obs.A, want, atol=1e-12)
 
     def test_converges_against_flexible_subsystem(self):
@@ -223,10 +228,10 @@ class TestErrorObserver:
         p = 0.3
         obs, _, psi = self.riccati_observer(pm, p, q=1e4)
         fm_cols = [pm.n_rb + j for j in range(pm.n_flex)]
-        B = pm.B_FM_r(np.atleast_1d(p))[:, fm_cols]
+        B = pm.B(p)[pm.fm_r][:, fm_cols]
         # measurement convention: e is the negated flexible output
-        flex = StateSpaceModel(pm.A_FM_r, B,
-                               -pm.C_FM_r(np.atleast_1d(p)),
+        flex = StateSpaceModel(pm.A[pm.fm_r, pm.fm_r], B,
+                               -pm.C(p)[:, pm.fm_r],
                                np.zeros((pm.n_y, len(fm_cols))))
         joint = _joint_system(flex, obs)
         dt, n = 1e-4, 20_000
@@ -249,10 +254,10 @@ class TestSigmaSubsystem:
         g = evaluate_local(pm, 0.3)
         w = pm.omega[list(pm.retained)][0]
         cl = ClosedLoopMap("4block", pm, 0.3,
-                           compute_scalings(g, [10.0], [1e-4], n_flex=1),
+                           compute_scalings(g, [10.0], [1e-4]),
                            design_weights([10.0], [w / (2 * np.pi)]),
                            [1], Q=Q, f_bw=[10.0])
-        _, L = care_solve(pm.A_FM_r, -pm.C_FM_r(np.atleast_1d(0.3)),
+        _, L = care_solve(pm.A[pm.fm_r, pm.fm_r], -pm.C(0.3)[:, pm.fm_r],
                           np.eye(2), np.eye(1))
         init = initial_params(cl)
         params = StructuredControllerParams(init.krb, L, [xi], [w], Q)

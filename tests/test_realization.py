@@ -173,7 +173,7 @@ class TestClosedFormRealization:
         assert_same_bytes(diagonal_ss(sections), cascade_ss(sections))
         wz, ww1 = (data.draw(st.lists(positive, min_size=n, max_size=n))
                    for _ in range(2))
-        gains = _rb_unscaling(ScalingSet(wz, ww1, [1.0]), n)
+        gains = _rb_unscaling(ScalingSet(wz, ww1), n)
         scaled = params.krb_sections(gains)
         assert [chan[-1] for chan in scaled] == [(k, 1.0) for k in gains]
         assert_same_bytes(diagonal_ss(scaled), cascade_ss(scaled))

@@ -35,22 +35,28 @@ def mag(filt, f_hz):
 def decoupled_plant(p=0.3):
     model = make_two_mass()
     dec = modal_decompose(model)
-    pm = group_and_partition(dec, model, dec.n_rb, [1])
+    pm = group_and_partition(dec, model, [1])
     pair = extended_input_decoupling(pm, p, 1)
     return apply_decoupling(evaluate_local(pm, p), pair)
+
+
+def two_mass_map(kind, f_bw=10.0, p=0.3):
+    """The ``kind`` map of the decoupled two-mass plant."""
+    model = make_two_mass()
+    dec = modal_decompose(model)
+    pm = group_and_partition(dec, model, [1])
+    dpm = apply_decoupling_partitioned(pm, extended_input_decoupling(pm, p, 1))
+    sc = compute_scalings(evaluate_local(dpm, p), [f_bw], [1e-4])
+    f_flex = float(dpm.omega[1]) / (2 * np.pi)
+    return ClosedLoopMap(kind, dpm, p, sc, design_weights([f_bw], [f_flex]),
+                         [1], Q=10.0, f_bw=[f_bw])
 
 
 def weight_layout(kind, f_bw=10.0, p=0.3):
     """The role of each weight block that a ``kind`` map places on M, found
     by matching each block's transfer against the roles' realizations."""
-    model = make_two_mass()
-    dec = modal_decompose(model)
-    pm = group_and_partition(dec, model, dec.n_rb, [1])
-    dpm = apply_decoupling_partitioned(pm, extended_input_decoupling(pm, p, 1))
-    sc = compute_scalings(evaluate_local(dpm, p), [f_bw], [1e-4], n_flex=1)
-    f_flex = float(dpm.omega[1]) / (2 * np.pi)
-    cl = ClosedLoopMap(kind, dpm, p, sc, design_weights([f_bw], [f_flex]),
-                       [1], Q=10.0, f_bw=[f_bw])
+    cl = two_mass_map(kind, f_bw, p)
+    f_flex = float(cl.omega_ctrl[0]) / (2 * np.pi)
     points = 2j * np.pi * np.array([0.7, 7.0, f_flex, 300.0])
     layout = {}
     for name, block, _, _ in cl._map.blocks:
@@ -206,24 +212,27 @@ class TestFlexController:
 
 class TestScalings:
     def test_output_scaling_is_reciprocal_error(self):
-        sc = ScalingSet([2.0], [3.0], [1.0])
+        sc = ScalingSet([2.0], [3.0])
         np.testing.assert_allclose(np.diag(sc.wz), [[2.0]])
         with pytest.raises(ModelError):
-            ScalingSet([0.0], [1.0], [1.0])
+            ScalingSet([0.0], [1.0])
 
     def test_scaled_plant_crosses_unity_at_bandwidth(self):
         g = decoupled_plant()
         f_bw = 10.0
-        sc = compute_scalings(g, [f_bw], [1e-4], n_flex=1)
+        sc = compute_scalings(g, [f_bw], [1e-4])
         np.testing.assert_allclose(sc.wz, [1e4])
         G = g.transfer_at(2j * np.pi * f_bw)[:1, :1]
         val = np.diag(sc.wz)[:1, :1] @ G @ np.diag(sc.ww1)
         np.testing.assert_allclose(np.abs(val[0, 0]), 1.0, rtol=1e-10)
 
     def test_flexible_scaling_identity(self):
-        g = decoupled_plant()
-        sc = compute_scalings(g, [10.0], [1e-4], n_flex=1)
-        np.testing.assert_allclose(sc.ww2, [1.0])
+        """M's plant block scales the flexible input by one."""
+        cl = two_mass_map("6block")
+        s = 2j * np.pi * 10.0
+        want = cl.scalings.wz[:, None] * cl.plant.transfer_at(s)[:, 1:]
+        np.testing.assert_allclose(cl._g_plant.transfer_at(s)[:, 1:], want,
+                                   rtol=1e-12)
 
 
 class TestWeightSets:

@@ -49,7 +49,7 @@ EXPECTED_ERROR = [1e-4]
 def _decoupled_two_mass(p_star):
     model = make_two_mass()
     dec = modal_decompose(model)
-    pm = group_and_partition(dec, model, dec.n_rb, [1])
+    pm = group_and_partition(dec, model, [1])
     pair = extended_input_decoupling(pm, p_star, 1)
     return apply_decoupling_partitioned(pm, pair)
 
@@ -57,7 +57,7 @@ def _decoupled_two_mass(p_star):
 def _make_cl(kind, p_star=0.3):
     dpm = _decoupled_two_mass(p_star)
     g_nom = evaluate_local(dpm, p_star)
-    sc = compute_scalings(g_nom, F_BW, EXPECTED_ERROR, n_flex=1)
+    sc = compute_scalings(g_nom, F_BW, EXPECTED_ERROR)
     f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
     ws = design_weights(F_BW, f_flex)
     return ClosedLoopMap(kind, dpm, p_star, sc, ws, [1], Q=10.0, f_bw=F_BW)
@@ -158,7 +158,7 @@ class TestClosedLoopFormulas:
         gd = cl6.g_delta(params)
         sc = cl6.scalings
         nrb, nfl, nc = cl6.n_rb, cl6.n_flex, cl6.n_ctrl
-        right = np.diag(np.concatenate([sc.ww1, sc.ww2[:nfl]]))
+        right = np.diag(np.concatenate([sc.ww1, np.ones(nfl)]))
         for f in np.logspace(-1, 3, 60):
             s = 2j * np.pi * f
             G = cl6.plant.transfer_at(s)
@@ -184,7 +184,7 @@ class TestClosedLoopFormulas:
             s = 2j * np.pi * f
             raw = plant.transfer_at(s)
             scaled = np.diag(sc.wz) @ raw @ np.diag(
-                np.concatenate([sc.ww1, sc.ww2[:1]]))
+                np.concatenate([sc.ww1, [1.0]]))
             np.testing.assert_allclose(gd.transfer_at(s), scaled, rtol=1e-9)
 
     def test_flexible_column_is_last_input(self, cl6):
