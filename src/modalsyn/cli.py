@@ -97,12 +97,16 @@ def _json_flag(args, key):
         raise ConfigError(f"--{key.replace('_', '-')} is not valid JSON: {exc}")
 
 
-def _typed(kind, key, value):
-    """``value`` of the setting ``key`` as a ``kind``, int or float."""
+def _typed(cast, key, value):
+    """``value`` of the setting ``key`` as a ``cast``, int or float; a bool
+    is refused, and by an int setting any value that ``int`` would change."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' is not a valid {kind.__name__}: {value!r}")
+        typed = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        typed = None
+    if typed is None or isinstance(value, bool) or cast is int and typed != value:
+        raise ConfigError(f"'{key}' is not a valid {cast.__name__}: {value!r}")
+    return typed
 
 
 def _modes(key, value, allowed):
@@ -156,6 +160,9 @@ def decoupled_model(config, args) -> DecoupledModel:
     # by default as many retained modes as the spare actuators can decouple
     n_flex_dec = _typed(int, "n_flex_decouple", config.get(
         "n_flex_decouple", max(0, min(pm.n_flex, pm.n_u - pm.n_rb))))
+    if not 0 <= n_flex_dec <= pm.n_flex:
+        raise ConfigError(f"'n_flex_decouple' must be in 0 ... {pm.n_flex} "
+                          f"(the retained modes): {n_flex_dec}")
     pair = extended_input_decoupling(pm, p_star, n_flex_dec)
     return DecoupledModel(name, p_star, grid, pair,
                           apply_decoupling_partitioned(pm, pair))
@@ -191,14 +198,14 @@ def build_problem(config, args, kind) -> DesignProblem:
     wcfg = config.get("weights", {})
     if not isinstance(wcfg, dict):
         raise ConfigError(f"'weights' must be an object: {wcfg!r}")
-    wkw = {k: wcfg[k] for k in ("K_s", "K_r", "alpha", "beta1", "beta2",
-                                "eps", "f_int", "f_roll") if k in wcfg}
     try:
-        weights = design_weights(f_bw, f_flex, **wkw)
+        weights = design_weights(f_bw, f_flex, **wcfg)
     except (TypeError, ValueError) as exc:   # ModelError included
         raise ConfigError(f"'weights' {wcfg} do not give shaping filters: {exc}")
-    cl = ClosedLoopMap(kind, dpm, p_star, sc, weights, controlled,
-                       Q=_typed(float, "Q", config.get("Q", 10.0)), f_bw=f_bw)
+    Q = _typed(float, "Q", config.get("Q", 10.0))
+    if not 0 < Q < np.inf:
+        raise ConfigError(f"'Q' must be positive and finite: {Q}")
+    cl = ClosedLoopMap(kind, dpm, p_star, sc, weights, controlled, Q=Q, f_bw=f_bw)
     return DesignProblem(model, grid, cl, config)
 
 
@@ -227,9 +234,9 @@ def _write_table(path, columns):
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _channel_csv(path, M, f_lo=1e-1, f_hi=1e4, n=400):
-    freqs = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
-    freq_response(M, freqs).to_csv(path)
+def _channel_csv(path, M):
+    """M's frequency response at 400 points from 0.1 Hz to 10 kHz."""
+    freq_response(M, np.logspace(-1.0, 4.0, 400)).to_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +340,13 @@ def cmd_analyze(args):
     return 0
 
 
-def _band_disturbance(n, dt, f_center, seed, q=5.0, amplitude=1.0):
-    """Band-limited noise: white noise through a band-pass around f_center."""
+def _band_disturbance(n, dt, f_center, seed, amplitude):
+    """Band-limited noise of peak ``amplitude``: white noise through a
+    band-pass of quality factor 5 around f_center."""
     rng = np.random.default_rng(seed)
     w = 2 * np.pi * f_center
-    bp = diagonal_ss([[(np.array([w / q, 0.0]), np.array([1.0, w / q, w ** 2]))]])
+    bw = w / 5.0
+    bp = diagonal_ss([[(np.array([bw, 0.0]), np.array([1.0, bw, w ** 2]))]])
     white = rng.standard_normal((n, 1))
     _, _, d = simulate(bp, white, dt)
     scale = np.max(np.abs(d))
@@ -364,7 +373,7 @@ def cmd_simulate(args):
     if not (0 < f_dist < 0.5 / dt and 0 < amplitude < np.inf):
         raise ConfigError(f"need 0 < 'f_disturbance' ({f_dist}) < {0.5 / dt} Hz "
                           f"(Nyquist) and 0 < 'amplitude' ({amplitude}) < inf")
-    d = _band_disturbance(n, dt, f_dist, seed, amplitude=amplitude)
+    d = _band_disturbance(n, dt, f_dist, seed, amplitude)
     w = np.hstack([np.zeros((n, cl.n_rb)),
                    np.tile(d, (1, cl.n_flex))])
     out = _out_dir(args)

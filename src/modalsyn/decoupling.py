@@ -71,7 +71,8 @@ def extended_input_decoupling(pm: PartitionedModalModel, p, n_flex: int) -> Deco
     """
     n_rb = pm.n_rb
     if n_flex < 0 or n_flex > pm.n_flex:
-        raise ModelError(f"n_flex={n_flex} exceeds the {pm.n_flex} retained modes")
+        raise ModelError(f"n_flex={n_flex} is outside 0 ... {pm.n_flex}, the "
+                         "number of retained modes")
     if pm.n_u < n_rb + n_flex:
         raise ModelError(f"{pm.n_u} actuators cannot decouple {n_rb} rigid-body "
                          f"+ {n_flex} flexible modes")

@@ -124,8 +124,8 @@ class PositionMap:
         return cls(shape, coeffs, dom)
 
 
-def _check_sym(name, mat, tol=1e-9):
-    if not np.allclose(mat, mat.T, atol=tol * max(1.0, np.linalg.norm(mat))):
+def _check_sym(name, mat):
+    if not np.allclose(mat, mat.T, atol=1e-9 * max(1.0, np.linalg.norm(mat))):
         raise ModelError(f"{name} must be symmetric")
 
 

@@ -32,20 +32,25 @@ def truncate_with_compliance(pm: PartitionedModalModel, p) -> StateSpaceModel:
     return StateSpaceModel(g.A[k, k], g.B[k], g.C[:, k], discarded_static_gain(pm, g))
 
 
-def selection_matrix(pm: PartitionedModalModel, controlled_modes,
-                     n_states: int) -> np.ndarray:
-    """0/1 matrix picking the velocity state of each controlled flexible mode.
-
-    ``controlled_modes`` are global mode indices and must be retained.  The
-    observer's ``n_states`` states end with the retained pairs; any pairs
-    before them are rigid-body pairs (the output-based design model).
-    """
-    controlled = [int(i) for i in controlled_modes]
-    for i in controlled:
+def retained_positions(pm: PartitionedModalModel, modes) -> list:
+    """Positions in ``pm.retained`` of the global mode indices ``modes``;
+    a mode that is not retained raises :class:`ModelError`."""
+    for i in modes:
         if i not in pm.retained:
             raise ModelError(f"mode {i} is not in the retained set {pm.retained}")
+    return [pm.retained.index(i) for i in modes]
+
+
+def selection_matrix(pm: PartitionedModalModel, positions,
+                     n_states: int) -> np.ndarray:
+    """0/1 matrix picking the velocity state of each retained mode at
+    ``positions`` (as :func:`retained_positions` gives them).
+
+    The observer's ``n_states`` states end with the retained pairs; any pairs
+    before them are rigid-body pairs (the output-based design model).
+    """
     velocities = np.eye(n_states)[n_states - 2 * pm.n_flex:][1::2]
-    return velocities[[pm.retained.index(i) for i in controlled]]
+    return velocities[list(positions)]
 
 
 def error_design_model(pm: PartitionedModalModel, p) -> StateSpaceModel:

@@ -2,8 +2,9 @@
 
 Encodes the loop-shaping intent: integral action at low frequency, roll-off
 at high frequency and an inverse-notch weight that forces damping at each
-controlled flexible mode.  The weights are rational diagonals, realized by
-``RationalDiagonalFilter.to_ss``.
+controlled flexible mode.  ``design_weights`` builds every weight as a
+rational diagonal, the integral one with its pole already moved off s = 0;
+``RationalDiagonalFilter.to_ss`` realizes them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from modalsyn.statespace import (
     StateSpaceModel,
 )
 
-DEFAULT_KS = 0.5        # 6 dB sensitivity bound
-DEFAULT_KR = 0.5        # 6 dB complementary-sensitivity bound
-DEFAULT_ALPHA = 20.0
-DEFAULT_BETA1 = 0.5
-DEFAULT_BETA2 = 0.005
-INTEGRATOR_REG_FACTOR = 1000.0  # near-integrator pole at 2*pi*f_I / factor
+INTEGRATOR_REG = 1000.0   # integral-weight pole at 2 pi f_I / INTEGRATOR_REG
 
 
 @dataclass(frozen=True)
@@ -63,85 +59,51 @@ def compute_scalings(g_nom: StateSpaceModel, f_bw, expected_error) -> ScalingSet
     return ScalingSet(wz, ww1)
 
 
-def make_integral_filter(f_bw, K_s: float = DEFAULT_KS,
-                         f_int=None) -> RationalDiagonalFilter:
-    """Integral-action weight K_s (s + 2 pi f_I) / s with f_I = f_bw / 4."""
-    f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
-    if K_s <= 0 or np.any(f_bw <= 0):
-        raise ModelError("K_s and bandwidths must be positive")
-    f_int = f_bw / 4.0 if f_int is None else np.broadcast_to(
-        np.atleast_1d(np.asarray(f_int, dtype=float)), f_bw.shape)
-    chans = [[(np.array([K_s, K_s * 2 * np.pi * fi]), np.array([1.0, 0.0]))]
-             for fi in f_int]
-    return RationalDiagonalFilter(tuple(chans))
+def design_weights(f_bw, f_flex, K_s=0.5, K_r=0.5, alpha=20.0, beta1=0.5,
+                   beta2=0.005, eps=1.0, f_int=None, f_roll=None) -> dict:
+    """The shaping filters by role, one section per channel; each problem
+    kind places the roles on its weight blocks.  On the rigid-body channels:
 
+    - ``integral``, K_s (s + w_I) / (s + w_I / INTEGRATOR_REG) with
+      w_I = 2 pi f_int (f_bw / 4 by default): an integrator whose pole is
+      off s = 0, so H-infinity norms exist;
+    - ``rolloff``, K_r (s + w_r) / (s / alpha + w_r) with w_r = 2 pi f_roll
+      (4 f_bw by default);
+    - ``identity``.
 
-def regularize_integral_filter(filt: RationalDiagonalFilter) -> RationalDiagonalFilter:
-    """Shift exact s=0 poles to -corner / ``INTEGRATOR_REG_FACTOR`` so
-    H-infinity norms exist.
-
-    Sections without a pole at the origin pass through unchanged.
+    ``damping`` is, per controlled flexible mode at ``f_flex``, the inverse
+    notch eps (s^2/w^2 + 2 beta1 s/w + 1) / (s^2/w^2 + 2 beta2 s/w + 1) that
+    peaks at eps beta1 / beta2.  K_s = K_r = 0.5 bound the sensitivity and
+    the complementary sensitivity at 6 dB.
     """
-    chans = []
-    for sections in filt.channels:
-        sec = []
-        for num, den in sections:
-            den = np.asarray(den, dtype=float)
-            if den.size >= 2 and den[-1] == 0.0 and num[-1] != 0.0:
-                corner = abs(num[-1] / num[0]) if num[0] != 0 else abs(num[-1])
-                den = den.copy()
-                den[-1] = den[0] * corner / INTEGRATOR_REG_FACTOR
-            sec.append((num, den))
-        chans.append(sec)
-    return RationalDiagonalFilter(tuple(chans))
-
-
-def make_rolloff_filter(f_bw, K_r: float = DEFAULT_KR, alpha: float = DEFAULT_ALPHA,
-                        f_roll=None) -> RationalDiagonalFilter:
-    """Roll-off weight K_r (s + 2 pi f_r) / (s/alpha + 2 pi f_r), f_r = 4 f_bw."""
     f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
-    if K_r <= 0 or alpha <= 1 or np.any(f_bw <= 0):
-        raise ModelError("require K_r > 0, alpha > 1 and positive bandwidths")
-    f_roll = 4.0 * f_bw if f_roll is None else np.broadcast_to(
-        np.atleast_1d(np.asarray(f_roll, dtype=float)), f_bw.shape)
-    chans = [[(np.array([K_r, K_r * 2 * np.pi * fr]),
-               np.array([1.0 / alpha, 2 * np.pi * fr]))] for fr in f_roll]
-    return RationalDiagonalFilter(tuple(chans))
-
-
-def make_damping_filter(f_flex, beta1: float = DEFAULT_BETA1,
-                        beta2: float = DEFAULT_BETA2,
-                        eps=1.0) -> RationalDiagonalFilter:
-    """Inverse notch peaking at each flexible eigenfrequency.
-
-    Per channel eps * (s^2/w^2 + 2 b1 s/w + 1) / (s^2/w^2 + 2 b2 s/w + 1);
-    the peak magnitude is eps * beta1 / beta2.
-    """
     f_flex = np.atleast_1d(np.asarray(f_flex, dtype=float))
-    eps = np.broadcast_to(np.atleast_1d(np.asarray(eps, dtype=float)), f_flex.shape)
-    if not (beta1 > beta2 > 0):
-        raise ModelError("require beta1 > beta2 > 0 (the weight must peak, not notch)")
-    if np.any(f_flex <= 0) or np.any(eps <= 0):
-        raise ModelError("frequencies and eps must be positive")
-    chans = []
-    for f, e in zip(f_flex, eps):
-        w = 2 * np.pi * f
-        num = e * np.array([1.0 / w ** 2, 2 * beta1 / w, 1.0])
-        den = np.array([1.0 / w ** 2, 2 * beta2 / w, 1.0])
-        chans.append([(num, den)])
-    return RationalDiagonalFilter(tuple(chans))
 
+    def per_channel(value, like):
+        return np.broadcast_to(np.atleast_1d(np.asarray(value, dtype=float)),
+                               like.shape)
 
-def design_weights(f_bw, f_flex, K_s=DEFAULT_KS, K_r=DEFAULT_KR,
-                   alpha=DEFAULT_ALPHA, beta1=DEFAULT_BETA1,
-                   beta2=DEFAULT_BETA2, eps=1.0, f_int=None,
-                   f_roll=None) -> dict:
-    """The shaping filters by role: ``integral`` (exact integrator, see
-    :func:`regularize_integral_filter`), ``rolloff`` and ``identity`` on the
-    rigid-body channels, ``damping`` on the controlled flexible modes.  Each
-    problem kind places the roles on its weight blocks."""
-    f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
-    return {"integral": make_integral_filter(f_bw, K_s, f_int),
-            "rolloff": make_rolloff_filter(f_bw, K_r, alpha, f_roll),
-            "damping": make_damping_filter(f_flex, beta1, beta2, eps),
+    def diagonal(sections):
+        return RationalDiagonalFilter(tuple([sec] for sec in sections))
+
+    f_int = per_channel(f_bw / 4.0 if f_int is None else f_int, f_bw)
+    f_roll = per_channel(4.0 * f_bw if f_roll is None else f_roll, f_bw)
+    eps = per_channel(eps, f_flex)
+    knobs = np.concatenate([f_bw, f_int, f_roll, f_flex, eps,
+                            np.asarray([K_s, K_r], dtype=float)])
+    if not ((knobs > 0) & (knobs < np.inf)).all():    # NaN fails both
+        raise ModelError("K_s, K_r, the frequencies and eps must be positive "
+                         "and finite")
+    if not (alpha > 1 and beta1 > beta2 > 0):
+        raise ModelError("require alpha > 1 and beta1 > beta2 > 0 (the "
+                         "damping weight must peak, not notch)")
+    nums = [np.array([K_s, K_s * 2 * np.pi * fi]) for fi in f_int]
+    return {"integral": diagonal((num, np.array([1.0, num[1] / num[0] / INTEGRATOR_REG]))
+                                 for num in nums),
+            "rolloff": diagonal((np.array([K_r, K_r * 2 * np.pi * fr]),
+                                 np.array([1.0 / alpha, 2 * np.pi * fr]))
+                                for fr in f_roll),
+            "damping": diagonal((e * np.array([1.0 / w ** 2, 2 * beta1 / w, 1.0]),
+                                 np.array([1.0 / w ** 2, 2 * beta2 / w, 1.0]))
+                                for w, e in zip(2 * np.pi * f_flex, eps)),
             "identity": RationalDiagonalFilter.identity(f_bw.size)}

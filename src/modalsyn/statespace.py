@@ -722,11 +722,11 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6, lower=None) -> float:
 # Riccati-based observer gain
 # ---------------------------------------------------------------------------
 
-def _is_detectable(A, C, tol=1e-8):
+def _is_detectable(A, C):
     ev = la.eigvals(A)
     n = A.shape[0]
     for lam in ev:
-        if lam.real >= -tol:
+        if lam.real >= -1e-8:
             M = np.vstack([A - lam * np.eye(n), C])
             if np.linalg.matrix_rank(M, tol=1e-10 * max(1.0, np.abs(lam))) < n:
                 return False, lam

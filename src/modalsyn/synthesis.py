@@ -23,10 +23,11 @@ from modalsyn.mechanics import evaluate_local
 from modalsyn.observer import (
     error_design_model,
     modal_observer,
+    retained_positions,
     selection_matrix,
     truncate_with_compliance,
 )
-from modalsyn.shaping import ScalingSet, regularize_integral_filter
+from modalsyn.shaping import ScalingSet
 from modalsyn.statespace import (
     Interconnection,
     ModelError,
@@ -88,6 +89,8 @@ class StructuredControllerParams:
         object.__setattr__(self, "omega", np.atleast_1d(np.asarray(self.omega, float)))
         if self.xi.shape != self.omega.shape:
             raise ModelError("xi and omega lengths must match")
+        if not (np.all(self.omega > 0) and self.Q > 0):
+            raise ModelError("omega and Q must be positive")
 
     @property
     def n_params(self):
@@ -113,8 +116,6 @@ class StructuredControllerParams:
         peak gain |xi| at w."""
         sections = []
         for xi, w in zip(self.xi, self.omega):
-            if not (w > 0 and self.Q > 0):
-                raise ModelError("omega and Q must be positive")
             bw = w / self.Q
             sections.append(((np.array([xi * bw, 0.0]),
                               np.array([1.0, bw, w ** 2])),))
@@ -289,11 +290,10 @@ class ClosedLoopMap:
     ``kind`` names the declaration of :func:`_interconnections`, which fixes
     the observer design model at the design point ``p_star`` and places the
     shaping ``weights`` (a filter per role, as ``design_weights`` returns
-    them) on M's weight blocks; ``self.weights`` keeps them by role with the
-    integral one regularized.  The blocks that depend on the parameters are
-    realized once for the last ``params`` object seen and shared by M, the
-    grid closure and the crossover check, so a parameter set must not be
-    mutated in place.
+    them) on M's weight blocks; ``self.weights`` keeps them by role.  The
+    blocks that depend on the parameters are realized once for the last
+    ``params`` object seen and shared by M, the grid closure and the
+    crossover check, so a parameter set must not be mutated in place.
     """
 
     def __init__(self, kind, pm, p_star, scalings, weights, controlled_modes,
@@ -301,9 +301,9 @@ class ClosedLoopMap:
         self.pm = pm                      # decoupled partitioned model
         self.p_star = np.atleast_1d(np.asarray(p_star, dtype=float))
         self.scalings = scalings
-        self.weights = {**weights, "integral":
-                        regularize_integral_filter(weights["integral"])}
+        self.weights = weights
         self.controlled_modes = tuple(int(i) for i in controlled_modes)
+        positions = retained_positions(pm, self.controlled_modes)
         self.Q = float(Q)
         self.f_bw = np.atleast_1d(np.asarray(f_bw, dtype=float))
         self.n_rb = pm.n_rb
@@ -314,8 +314,7 @@ class ClosedLoopMap:
         if self.plant.n_outputs != self.n_rb:
             raise ModelError("decoupled plant must have one output per "
                              "rigid-body channel")
-        embed = np.eye(self.n_flex)[:, [pm.retained.index(i)
-                                        for i in self.controlled_modes]]
+        embed = np.eye(self.n_flex)[:, positions]
         left = np.diag(scalings.wz)
         right = _block_diag(np.diag(scalings.ww1), np.eye(self.n_flex))
         self._rb_unscaling = _rb_unscaling(scalings, self.n_rb)
@@ -326,8 +325,7 @@ class ClosedLoopMap:
             kind, pm, self.p_star, self.plant,
             {role: f.to_ss() for role, f in self.weights.items()},
             embed, left, right)
-        self.Psi = selection_matrix(pm, self.controlled_modes,
-                                    self.observer_model.n_states)
+        self.Psi = selection_matrix(pm, positions, self.observer_model.n_states)
         # the flexible injection is the last disturbance group of M
         n_in = sum(width for _, width in self._map.inputs)
         self._flex_columns = range(n_in - self._map.inputs[-1][1], n_in)

@@ -267,7 +267,11 @@ class TestErrors:
          ("weights", {"eps": "a"}), ("weights", {"f_int": [1.0, 2.0]}),
          ("weights", {"K_s": -1.0}), ("f_bw", [10.0, 20.0]),
          ("expected_error", [1e-4, 1e-4]), ("controlled", [0]),
-         ("controlled", [5]), ("controlled", ["a"]), ("controlled", 1)],
+         ("controlled", [5]), ("controlled", ["a"]), ("controlled", 1),
+         ("budget", 2.7), ("retain", [1.9]), ("seed", True), ("Q", True),
+         ("n_flex_decouple", -1), ("n_flex_decouple", 2), ("Q", -1.0),
+         ("Q", 0.0), ("weights", {"Ks": 0.1}), ("weights", {"f_int": -1.0}),
+         ("weights", {"f_roll": 0.0})],
         ids=lambda v: json.dumps(v, separators=(",", ":")).strip('"'))
     def test_malformed_setting_is_usage_error(self, tmp_path, key, value):
         cfg = tmp_path / "config.json"

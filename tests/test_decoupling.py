@@ -95,8 +95,10 @@ class TestExtendedDecoupling:
 
     def test_too_many_modes_requested(self):
         pm = partitioned(make_two_mass())
-        with pytest.raises(ModelError):
-            extended_input_decoupling(pm, 0.3, 2)
+        for n_flex in (-1, 2):      # the message names the allowed range
+            with pytest.raises(ModelError, match=rf"n_flex={n_flex} is "
+                                                 r"outside 0 \.\.\. 1"):
+                extended_input_decoupling(pm, 0.3, n_flex)
 
     def test_mmpa_extended(self):
         spec = mmpa_lite_spec()

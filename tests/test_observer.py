@@ -16,6 +16,7 @@ from modalsyn.observer import (
     discarded_static_gain,
     error_design_model,
     modal_observer,
+    retained_positions,
     selection_matrix,
     truncate_with_compliance,
 )
@@ -125,8 +126,9 @@ class TestTruncation:
 class TestSelectionMatrix:
     def test_output_kind_picks_velocity(self):
         pm = partitioned(make_mmpa_lite())
-        psi = selection_matrix(pm, [3], 2 * (pm.n_rb + pm.n_flex))
-        assert psi.shape == (1, 2 * (pm.n_rb + pm.n_flex))
+        n = 2 * (pm.n_rb + pm.n_flex)
+        psi = selection_matrix(pm, retained_positions(pm, [3]), n)
+        assert psi.shape == (1, n)
         # mode 3 is the first retained mode; its velocity state follows the
         # three rigid-body pairs
         want = np.zeros(psi.shape[1])
@@ -135,21 +137,22 @@ class TestSelectionMatrix:
 
     def test_error_kind_offsets_from_zero(self):
         pm = partitioned(make_mmpa_lite())
-        psi = selection_matrix(pm, [4], 2 * pm.n_flex)
+        psi = selection_matrix(pm, retained_positions(pm, [4]), 2 * pm.n_flex)
         assert psi.shape == (1, 2 * pm.n_flex)
         assert psi[0, 3] == 1.0 and psi.sum() == 1.0
 
     def test_not_retained_rejected(self):
         pm = partitioned(make_mmpa_lite(), retain=[3])
-        with pytest.raises(ModelError):
-            selection_matrix(pm, [4], 2 * pm.n_flex)
+        with pytest.raises(ModelError, match=r"mode 4 is not in the retained "
+                                             r"set \(3,\)"):
+            retained_positions(pm, [4])
 
 
 class TestOutputObserver:
     def test_zero_gain_keeps_open_loop_poles(self):
         pm = partitioned(make_two_mass())
         tm = truncate_with_compliance(pm, 0.3)
-        psi = selection_matrix(pm, [1], tm.n_states)
+        psi = selection_matrix(pm, [0], tm.n_states)
         L = np.zeros((tm.n_states, pm.n_y))
         obs = modal_observer(tm, L, psi)
         np.testing.assert_allclose(np.sort_complex(obs.poles()),
@@ -160,7 +163,7 @@ class TestOutputObserver:
         tm = truncate_with_compliance(pm, 0.3)
         _, L = care_solve(tm.A, tm.C, np.eye(tm.n_states),
                           np.eye(pm.n_y))
-        psi = selection_matrix(pm, [1], tm.n_states)
+        psi = selection_matrix(pm, [0], tm.n_states)
         obs = modal_observer(tm, L, psi)
         assert is_hurwitz(obs)
         # inputs are the two plant inputs, then the one measurement
@@ -171,7 +174,7 @@ class TestOutputObserver:
         pm = decoupled_two_mass()
         tm = truncate_with_compliance(pm, 0.3)
         _, L = care_solve(tm.A, tm.C, 1e4 * np.eye(4), np.eye(1))
-        psi = selection_matrix(pm, [1], tm.n_states)
+        psi = selection_matrix(pm, [0], tm.n_states)
         obs = modal_observer(tm, L, psi)
 
         # joint plant+observer simulation: the estimate error follows the
@@ -192,7 +195,7 @@ class TestOutputObserver:
     def test_dimension_checks(self):
         pm = partitioned(make_two_mass())
         tm = truncate_with_compliance(pm, 0.3)
-        psi = selection_matrix(pm, [1], tm.n_states)
+        psi = selection_matrix(pm, [0], tm.n_states)
         with pytest.raises(ModelError, match="L must be 4x1"):
             modal_observer(tm, np.zeros((3, 1)), psi)
         with pytest.raises(ModelError, match="Psi must have 4 columns"):
@@ -205,7 +208,7 @@ class TestErrorObserver:
         A = pm.A[pm.fm_r, pm.fm_r]
         C = pm.C(p)[:, pm.fm_r]
         _, L = care_solve(A, -C, q * np.eye(A.shape[0]), np.eye(C.shape[0]))
-        psi = selection_matrix(pm, [1], A.shape[0])
+        psi = selection_matrix(pm, [0], A.shape[0])
         return modal_observer(error_design_model(pm, p), L, psi), L, psi
 
     def test_state_dimension_is_retained_only(self):

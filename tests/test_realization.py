@@ -228,13 +228,13 @@ class TestClosedFormRealization:
             assert want.n_states == 7
 
     def test_kfm_refuses_what_its_filter_refuses(self):
-        """A centre or Q that is not positive is refused by the sections, an
-        infinite gain by the realization."""
+        """A centre or Q that is not positive is refused by the parameters,
+        an infinite gain by the realization."""
         for xi, omega, Q in (([1.0], [-3.0], 2.0), ([1.0], [3.0], 0.0),
                              ([np.inf], [3.0], 2.0)):
-            params = StructuredControllerParams(np.ones((1, 6)),
-                                                np.zeros((1, 1)), xi, omega, Q)
             with pytest.raises(ModelError):
+                params = StructuredControllerParams(
+                    np.ones((1, 6)), np.zeros((1, 1)), xi, omega, Q)
                 diagonal_ss(params.kfm_sections())
 
 

@@ -12,10 +12,6 @@ from modalsyn.shaping import (
     ScalingSet,
     compute_scalings,
     design_weights,
-    make_damping_filter,
-    make_integral_filter,
-    make_rolloff_filter,
-    regularize_integral_filter,
 )
 from modalsyn.statespace import (
     ModelError,
@@ -72,100 +68,109 @@ def weight_layout(kind, f_bw=10.0, p=0.3):
     return layout
 
 
+def role(name, f_bw=(10.0,), f_flex=(50.0,), **knobs):
+    """The ``name`` filter of ``design_weights``."""
+    return design_weights(list(f_bw), list(f_flex), **knobs)[name]
+
+
+def exact_integrator(f_hz, K_s=0.5, f_int=2.5):
+    """|K_s (j w + w_I) / (j w)|, the integral weight before its pole moves
+    off s = 0."""
+    jw = 2j * np.pi * np.atleast_1d(f_hz)
+    return K_s * np.abs(jw + 2 * np.pi * f_int) / np.abs(jw)
+
+
 class TestIntegralFilter:
     def test_high_frequency_gain(self):
-        w = make_integral_filter([10.0], K_s=0.5)
+        w = role("integral", K_s=0.5)
         np.testing.assert_allclose(mag(w, 1e5)[0, 0], 0.5, rtol=1e-3)
 
     def test_corner_at_quarter_bandwidth(self):
-        w = make_integral_filter([10.0], K_s=0.5)
-        # |K_s (j w + w_I)/(j w)| = K_s sqrt(2) at w = w_I = 2 pi 2.5
-        np.testing.assert_allclose(mag(w, 2.5)[0, 0], 0.5 * np.sqrt(2),
-                                   rtol=1e-12)
+        w = role("integral", K_s=0.5)
+        # |K_s (j w + w_I)/(j w + w_I / 1000)| = K_s sqrt(2 / (1 + 1e-6)) at
+        # w = w_I = 2 pi 2.5
+        np.testing.assert_allclose(mag(w, 2.5)[0, 0],
+                                   0.5 * np.sqrt(2 / (1 + 1e-6)), rtol=1e-12)
 
     def test_low_frequency_slope(self):
-        w = make_integral_filter([10.0])
-        m = mag(w, [1e-4, 1e-3])[0]
-        np.testing.assert_allclose(m[0] / m[1], 10.0, rtol=1e-3)
+        # well above the pole at 2.5 mHz the weight falls like the exact
+        # integrator
+        m = mag(role("integral"), [0.1, 1.0])[0]
+        want = exact_integrator([0.1, 1.0])
+        np.testing.assert_allclose(m[0] / m[1], want[0] / want[1], rtol=1e-3)
 
     def test_per_channel_bandwidths(self):
-        w = make_integral_filter([10.0, 40.0])
+        w = role("integral", f_bw=[10.0, 40.0])
         assert len(w.channels) == 2
         np.testing.assert_allclose(mag(w, 10.0)[1, 0],
-                                   mag(make_integral_filter([40.0]), 10.0)[0, 0])
+                                   mag(role("integral", f_bw=[40.0]), 10.0)[0, 0])
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ModelError):
-            make_integral_filter([0.0])
+        # one check covers the gains, every frequency and eps
+        for knobs in ({"f_bw": [0.0]}, {"K_s": 0.0}, {"f_int": -1.0},
+                      {"f_int": np.nan}, {"K_r": -0.5}, {"f_roll": 0.0},
+                      {"f_flex": [0.0]}, {"eps": 0.0}, {"eps": np.inf}):
+            with pytest.raises(ModelError):
+                role("integral", **knobs)
 
 
 class TestRegularization:
     def test_norm_exists_after_shift(self):
-        w = make_integral_filter([10.0])
-        reg = regularize_integral_filter(w)
-        g = reg.to_ss()
+        g = role("integral").to_ss()
         assert np.all(np.linalg.eigvals(g.A).real < 0)
         assert np.isfinite(hinf_norm(g))
 
     def test_response_unchanged_above_corner(self):
-        w = make_integral_filter([10.0])
-        reg = regularize_integral_filter(w)
         f = np.logspace(-1, 3, 30)
-        np.testing.assert_allclose(mag(reg, f), mag(w, f), rtol=2e-3)
+        np.testing.assert_allclose(mag(role("integral"), f)[0],
+                                   exact_integrator(f), rtol=2e-3)
 
     def test_pole_location(self):
-        reg = regularize_integral_filter(make_integral_filter([10.0]))
-        pole = reg.to_ss().poles()
+        pole = role("integral").to_ss().poles()
         np.testing.assert_allclose(pole, [-2 * np.pi * 2.5 / 1000], rtol=1e-10)
-
-    def test_static_sections_untouched(self):
-        from modalsyn.statespace import RationalDiagonalFilter
-        ident = RationalDiagonalFilter.identity(2)
-        reg = regularize_integral_filter(ident)
-        np.testing.assert_allclose(mag(reg, [1.0, 10.0]), 1.0)
 
 
 class TestRolloffFilter:
     def test_dc_and_asymptote(self):
-        w = make_rolloff_filter([10.0], K_r=0.5, alpha=20.0)
+        w = role("rolloff", K_r=0.5, alpha=20.0)
         np.testing.assert_allclose(mag(w, 1e-6)[0, 0], 0.5, rtol=1e-6)
         np.testing.assert_allclose(mag(w, 1e6)[0, 0], 0.5 * 20, rtol=1e-3)
 
     def test_corner_frequency_is_four_bandwidths(self):
-        w = make_rolloff_filter([10.0])
+        w = role("rolloff")
         # numerator corner at 40 Hz: phase of the zero is 45 degrees there
         v = diagonal_response(w.channels, 2j * np.pi * np.array([40.0]))[0, 0]
         num_phase = np.angle(v * (1 / 20 * 2j * np.pi * 40 + 2 * np.pi * 40))
         np.testing.assert_allclose(num_phase, np.pi / 4, atol=1e-6)
 
     def test_monotone_increasing(self):
-        w = make_rolloff_filter([5.0])
+        w = role("rolloff", f_bw=[5.0])
         m = mag(w, np.logspace(-1, 4, 50))[0]
         assert np.all(np.diff(m) > -1e-12)
 
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ModelError):
-            make_rolloff_filter([10.0], alpha=1.0)
+            role("rolloff", alpha=1.0)
 
 
 class TestDampingFilter:
     def test_exact_peak_value(self):
-        w = make_damping_filter([50.0], beta1=0.5, beta2=0.005, eps=1.0)
+        w = role("damping", beta1=0.5, beta2=0.005, eps=1.0)
         # at the center frequency the ratio collapses to eps*beta1/beta2
         np.testing.assert_allclose(mag(w, 50.0)[0, 0], 100.0, rtol=1e-12)
 
     def test_unit_gain_far_from_peak(self):
-        w = make_damping_filter([50.0], eps=0.3)
+        w = role("damping", eps=0.3)
         np.testing.assert_allclose(mag(w, 1e-3)[0, 0], 0.3, rtol=1e-6)
         np.testing.assert_allclose(mag(w, 1e5)[0, 0], 0.3, rtol=1e-3)
 
     def test_stable_realization(self):
-        g = make_damping_filter([50.0, 120.0]).to_ss()
+        g = role("damping", f_flex=[50.0, 120.0]).to_ss()
         assert np.all(np.linalg.eigvals(g.A).real < 0)
 
     def test_notch_orientation_enforced(self):
         with pytest.raises(ModelError):
-            make_damping_filter([50.0], beta1=0.005, beta2=0.5)
+            role("damping", beta1=0.005, beta2=0.5)
 
 
 def kfm(xi, omega, Q):
@@ -204,8 +209,10 @@ class TestFlexController:
         assert k.transfer_at(100j)[0, 0].real < 0
 
     def test_validation(self):
+        # Q is checked even with no controlled mode
         for xi, omega, Q in (([1.0, 2.0], [100.0], 5.0), ([1.0], [100.0], 0.0),
-                             ([1.0], [0.0], 5.0)):
+                             ([1.0], [0.0], 5.0), ([], [], 0.0),
+                             ([], [], np.nan)):
             with pytest.raises(ModelError):
                 kfm(xi, omega, Q)
 
@@ -271,6 +278,6 @@ class TestWeightSets:
     def test_defaults_follow_bandwidth(self):
         ws = design_weights([8.0], [60.0])
         np.testing.assert_allclose(mag(ws["integral"], 2.0)[0, 0],
-                                   0.5 * np.sqrt(2), rtol=1e-12)
+                                   0.5 * np.sqrt(2 / (1 + 1e-6)), rtol=1e-12)
         np.testing.assert_allclose(mag(ws["rolloff"], 1e6)[0, 0], 10.0,
                                    rtol=1e-3)

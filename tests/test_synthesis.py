@@ -54,13 +54,14 @@ def _decoupled_two_mass(p_star):
     return apply_decoupling_partitioned(pm, pair)
 
 
-def _make_cl(kind, p_star=0.3):
+def _make_cl(kind, p_star=0.3, controlled=(1,)):
     dpm = _decoupled_two_mass(p_star)
     g_nom = evaluate_local(dpm, p_star)
     sc = compute_scalings(g_nom, F_BW, EXPECTED_ERROR)
     f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
     ws = design_weights(F_BW, f_flex)
-    return ClosedLoopMap(kind, dpm, p_star, sc, ws, [1], Q=10.0, f_bw=F_BW)
+    return ClosedLoopMap(kind, dpm, p_star, sc, ws, controlled, Q=10.0,
+                         f_bw=F_BW)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,13 @@ class TestClosedLoopFormulas:
 def test_unknown_kind_is_refused_by_name():
     with pytest.raises(ModelError, match="unknown interconnection kind '8block'"):
         _make_cl("8block")
+
+
+@pytest.mark.parametrize("mode", [0, 7])
+def test_controlled_mode_that_is_not_retained_is_refused_by_name(mode):
+    with pytest.raises(ModelError, match=rf"mode {mode} is not in the "
+                                         r"retained set \(1,\)"):
+        _make_cl("6block", controlled=[mode])
 
 
 class TestStructuredParams:
