@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,45 +77,60 @@ class DesignProblem:
     config: dict
 
 
-def _load_config(path):
+def _read_json(path, what):
+    """The JSON object in the ``what`` file at ``path``."""
     if path is None:
-        raise ConfigError("--config is required for this command")
+        raise ConfigError(f"this command needs a {what} file (--{what})")
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
+    except ValueError as exc:              # not JSON, or not text
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file {path} holds no JSON object")
+    return doc
 
 
 def _json_flag(args, key):
-    """The value of the JSON flag ``key``, None when it is not given."""
+    """The value of the flag ``key``, parsed as JSON when argparse left it a
+    string; None when it is not given."""
     flag = getattr(args, key, None)
     try:
-        return None if flag is None else json.loads(flag)
+        return json.loads(flag) if isinstance(flag, str) else flag
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--{key.replace('_', '-')} is not valid JSON: {exc}")
 
 
-def _typed(cast, key, value):
-    """``value`` of the setting ``key`` as a ``cast``, int or float; a bool
-    is refused, and by an int setting any value that ``int`` would change."""
+def _typed(cast, key, value, lo=-np.inf, hi=np.inf):
+    """``value`` of the setting ``key`` as a ``cast``, int or float, with
+    ``lo < value < hi``, which NaN fails; a bool is refused, and by an int
+    setting any value that ``int`` would change."""
     try:
         typed = cast(value)
     except (TypeError, ValueError, OverflowError):
         typed = None
-    if typed is None or isinstance(value, bool) or cast is int and typed != value:
-        raise ConfigError(f"'{key}' is not a valid {cast.__name__}: {value!r}")
+    if (typed is None or isinstance(value, bool) or cast is int and typed != value
+            or not lo < typed < hi):
+        raise ConfigError(f"'{key}' must be of type {cast.__name__}, strictly "
+                          f"between {lo} and {hi}: {value!r}")
     return typed
 
 
-def _modes(key, value, allowed):
-    """``value`` of the setting ``key``: a list of mode indices in ``allowed``."""
+def _given(config, cast, *keys):
+    """The positive settings ``keys`` that ``config`` sets, as ``cast``; the
+    others keep the defaults of the library function they are passed to."""
+    return {key: _typed(cast, key, config[key], 0) for key in keys if key in config}
+
+
+def _modes(key, value, allowed, least=0):
+    """``value`` of the setting ``key``: a list of at least ``least`` mode
+    indices, each in ``allowed``."""
     modes = [_typed(int, key, v) for v in value] if isinstance(value, list) else None
-    if modes is None or not set(modes) <= set(allowed):
-        raise ConfigError(f"'{key}' must be a list of modes from "
-                          f"{list(allowed)}: {value!r}")
+    if modes is None or len(modes) < least or not set(modes) <= set(allowed):
+        raise ConfigError(f"'{key}' must be a list of at least {least} modes "
+                          f"from {list(allowed)}: {value!r}")
     return modes
 
 
@@ -142,12 +158,7 @@ def decoupled_model(config, args) -> DecoupledModel:
         name, model, p_star, grid = spec.name, spec.model, spec.p_star, spec.grid
     except (ModelError, KeyError):
         try:
-            with open(name) as fh:
-                model = MechanicalModel.from_dict(json.load(fh))
-        except FileNotFoundError:
-            raise ConfigError(f"unknown benchmark and no such file: {name}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model file is not valid JSON: {exc}")
+            model = MechanicalModel.from_dict(_read_json(name, "model"))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"model file {name} is not a mechanical model: {exc!r}")
         name, p_star, grid = os.path.basename(name), None, None
@@ -159,10 +170,8 @@ def decoupled_model(config, args) -> DecoupledModel:
     pm = group_and_partition(dec, model, retain)
     # by default as many retained modes as the spare actuators can decouple
     n_flex_dec = _typed(int, "n_flex_decouple", config.get(
-        "n_flex_decouple", max(0, min(pm.n_flex, pm.n_u - pm.n_rb))))
-    if not 0 <= n_flex_dec <= pm.n_flex:
-        raise ConfigError(f"'n_flex_decouple' must be in 0 ... {pm.n_flex} "
-                          f"(the retained modes): {n_flex_dec}")
+        "n_flex_decouple", max(0, min(pm.n_flex, pm.n_u - pm.n_rb))),
+        -1, pm.n_flex + 1)
     pair = extended_input_decoupling(pm, p_star, n_flex_dec)
     return DecoupledModel(name, p_star, grid, pair,
                           apply_decoupling_partitioned(pm, pair))
@@ -180,19 +189,15 @@ def build_problem(config, args, kind) -> DesignProblem:
     if not grid:
         raise ConfigError("the grid has no scheduling points")
     dpm, p_star = model.pm, model.p_star
+    # K_FM damps at least one mode when any is retained
     controlled = _modes("controlled", config.get("controlled", list(dpm.retained)),
-                        dpm.retained)
-    try:
-        f_bw = [float(f) for f in config["f_bw"]]
-        expected_error = [float(e) for e in config["expected_error"]]
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'f_bw' and 'expected_error' must be lists of "
-                          f"numbers: {exc}")
-    if not len(f_bw) == len(expected_error) == dpm.n_rb:
-        raise ConfigError(f"'f_bw' and 'expected_error' need one entry per "
-                          f"rigid-body channel ({dpm.n_rb})")
+                        dpm.retained, least=min(1, dpm.n_flex))
+    lists = {key: config.get(key) for key in ("f_bw", "expected_error")}
+    if not all(isinstance(v, list) and len(v) == dpm.n_rb for v in lists.values()):
+        raise ConfigError(f"'f_bw' and 'expected_error' must be lists of one "
+                          f"number per rigid-body channel ({dpm.n_rb}): {lists}")
+    f_bw, expected_error = ([_typed(float, key, v, 0) for v in values]
+                            for key, values in lists.items())
     sc = compute_scalings(evaluate_local(dpm, p_star), f_bw, expected_error)
     f_flex = [float(dpm.omega[i]) / (2 * np.pi) for i in controlled]
     wcfg = config.get("weights", {})
@@ -202,9 +207,7 @@ def build_problem(config, args, kind) -> DesignProblem:
         weights = design_weights(f_bw, f_flex, **wcfg)
     except (TypeError, ValueError) as exc:   # ModelError included
         raise ConfigError(f"'weights' {wcfg} do not give shaping filters: {exc}")
-    Q = _typed(float, "Q", config.get("Q", 10.0))
-    if not 0 < Q < np.inf:
-        raise ConfigError(f"'Q' must be positive and finite: {Q}")
+    Q = _typed(float, "Q", config.get("Q", 10.0), 0)
     cl = ClosedLoopMap(kind, dpm, p_star, sc, weights, controlled, Q=Q, f_bw=f_bw)
     return DesignProblem(model, grid, cl, config)
 
@@ -244,7 +247,7 @@ def _channel_csv(path, M):
 # ---------------------------------------------------------------------------
 
 def cmd_decouple(args):
-    config = _load_config(args.config) if args.config else {}
+    config = _read_json(args.config, "config") if args.config else {}
     model = decoupled_model(config, args)
     pm = model.pm
     out = _out_dir(args)
@@ -260,80 +263,63 @@ def cmd_decouple(args):
     return 0
 
 
+# each design: its label in the results and the objective it minimizes
+DESIGNS = (("proposed", lambda cl: cl), ("conventional", ConventionalView))
+
+
 def _run_synth(args, kind):
-    config = _load_config(args.config)
+    config = _read_json(args.config, "config")
     prob = build_problem(config, args, kind)
-    budget = _typed(int, "budget", args.budget if args.budget is not None
-                    else config.get("budget", 2000))
-    seed = _typed(int, "seed", args.seed if args.seed is not None
-                  else config.get("seed", 0))
-    n_starts = _typed(int, "n_starts", config.get("n_starts", 5))
     cl = prob.cl
-    init = initial_params(
-        cl, q_weight=_typed(float, "q_weight", config.get("q_weight", 1e4)),
-        v_weight=_typed(float, "v_weight", config.get("v_weight", 1.0)))
+    budget = _typed(int, "budget", _setting("budget", config, args, 2000), -1)
+    seed = _typed(int, "seed", _setting("seed", config, args, 0), -1)
     tol = _typed(float, "crossover_tolerance",
-                 config.get("crossover_tolerance", 0.06))
+                 config.get("crossover_tolerance", 0.06), 0, 1)
     band = ((1 - tol) * min(cl.f_bw), (1 + tol) * max(cl.f_bw))
-
-    res = synthesize(cl, init, budget=budget, seed=seed, n_starts=n_starts,
-                     grid_points=prob.grid, crossover_band=band)
-    conv = synthesize(ConventionalView(cl), init, budget=budget, seed=seed,
-                      n_starts=n_starts, grid_points=prob.grid,
-                      crossover_band=band)
-    cert = grid_stability_check(cl, res.params, prob.grid)
-    cert_conv = grid_stability_check(cl, conv.params, prob.grid)
-
+    init = initial_params(cl, **_given(config, float, "q_weight", "v_weight"))
+    starts = _given(config, int, "n_starts")
+    designs = {}
+    for label, view in DESIGNS:
+        res = synthesize(view(cl), init, budget=budget, seed=seed,
+                         grid_points=prob.grid, crossover_band=band, **starts)
+        designs[label] = res, grid_stability_check(cl, res.params, prob.grid)
     out = _out_dir(args)
     doc = {"kind": kind, "model": prob.model.name, "seed": seed,
-           "budget": budget, "config": config,
-           "proposed": res.to_dict(), "conventional": conv.to_dict(),
-           "certificate_proposed": cert.to_dict(),
-           "certificate_conventional": cert_conv.to_dict()}
+           "budget": budget, "config": config}
+    for label, (res, cert) in designs.items():
+        doc[label], doc[f"certificate_{label}"] = res.to_dict(), cert.to_dict()
+        _channel_csv(os.path.join(out, f"{label}_channels.csv"),
+                     cl.evaluate(res.params))
     _write_json(os.path.join(out, "results.json"), doc)
-    _channel_csv(os.path.join(out, "proposed_channels.csv"),
-                 cl.evaluate(res.params))
-    _channel_csv(os.path.join(out, "conventional_channels.csv"),
-                 cl.evaluate(conv.params))
-    status = "certified" if cert.all_stable else "NOT grid-stable"
+    (res, cert), (conv, _) = designs.values()
     print(f"{kind}: gamma {res.gamma:.4g} (conventional {conv.gamma:.4g}), "
-          f"{status}; results in {out}")
+          f"{'certified' if cert.all_stable else 'NOT grid-stable'}; results in {out}")
     return 0
-
-
-def cmd_synth6(args):
-    return _run_synth(args, "6block")
-
-
-def cmd_synth4(args):
-    return _run_synth(args, "4block")
 
 
 def _load_results(args):
     """The results document and its problem, rebuilt for the results' kind
     from ``--config`` or else the config stored in the results."""
-    try:
-        with open(args.results) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"results file not found: {args.results}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"results file is not valid JSON: {exc}")
-    config = _load_config(args.config) if args.config else doc.get("config")
-    if config is None:
-        raise ConfigError("no config available (pass --config)")
+    doc = _read_json(args.results, "results")
+    config = _read_json(args.config, "config") if args.config else doc.get("config")
+    if not isinstance(config, dict):
+        raise ConfigError("no config object available (pass --config)")
     return doc, build_problem(config, args, doc.get("kind", "6block"))
+
+
+def _designs(doc):
+    """``(label, params)`` of each design that the results ``doc`` holds."""
+    for label, _ in DESIGNS:
+        if label in doc:
+            yield label, StructuredControllerParams.from_dict(doc[label]["params"])
 
 
 def cmd_analyze(args):
     doc, prob = _load_results(args)
     out = _out_dir(args)
-    for label in ("proposed", "conventional"):
-        if label not in doc:
-            continue
-        params = StructuredControllerParams.from_dict(doc[label]["params"])
-        M = prob.cl.evaluate(params)
-        _channel_csv(os.path.join(out, f"{label}_channels.csv"), M)
+    for label, params in _designs(doc):
+        _channel_csv(os.path.join(out, f"{label}_channels.csv"),
+                     prob.cl.evaluate(params))
         closed = close_full_loop(prob.cl.plant, prob.cl, params)
         _channel_csv(os.path.join(out, f"{label}_closedloop.csv"), closed)
     print(f"analysis CSVs written to {out}")
@@ -357,32 +343,23 @@ def cmd_simulate(args):
     doc, prob = _load_results(args)
     cl = prob.cl
     sim = prob.config.get("simulate", {})
-    dt = _typed(float, "dt", sim.get("dt", 1e-4))
-    duration = _typed(float, "duration", sim.get("duration", 2.0))
-    f_dist = _typed(float, "f_disturbance", sim.get("f_disturbance", 50.0))
-    seed = _typed(int, "seed", args.seed if args.seed is not None
-                  else sim.get("seed", 0))
-    if not (0 < dt < np.inf and 0 < duration < np.inf):
-        raise ConfigError(f"'dt' ({dt}) and 'duration' ({duration}) must be "
-                          "positive and finite")
+    dt = _typed(float, "dt", sim.get("dt", 1e-4), 0)
+    duration = _typed(float, "duration", sim.get("duration", 2.0), 0)
+    f_dist = _typed(float, "f_disturbance", sim.get("f_disturbance", 50.0),
+                    0, 0.5 / dt)               # below the Nyquist frequency
+    amplitude = _typed(float, "amplitude", sim.get("amplitude", 1.0), 0)
+    seed = _typed(int, "seed", _setting("seed", sim, args, 0), -1)
     n = int(round(duration / dt))
     if n < 2:
         raise ConfigError(f"a duration of {duration} s at dt {dt} s gives "
                           f"{n} samples, fewer than 2")
-    amplitude = _typed(float, "amplitude", sim.get("amplitude", 1.0))
-    if not (0 < f_dist < 0.5 / dt and 0 < amplitude < np.inf):
-        raise ConfigError(f"need 0 < 'f_disturbance' ({f_dist}) < {0.5 / dt} Hz "
-                          f"(Nyquist) and 0 < 'amplitude' ({amplitude}) < inf")
     d = _band_disturbance(n, dt, f_dist, seed, amplitude)
     w = np.hstack([np.zeros((n, cl.n_rb)),
                    np.tile(d, (1, cl.n_flex))])
     out = _out_dir(args)
     rows = {"t": np.arange(n) * dt}
     rms = {}
-    for label in ("proposed", "conventional"):
-        if label not in doc:
-            continue
-        params = StructuredControllerParams.from_dict(doc[label]["params"])
+    for label, params in _designs(doc):
         closed = close_full_loop(cl.plant, cl, params)
         _, _, y = simulate(closed, w, dt)
         for j in range(y.shape[1]):
@@ -401,10 +378,10 @@ def cmd_simulate(args):
 
 def cmd_gridcheck(args):
     doc, prob = _load_results(args)
-    if "proposed" not in doc:
+    params = dict(_designs(doc))
+    if "proposed" not in params:
         raise ConfigError("results file has no 'proposed' design")
-    params = StructuredControllerParams.from_dict(doc["proposed"]["params"])
-    cert = grid_stability_check(prob.cl, params, prob.grid)
+    cert = grid_stability_check(prob.cl, params["proposed"], prob.grid)
     out = _out_dir(args)
     _write_json(os.path.join(out, "certificate.json"), cert.to_dict())
     n_ok = sum(cert.stable)
@@ -436,8 +413,10 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     specs = [
         ("decouple", cmd_decouple, "compute and export the decoupling pair", []),
-        ("synth6", cmd_synth6, "output-based co-design (2x3 weighted map)", []),
-        ("synth4", cmd_synth4, "error-based co-design (2x2 weighted map)", []),
+        ("synth6", partial(_run_synth, kind="6block"),
+         "output-based co-design (2x3 weighted map)", []),
+        ("synth4", partial(_run_synth, kind="4block"),
+         "error-based co-design (2x2 weighted map)", []),
         ("analyze", cmd_analyze, "export frequency-domain CSVs for a result",
          ["results"]),
         ("simulate", cmd_simulate, "time-domain disturbance comparison",

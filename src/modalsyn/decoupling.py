@@ -40,13 +40,6 @@ class DecouplingPair:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
 
-    @classmethod
-    def from_dict(cls, doc):
-        p = doc.get("p_design")
-        return cls(np.array(doc["T_u"], ndmin=2), np.array(doc["T_y"], ndmin=2),
-                   None if p is None else np.atleast_1d(np.asarray(p, float)),
-                   int(doc["n_rb"]), int(doc["n_flex"]))
-
 
 def _pinv_full_rank(M, need_rank, side, what):
     """Moore-Penrose pseudo-inverse requiring the stated rank."""

@@ -163,18 +163,6 @@ class MechanicalModel:
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "K", K)
 
-    @property
-    def n_q(self):
-        return self.M.shape[0]
-
-    @property
-    def n_u(self):
-        return self.phi_a.shape[1]
-
-    @property
-    def n_y(self):
-        return self.phi_s.shape[0]
-
     def to_dict(self):
         return {"M": self.M.tolist(), "D": self.D.tolist(), "K": self.K.tolist(),
                 "phi_a": self.phi_a.to_dict(), "phi_s": self.phi_s.to_dict(),
@@ -204,14 +192,6 @@ class ModalDecomposition:
     def n_rb(self):
         wmax = self.omega.max() if self.omega.size else 0.0
         return int(np.sum(self.omega < RB_FREQ_RATIO * max(wmax, 1e-300)))
-
-    @property
-    def Omega(self):
-        return np.diag(self.omega)
-
-    @property
-    def Z(self):
-        return np.diag(self.zeta)
 
 
 def modal_decompose(model: MechanicalModel) -> ModalDecomposition:
@@ -246,12 +226,13 @@ def to_modal_ss(dec: ModalDecomposition, model: MechanicalModel, p) -> StateSpac
     """Modal state-space at frozen p: states (eta, eta')."""
     if not model.phi_a.contains(p):
         raise ModelError(f"scheduling point {p} outside the domain box")
-    n = dec.n_modes
+    n, n_u, n_y = dec.n_modes, model.phi_a.shape[1], model.phi_s.shape[0]
+    Omega, Z = np.diag(dec.omega), np.diag(dec.zeta)
     A = np.block([[np.zeros((n, n)), np.eye(n)],
-                  [-dec.Omega ** 2, -2 * dec.Z @ dec.Omega]])
-    B = np.vstack([np.zeros((n, model.n_u)), dec.Vtilde.T @ model.phi_a(p)])
-    C = np.hstack([model.phi_s(p) @ dec.Vtilde, np.zeros((model.n_y, n))])
-    return StateSpaceModel(A, B, C, np.zeros((model.n_y, model.n_u)))
+                  [-Omega ** 2, -2 * Z @ Omega]])
+    B = np.vstack([np.zeros((n, n_u)), dec.Vtilde.T @ model.phi_a(p)])
+    C = np.hstack([model.phi_s(p) @ dec.Vtilde, np.zeros((n_y, n))])
+    return StateSpaceModel(A, B, C, np.zeros((n_y, n_u)))
 
 
 def mode_grouping_transform(n_modes: int) -> np.ndarray:
@@ -343,13 +324,13 @@ def physical_ss(model: MechanicalModel, p) -> StateSpaceModel:
     """Second-order form state-space at frozen p, states (q, q')."""
     if not model.phi_a.contains(p):
         raise ModelError(f"scheduling point {p} outside the domain box")
-    n = model.n_q
+    n, n_u, n_y = model.M.shape[0], model.phi_a.shape[1], model.phi_s.shape[0]
     Minv = la.solve(model.M, np.eye(n))
     A = np.block([[np.zeros((n, n)), np.eye(n)],
                   [-Minv @ model.K, -Minv @ model.D]])
-    B = np.vstack([np.zeros((n, model.n_u)), Minv @ model.phi_a(p)])
-    C = np.hstack([model.phi_s(p), np.zeros((model.n_y, n))])
-    return StateSpaceModel(A, B, C, np.zeros((model.n_y, model.n_u)))
+    B = np.vstack([np.zeros((n, n_u)), Minv @ model.phi_a(p)])
+    C = np.hstack([model.phi_s(p), np.zeros((n_y, n))])
+    return StateSpaceModel(A, B, C, np.zeros((n_y, n_u)))
 
 
 def evaluate_local(pm: PartitionedModalModel, p) -> StateSpaceModel:

@@ -227,6 +227,22 @@ class TestErrors:
         assert main(["synth6", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
 
+    def test_negative_simulation_seed_is_usage_error(self, synth_run, tmp_path):
+        _, out = synth_run
+        assert main(["simulate", os.path.join(out, "results.json"), "--seed",
+                     "-1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("doc", [[CONFIG], "two_mass", None])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["synth6", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_config_that_is_a_directory_is_usage_error(self, tmp_path):
+        assert main(["synth6", "--config", str(tmp_path),
+                     "--out", str(tmp_path)]) == 2
+
     def test_gridcheck_without_a_proposed_design(self, synth_run, tmp_path):
         _, out = synth_run
         with open(os.path.join(out, "results.json")) as fh:
@@ -271,7 +287,12 @@ class TestErrors:
          ("budget", 2.7), ("retain", [1.9]), ("seed", True), ("Q", True),
          ("n_flex_decouple", -1), ("n_flex_decouple", 2), ("Q", -1.0),
          ("Q", 0.0), ("weights", {"Ks": 0.1}), ("weights", {"f_int": -1.0}),
-         ("weights", {"f_roll": 0.0})],
+         ("weights", {"f_roll": 0.0}), ("seed", -1), ("budget", -3),
+         ("n_starts", 0), ("n_starts", -2), ("crossover_tolerance", -0.5),
+         ("crossover_tolerance", 2.0), ("q_weight", -1.0),
+         ("q_weight", float("nan")), ("v_weight", -1.0),
+         ("v_weight", float("nan")), ("f_bw", [-10.0]), ("f_bw", [float("inf")]),
+         ("expected_error", [0.0]), ("controlled", [])],
         ids=lambda v: json.dumps(v, separators=(",", ":")).strip('"'))
     def test_malformed_setting_is_usage_error(self, tmp_path, key, value):
         cfg = tmp_path / "config.json"

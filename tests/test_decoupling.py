@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -181,12 +183,10 @@ class TestPositionDependentDecoupling:
 
 
 def test_json_roundtrip(tmp_path):
-    pm = None
-    dec_pm = partitioned(make_two_mass())
-    pair = extended_input_decoupling(dec_pm, 0.3, 1)
+    pair = extended_input_decoupling(partitioned(make_two_mass()), 0.3, 1)
     path = tmp_path / "pair.json"
     pair.to_json(path)
-    import json
-    pair2 = DecouplingPair.from_dict(json.loads(path.read_text()))
-    np.testing.assert_allclose(pair2.T_u, pair.T_u)
-    np.testing.assert_allclose(pair2.T_y, pair.T_y)
+    doc = json.loads(path.read_text())
+    assert doc == pair.to_dict()
+    np.testing.assert_array_equal(doc["T_u"], pair.T_u)
+    np.testing.assert_array_equal(doc["T_y"], pair.T_y)

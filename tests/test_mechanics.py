@@ -97,7 +97,8 @@ class TestModalDecompose:
             M, K = random_spd_psd(rng, n, n_rb=int(rng.integers(0, 2)))
             dec = modal_decompose(simple_model(M, np.zeros((n, n)), K))
             assert np.allclose(dec.Vtilde.T @ M @ dec.Vtilde, np.eye(n), atol=1e-10)
-            assert np.allclose(dec.Vtilde.T @ K @ dec.Vtilde, dec.Omega ** 2, atol=1e-8)
+            assert np.allclose(dec.Vtilde.T @ K @ dec.Vtilde, np.diag(dec.omega ** 2),
+                               atol=1e-8)
             assert np.all(np.diff(dec.omega) >= -1e-12)
 
     def test_rigid_count_matches_nullspace(self):

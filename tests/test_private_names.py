@@ -9,10 +9,24 @@ the package's classes.  A name counts as referenced when a name or attribute
 outside its own definition spells it, so a recursive call does not count
 and tests do not count as users.  ``REFERENCES`` lists the public names kept
 for the tests alone: independent oracles of the package's fast paths, and
-the flexible channel of M that the acceptance criteria read."""
+the flexible channel of M that the acceptance criteria read.
+
+The name rules see spellings only, so a method that shares its name with a
+used one passes them.  ``test_every_function_runs`` closes that gap: it runs
+the commands of ``test_threads.py`` and ``decouple`` on a model file under a
+profiler and requires every function and method the package defines to be
+entered, apart from ``REFERENCES`` and ``UNREACHED``."""
 
 import ast
+import importlib
+import inspect
+import json
+import sys
+import threading
 from pathlib import Path
+
+from modalsyn.benchplant import make_two_mass
+from modalsyn.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "modalsyn").glob("*.py"))
@@ -25,6 +39,15 @@ REFERENCES = {
     "physical_ss",                    # second-order form at a frozen point
     "apply_decoupling",               # T_y G T_u of a local model
     "ClosedLoopMap.flexible_column",  # the flexible channel of M
+}
+
+# functions and methods that no command enters, besides REFERENCES
+UNREACHED = {
+    "_tf_section_realization",        # the realization behind from_tf
+    "hinf_norm_grid",                 # the dense-grid fallback of hinf_norm
+    "_default_freq_grid",             # and its frequency grid
+    "MechanicalModel.to_dict",        # the model-file writer
+    "PositionMap.to_dict",            # and its position maps
 }
 
 
@@ -102,3 +125,50 @@ def test_every_public_name_is_used():
     assert [o for o in orphans if o[2] not in REFERENCES] == []
     # an exemption whose name is gone or used again is stale
     assert sorted(REFERENCES) == sorted(o[2] for o in orphans)
+
+
+def defined_functions():
+    """``{code: label}`` of every function, method and property getter whose
+    code is in the package, a member labelled ``Class.name``."""
+    found = {}
+    for path in PACKAGE:
+        module = importlib.import_module(f"modalsyn.{path.stem}")
+        members = list(vars(module).items())
+        members += [(f"{name}.{attr}", member)
+                    for name, obj in vars(module).items() if inspect.isclass(obj)
+                    for attr, member in vars(obj).items()]
+        for label, obj in members:
+            fn = getattr(obj, "fget", None) or getattr(obj, "__func__", obj)
+            if (inspect.isfunction(fn)
+                    and fn.__code__.co_filename == module.__file__):
+                found.setdefault(fn.__code__, label)
+    return found
+
+
+def test_every_function_runs(tmp_path, monkeypatch):
+    from test_threads import COMMANDS
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(make_two_mass().to_dict()))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    monkeypatch.setattr(sys, "argv", ["-c", str(ROOT / "perfbench"),
+                                      str(tmp_path / "out")])
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        exec(COMMANDS, {"__name__": "commands"})
+        assert main(["decouple", "--model", str(model), "--p-star", "0.3",
+                     "--out", str(tmp_path / "decouple")]) == 0
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    defined = defined_functions()
+    missed = sorted(label for code, label in defined.items()
+                    if code not in entered)
+    assert [m for m in missed if m not in REFERENCES | UNREACHED] == []
+    # an exemption whose function is gone or now runs is stale
+    assert sorted(REFERENCES | UNREACHED) == missed
