@@ -125,12 +125,13 @@ def _given(config, cast, *keys):
 
 
 def _modes(key, value, allowed, least=0):
-    """``value`` of the setting ``key``: a list of at least ``least`` mode
-    indices, each in ``allowed``."""
+    """``value`` of the setting ``key``: a list of at least ``least`` distinct
+    mode indices, each in ``allowed``."""
     modes = [_typed(int, key, v) for v in value] if isinstance(value, list) else None
-    if modes is None or len(modes) < least or not set(modes) <= set(allowed):
-        raise ConfigError(f"'{key}' must be a list of at least {least} modes "
-                          f"from {list(allowed)}: {value!r}")
+    if (modes is None or len(modes) < least or len(set(modes)) < len(modes)
+            or not set(modes) <= set(allowed)):
+        raise ConfigError(f"'{key}' must be a list of at least {least} distinct "
+                          f"modes from {list(allowed)}: {value!r}")
     return modes
 
 
@@ -308,16 +309,22 @@ def _load_results(args):
 
 
 def _designs(doc):
-    """``(label, params)`` of each design that the results ``doc`` holds."""
+    """``{label: params}`` of the designs that the results ``doc`` holds."""
+    designs = {}
     for label, _ in DESIGNS:
-        if label in doc:
-            yield label, StructuredControllerParams.from_dict(doc[label]["params"])
+        try:
+            if label in doc:
+                designs[label] = StructuredControllerParams.from_dict(doc[label]["params"])
+        except (KeyError, TypeError, ValueError) as exc:   # ModelError too
+            raise ConfigError(f"the '{label}' design of the results holds no "
+                              f"controller parameters: {exc!r}")
+    return designs
 
 
 def cmd_analyze(args):
     doc, prob = _load_results(args)
     out = _out_dir(args)
-    for label, params in _designs(doc):
+    for label, params in _designs(doc).items():
         _channel_csv(os.path.join(out, f"{label}_channels.csv"),
                      prob.cl.evaluate(params))
         closed = close_full_loop(prob.cl.plant, prob.cl, params)
@@ -343,6 +350,10 @@ def cmd_simulate(args):
     doc, prob = _load_results(args)
     cl = prob.cl
     sim = prob.config.get("simulate", {})
+    keys = ("dt", "duration", "f_disturbance", "amplitude", "seed")
+    if not isinstance(sim, dict) or not set(sim) <= set(keys):
+        raise ConfigError(f"'simulate' must be an object with keys from "
+                          f"{list(keys)}: {sim!r}")
     dt = _typed(float, "dt", sim.get("dt", 1e-4), 0)
     duration = _typed(float, "duration", sim.get("duration", 2.0), 0)
     f_dist = _typed(float, "f_disturbance", sim.get("f_disturbance", 50.0),
@@ -359,7 +370,7 @@ def cmd_simulate(args):
     out = _out_dir(args)
     rows = {"t": np.arange(n) * dt}
     rms = {}
-    for label, params in _designs(doc):
+    for label, params in _designs(doc).items():
         closed = close_full_loop(cl.plant, cl, params)
         _, _, y = simulate(closed, w, dt)
         for j in range(y.shape[1]):
@@ -378,7 +389,7 @@ def cmd_simulate(args):
 
 def cmd_gridcheck(args):
     doc, prob = _load_results(args)
-    params = dict(_designs(doc))
+    params = _designs(doc)
     if "proposed" not in params:
         raise ConfigError("results file has no 'proposed' design")
     cert = grid_stability_check(prob.cl, params["proposed"], prob.grid)

@@ -1,9 +1,9 @@
 """Rigid-body and extended modal input decoupling.
 
 Computes the input/output decoupling matrices from the partitioned modal
-model at a design point and applies them to local models or to the
-partitioned model itself.  Pseudo-inverses use an SVD with a relative
-singular-value cutoff so rank deficiencies fail loudly instead of silently.
+model at a design point and applies them to the partitioned model itself.
+Pseudo-inverses use an SVD with a relative singular-value cutoff so rank
+deficiencies fail loudly instead of silently.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as la
 
 from modalsyn.mechanics import PartitionedModalModel
-from modalsyn.statespace import ModelError, NumericError, StateSpaceModel, lmul, rmul
+from modalsyn.statespace import ModelError, NumericError
 
 SVD_CUTOFF = 1e-10
 
@@ -82,13 +82,6 @@ def extended_input_decoupling(pm: PartitionedModalModel, p, n_flex: int) -> Deco
     return DecouplingPair(T_u, T_y,
                           None if constant else np.atleast_1d(np.asarray(p, float)),
                           n_rb, n_flex)
-
-
-def apply_decoupling(g: StateSpaceModel, pair: DecouplingPair) -> StateSpaceModel:
-    """Decoupled local model T_y G T_u (state dimension unchanged)."""
-    if g.n_inputs != pair.T_u.shape[0] or g.n_outputs != pair.T_y.shape[1]:
-        raise ModelError("decoupling pair does not conform to the system")
-    return lmul(pair.T_y, rmul(g, pair.T_u))
 
 
 def apply_decoupling_partitioned(pm: PartitionedModalModel,

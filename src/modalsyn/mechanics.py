@@ -1,7 +1,7 @@
 """Modal models of mechanical systems with position-dependent actuation/sensing.
 
-Turns (M, D, K, Phi_a(p), Phi_s(p)) data into modal state-space form, groups
-the states per mode, partitions them into rigid-body / retained-flexible /
+Turns (M, D, K, Phi_a(p), Phi_s(p)) data into a modal model whose states are
+grouped per mode and partitioned into rigid-body / retained-flexible /
 discarded-flexible blocks, and freezes the scheduling parameter to obtain
 local LTI dynamics.
 """
@@ -222,26 +222,6 @@ def modal_decompose(model: MechanicalModel) -> ModalDecomposition:
     return ModalDecomposition(V, omega, zeta)
 
 
-def to_modal_ss(dec: ModalDecomposition, model: MechanicalModel, p) -> StateSpaceModel:
-    """Modal state-space at frozen p: states (eta, eta')."""
-    if not model.phi_a.contains(p):
-        raise ModelError(f"scheduling point {p} outside the domain box")
-    n, n_u, n_y = dec.n_modes, model.phi_a.shape[1], model.phi_s.shape[0]
-    Omega, Z = np.diag(dec.omega), np.diag(dec.zeta)
-    A = np.block([[np.zeros((n, n)), np.eye(n)],
-                  [-Omega ** 2, -2 * Z @ Omega]])
-    B = np.vstack([np.zeros((n, n_u)), dec.Vtilde.T @ model.phi_a(p)])
-    C = np.hstack([model.phi_s(p) @ dec.Vtilde, np.zeros((n_y, n))])
-    return StateSpaceModel(A, B, C, np.zeros((n_y, n_u)))
-
-
-def mode_grouping_transform(n_modes: int) -> np.ndarray:
-    """Permutation T = [I (x) [1 0]', I (x) [0 1]'] mapping (eta, eta') to per-mode pairs."""
-    e1 = np.array([[1.0], [0.0]])
-    e2 = np.array([[0.0], [1.0]])
-    return np.hstack([np.kron(np.eye(n_modes), e1), np.kron(np.eye(n_modes), e2)])
-
-
 def _mode_block(w, z):
     return np.array([[0.0, 1.0], [-w ** 2, -2 * z * w]])
 
@@ -298,39 +278,24 @@ class PartitionedModalModel:
 
 def group_and_partition(dec: ModalDecomposition, model: MechanicalModel,
                         retain) -> PartitionedModalModel:
-    """Apply the per-mode grouping permutation and order the modes rigid-body,
-    retained flexible, discarded flexible."""
+    """Group the states per mode, one (position, velocity) pair each, with
+    the modes ordered rigid-body, retained flexible, discarded flexible."""
     n_rb = dec.n_rb
     retain = sorted(set(int(i) for i in retain))
     if any(i < n_rb or i >= dec.n_modes for i in retain):
         raise ModelError("retain set must reference flexible (nonzero-frequency) modes")
-    n = dec.n_modes
-    T = mode_grouping_transform(n)
-    # grouped input/output composition matrices: B_g(p) = S_B Phi_a(p), C_g(p) = Phi_s(p) S_C
-    S_B = T @ np.vstack([np.zeros((n, n)), dec.Vtilde.T])
-    S_C = np.hstack([dec.Vtilde, np.zeros((n, n))]) @ T.T
-    discarded = [i for i in range(n_rb, n) if i not in retain]
+    discarded = [i for i in range(n_rb, dec.n_modes) if i not in retain]
     modes = list(range(n_rb)) + retain + discarded
-    states = [r for i in modes for r in (2 * i, 2 * i + 1)]
+    # grouped input/output composition matrices: B(p) = S_B Phi_a(p) drives
+    # the velocities, C(p) = Phi_s(p) S_C reads the positions
+    V = dec.Vtilde[:, modes]
+    S_B, S_C = np.zeros((2 * len(modes), len(V))), np.zeros((len(V), 2 * len(modes)))
+    S_B[1::2], S_C[:, ::2] = V.T, V
     return PartitionedModalModel(
         A=_block_diag(*[_mode_block(dec.omega[i], dec.zeta[i]) for i in modes]),
-        B=model.phi_a.matmul_left(S_B).select_rows(states),
-        C=model.phi_s.matmul_right(S_C).select_cols(states),
+        B=model.phi_a.matmul_left(S_B), C=model.phi_s.matmul_right(S_C),
         omega=dec.omega.copy(), zeta=dec.zeta.copy(), n_rb=n_rb,
         retained=tuple(retain), discarded=tuple(discarded))
-
-
-def physical_ss(model: MechanicalModel, p) -> StateSpaceModel:
-    """Second-order form state-space at frozen p, states (q, q')."""
-    if not model.phi_a.contains(p):
-        raise ModelError(f"scheduling point {p} outside the domain box")
-    n, n_u, n_y = model.M.shape[0], model.phi_a.shape[1], model.phi_s.shape[0]
-    Minv = la.solve(model.M, np.eye(n))
-    A = np.block([[np.zeros((n, n)), np.eye(n)],
-                  [-Minv @ model.K, -Minv @ model.D]])
-    B = np.vstack([np.zeros((n, n_u)), Minv @ model.phi_a(p)])
-    C = np.hstack([model.phi_s(p), np.zeros((n_y, n))])
-    return StateSpaceModel(A, B, C, np.zeros((n_y, n_u)))
 
 
 def evaluate_local(pm: PartitionedModalModel, p) -> StateSpaceModel:

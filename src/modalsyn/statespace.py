@@ -93,13 +93,6 @@ class StateSpaceModel:
     def n_outputs(self):
         return self.C.shape[0]
 
-    @classmethod
-    def from_tf(cls, num, den):
-        """SISO realization of num(s)/den(s), coefficients in descending powers."""
-        A, B, C, D = _tf_section_realization(np.asarray(num, float),
-                                             np.asarray(den, float))
-        return cls(A, B, C, D)
-
     def poles(self):
         """Eigenvalues of A (a real array when every one is real)."""
         if self.n_states == 0:
@@ -173,38 +166,10 @@ class FrequencyResponse:
 # rational diagonal filters
 # ---------------------------------------------------------------------------
 
-def _tf_section_realization(num, den):
-    """Controllable-canonical realization of a proper rational section."""
-    num = np.trim_zeros(np.atleast_1d(num), "f")
-    den = np.trim_zeros(np.atleast_1d(den), "f")
-    if den.size == 0 or den[0] == 0:
-        raise ModelError("section denominator must have a nonzero leading coefficient")
-    if num.size == 0:
-        num = np.zeros(1)
-    if num.size > den.size:
-        raise ModelError("section is not proper (numerator degree exceeds denominator)")
-    num = np.concatenate([np.zeros(den.size - num.size), num]) / den[0]
-    den = den / den[0]
-    m = den.size - 1
-    if m == 0:
-        return (np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-                np.array([[num[0]]]))
-    d = num[0]
-    # strictly proper remainder after removing the feed-through
-    rem = num[1:] - d * den[1:]
-    A = np.zeros((m, m))
-    A[:-1, 1:] = np.eye(m - 1)
-    A[-1, :] = -den[1:][::-1]
-    B = np.zeros((m, 1))
-    B[-1, 0] = 1.0
-    C = rem[::-1].reshape(1, m)
-    return A, B, C, np.array([[d]])
-
-
 def _normalized_section(num, den):
     """Feed-through, denominator tail and reversed strictly proper numerator
     of a proper section, as Python floats: the trimming, padding and
-    division of :func:`_tf_section_realization`."""
+    division of the controllable-canonical realization of one section."""
     num, den = (np.asarray(p, dtype=float).ravel().tolist() for p in (num, den))
     for p in (num, den):
         while p and p[0] == 0:
@@ -223,11 +188,11 @@ def diagonal_ss(channels) -> StateSpaceModel:
     """Realization of a diagonal whose ``channels[i]`` is a cascade of proper
     ``(num, den)`` sections, the twin of :func:`diagonal_response`.
 
-    Byte for byte the :func:`blockdiag` of each channel's sections realized
-    by :meth:`StateSpaceModel.from_tf` and chained by :func:`series`: every
-    section takes its controllable-canonical place, and an entry that
-    ``series`` forms as a matrix product is written as ``0.0 + a * b``, the
-    value the product takes (a negative zero turns positive).
+    Byte for byte the cascade of ``from_tf`` and ``series`` sections in
+    ``tests/reference.py``: every section takes its controllable-canonical
+    place, and an entry that ``series`` forms as a matrix product is written
+    as ``0.0 + a * b``, the value the product takes (a negative zero turns
+    positive).
     """
     sections = [[_normalized_section(num, den) for num, den in chan]
                 for chan in channels]
@@ -300,19 +265,6 @@ class RationalDiagonalFilter:
 # interconnection
 # ---------------------------------------------------------------------------
 
-def series(g1: StateSpaceModel, g2: StateSpaceModel) -> StateSpaceModel:
-    """Cascade: output of ``g1`` drives ``g2``; transfer is G2(s) G1(s)."""
-    if g1.n_outputs != g2.n_inputs:
-        raise ModelError(f"series: {g1.n_outputs} outputs feeding {g2.n_inputs} inputs")
-    n1 = g1.n_states
-    A = _block_diag(g1.A, g2.A)
-    A[n1:, :n1] = g2.B @ g1.C
-    B = np.vstack([g1.B, g2.B @ g1.D])
-    C = np.hstack([g2.D @ g1.C, g2.C])
-    D = g2.D @ g1.D
-    return StateSpaceModel(A, B, C, D)
-
-
 def _block_diag(*mats) -> np.ndarray:
     """Block-diagonal stack of 2-D float arrays: zeros with each array copied
     into its slice (the same result as ``scipy.linalg.block_diag``)."""
@@ -328,11 +280,6 @@ def _block_diag(*mats) -> np.ndarray:
 def _stacked(systems):
     """Block-diagonal A, B, C, D of ``systems``."""
     return tuple(_block_diag(*[getattr(g, m) for g in systems]) for m in "ABCD")
-
-
-def blockdiag(systems) -> StateSpaceModel:
-    """Stack systems diagonally: independent inputs and outputs."""
-    return StateSpaceModel(*_stacked(list(systems)))
 
 
 def lmul(M, g: StateSpaceModel) -> StateSpaceModel:

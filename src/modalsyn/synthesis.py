@@ -27,7 +27,6 @@ from modalsyn.observer import (
     selection_matrix,
     truncate_with_compliance,
 )
-from modalsyn.shaping import ScalingSet
 from modalsyn.statespace import (
     Interconnection,
     ModelError,
@@ -96,19 +95,14 @@ class StructuredControllerParams:
     def n_params(self):
         return self.krb.size + self.L.size + self.xi.size
 
-    def krb_sections(self, gains=None):
+    def krb_sections(self):
         """Per channel, the ``(num, den)`` sections of K_RB in descending
-        powers of s: g (s + w_int) / s, the lead-lag and the low-pass, and
-        with per-channel output ``gains`` a last section ``(gain, 1)``."""
-        sections = tuple(
+        powers of s: g (s + w_int) / s, the lead-lag and the low-pass."""
+        return tuple(
             ((g * np.array([1.0, wi]), np.array([1.0, 0.0])),
              (np.array([1.0 / wz, 1.0]), np.array([1.0 / wp, 1.0])),
              (np.array([1.0]), np.array([1.0 / wlp ** 2, 2 * zlp / wlp, 1.0])))
             for g, wi, wz, wp, wlp, zlp in self.krb)
-        if gains is None:
-            return sections
-        return tuple(chan + ((np.array([k]), np.array([1.0])),)
-                     for chan, k in zip(sections, gains))
 
     def kfm_sections(self):
         """Per controlled mode, the band-pass section of K_FM,
@@ -317,18 +311,17 @@ class ClosedLoopMap:
         embed = np.eye(self.n_flex)[:, positions]
         left = np.diag(scalings.wz)
         right = _block_diag(np.diag(scalings.ww1), np.eye(self.n_flex))
-        self._rb_unscaling = _rb_unscaling(scalings, self.n_rb)
         # M's plant block, unless the inner loop takes its slot
         self._g_plant = lmul(left, rmul(self.plant, right))
+        # the column of per-channel gains W_w1_sc W_z_sc that take K_RB to
+        # physical units; lmul and rmul have checked that both fit
+        self._unscaling = (scalings.ww1 * scalings.wz)[:, None]
         (self.observer_model, self._slot, self._inner, self._map,
          self._loop) = _interconnections(
             kind, pm, self.p_star, self.plant,
             {role: f.to_ss() for role, f in self.weights.items()},
             embed, left, right)
         self.Psi = selection_matrix(pm, positions, self.observer_model.n_states)
-        # the flexible injection is the last disturbance group of M
-        n_in = sum(width for _, width in self._map.inputs)
-        self._flex_columns = range(n_in - self._map.inputs[-1][1], n_in)
         self._columns = None              # columns of M kept by evaluate
         self._realized = (None, {}, {})
         # (g_delta, n_points, response) of the last crossover sweep: the
@@ -344,16 +337,19 @@ class ClosedLoopMap:
         """Blocks of M (scaled) and of the full loop (physical) for
         ``params``, realized only when ``params`` is not the object seen last;
         the entry holds that object, so its id stays taken.  The full loop
-        always takes its plant ``G`` from the caller."""
+        always takes its plant ``G`` from the caller.  K_RB is realized once:
+        the full loop's copy has each output row times its unscaling gain,
+        the arithmetic of a last section ``(gain, 1)`` in :func:`diagonal_ss`."""
         if self._realized[0] is not params:
-            loop = {"K_RB": diagonal_ss(params.krb_sections(self._rb_unscaling)),
+            K, k = diagonal_ss(params.krb_sections()), self._unscaling
+            loop = {"K_RB": StateSpaceModel._built(K.A, K.B, 0.0 + k * K.C,
+                                                   0.0 + k * K.D),
                     "O": self.observer(params),
                     "K_FM": diagonal_ss(params.kfm_sections())}
             name, left, right = self._slot
             loop[name] = self._inner.close(loop)
             scaled = {"G": self._g_plant,
-                      name: lmul(left, rmul(loop[name], right)),
-                      "K_RB": diagonal_ss(params.krb_sections())}
+                      name: lmul(left, rmul(loop[name], right)), "K_RB": K}
             self._realized = (params, scaled, loop)
         return self._realized[1:]
 
@@ -373,11 +369,6 @@ class ClosedLoopMap:
         M = self._map.close(self._realize(params)[0])
         return M if self._columns is None else M.select_inputs(self._columns)
 
-    def flexible_column(self, params) -> StateSpaceModel:
-        """Sub-map of M carrying the flexible injection channel."""
-        M = self._map.close(self._realize(params)[0])
-        return M.select_inputs(self._flex_columns)
-
 
 class ConventionalView(ClosedLoopMap):
     """Synthesis objective restricted to the rigid-body disturbance columns.
@@ -390,17 +381,13 @@ class ConventionalView(ClosedLoopMap):
 
     def __init__(self, cl: ClosedLoopMap):
         vars(self).update(vars(cl))
-        self._columns = range(cl._flex_columns.start)
+        # the flexible injection is the last disturbance group of M
+        self._columns = range(sum(width for _, width in cl._map.inputs[:-1]))
 
 
 # ---------------------------------------------------------------------------
-# controller realization helpers
+# closed-loop checks
 # ---------------------------------------------------------------------------
-
-def _rb_unscaling(scalings: ScalingSet, n_rb: int) -> np.ndarray:
-    """Per-channel gain W_w1_sc W_z_sc that takes K_RB to physical units."""
-    return scalings.ww1[:n_rb] * scalings.wz[:n_rb]
-
 
 def close_full_loop(g_local: StateSpaceModel, cl: ClosedLoopMap,
                     params: StructuredControllerParams) -> StateSpaceModel:

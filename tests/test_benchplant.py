@@ -11,8 +11,9 @@ from modalsyn.benchplant import (
     mmpa_lite_spec,
     two_mass_spec,
 )
-from modalsyn.mechanics import modal_decompose, physical_ss
+from modalsyn.mechanics import modal_decompose
 from modalsyn.statespace import freq_response
+from reference import physical_ss
 
 
 class TestTwoMass:

@@ -264,15 +264,31 @@ class TestErrors:
                                      {"f_disturbance": 0},
                                      {"f_disturbance": 1e9},
                                      {"f_disturbance": 500.0},
-                                     {"amplitude": 0}, {"amplitude": "inf"}])
+                                     {"amplitude": 0}, {"amplitude": "inf"},
+                                     {"bogus": 1}, [1], "abc"])
     def test_simulation_without_two_samples_is_usage_error(
             self, synth_run, tmp_path, sim):
         _, out = synth_run
         cfg = tmp_path / "config.json"
+        if isinstance(sim, dict):
+            sim = {**CONFIG["simulate"], **sim}
         with open(cfg, "w") as fh:
-            json.dump(dict(CONFIG, simulate={**CONFIG["simulate"], **sim}), fh)
+            json.dump(dict(CONFIG, simulate=sim), fh)
         assert main(["simulate", os.path.join(out, "results.json"),
                      "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "gridcheck"])
+    @pytest.mark.parametrize("design", [{}, {"params": {"krb": [[1]]}}, [1]],
+                             ids=["empty", "no_L", "list"])
+    def test_malformed_design_is_usage_error(self, synth_run, tmp_path, capsys,
+                                             command, design):
+        _, out = synth_run
+        with open(os.path.join(out, "results.json")) as fh:
+            doc = json.load(fh)
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(dict(doc, proposed=design)))
+        assert main([command, str(path), "--out", str(tmp_path)]) == 2
+        assert "'proposed' design" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         pytest.param(key, "abc", id=key) for key in ("budget", "seed", "n_starts")
@@ -292,7 +308,8 @@ class TestErrors:
          ("crossover_tolerance", 2.0), ("q_weight", -1.0),
          ("q_weight", float("nan")), ("v_weight", -1.0),
          ("v_weight", float("nan")), ("f_bw", [-10.0]), ("f_bw", [float("inf")]),
-         ("expected_error", [0.0]), ("controlled", [])],
+         ("expected_error", [0.0]), ("controlled", []), ("controlled", [1, 1]),
+         ("retain", [1, 1])],
         ids=lambda v: json.dumps(v, separators=(",", ":")).strip('"'))
     def test_malformed_setting_is_usage_error(self, tmp_path, key, value):
         cfg = tmp_path / "config.json"

@@ -6,7 +6,6 @@ import pytest
 from modalsyn.benchplant import make_two_mass, mmpa_lite_spec
 from modalsyn.decoupling import (
     DecouplingPair,
-    apply_decoupling,
     apply_decoupling_partitioned,
     extended_input_decoupling,
 )
@@ -25,6 +24,12 @@ def partitioned(model, retain=None):
     if retain is None:
         retain = range(dec.n_rb, dec.n_modes)
     return group_and_partition(dec, model, retain)
+
+
+def decoupled_two_mass(p=0.3):
+    """The two-mass model with its flexible mode, decoupled at ``p``."""
+    pm = partitioned(make_two_mass())
+    return apply_decoupling_partitioned(pm, extended_input_decoupling(pm, p, 1))
 
 
 def rb_only_model(phi_a, n_rb):
@@ -116,14 +121,14 @@ class TestApplyDecoupling:
         pm = partitioned(make_two_mass())
         g = evaluate_local(pm, 0.3)
         pair = DecouplingPair(np.eye(2), np.eye(1), None, 1, 1)
-        g2 = apply_decoupling(g, pair)
+        g2 = evaluate_local(apply_decoupling_partitioned(pm, pair), 0.3)
         np.testing.assert_array_equal(g2.B, g.B)
         np.testing.assert_array_equal(g2.C, g.C)
 
     def test_rb_channel_double_integrator_slope(self):
         pm = partitioned(make_two_mass())
         pair = extended_input_decoupling(pm, 0.3, 1)
-        g = apply_decoupling(evaluate_local(pm, 0.3), pair)
+        g = evaluate_local(apply_decoupling_partitioned(pm, pair), 0.3)
         # RB channel: input 0 -> output 0, -40 dB/dec well below the 50 Hz mode
         f = np.array([0.5, 5.0])
         mags = np.abs(freq_response(g, f).values[:, 0, 0])
@@ -144,7 +149,7 @@ class TestApplyDecoupling:
         pm = partitioned(make_two_mass())
         pair = extended_input_decoupling(pm, 0.3, 1)
         g = evaluate_local(pm, 0.3)
-        gd = apply_decoupling(g, pair)
+        gd = evaluate_local(apply_decoupling_partitioned(pm, pair), 0.3)
         f = np.logspace(0, 2.5, 25)
         want = np.einsum("ij,kjl,lm->kim", pair.T_y,
                          freq_response(g, f).values, pair.T_u)

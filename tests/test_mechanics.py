@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modalsyn.benchplant import make_two_mass
+from modalsyn.benchplant import make_two_mass, mmpa_lite_spec, two_mass_spec
 from modalsyn.mechanics import (
     MechanicalModel,
     ModelError,
@@ -10,11 +10,9 @@ from modalsyn.mechanics import (
     evaluate_local,
     group_and_partition,
     modal_decompose,
-    mode_grouping_transform,
-    physical_ss,
-    to_modal_ss,
 )
 from modalsyn.statespace import freq_response
+from reference import physical_ss
 
 
 def random_spd_psd(rng, n, n_rb=0):
@@ -116,45 +114,30 @@ class TestModalDecompose:
             modal_decompose(simple_model(np.eye(2), D, K))
 
 
+def two_mass_local(p, retain=(1,)):
+    model = make_two_mass()
+    return evaluate_local(group_and_partition(modal_decompose(model), model,
+                                              retain), p)
+
+
 class TestModalSS:
     def test_single_mode_direct(self):
         w, z = 2.0, 0.05
         model = simple_model([[1.0]], [[2 * z * w]], [[w ** 2]])
         dec = modal_decompose(model)
-        g = to_modal_ss(dec, model, 0.5)
+        g = evaluate_local(group_and_partition(dec, model, []), 0.5)
         np.testing.assert_allclose(g.A, [[0, 1], [-4.0, -0.2]], atol=1e-12)
 
     def test_constant_map_position_independent(self):
-        model = make_two_mass()
-        dec = modal_decompose(model)
-        g0 = to_modal_ss(dec, model, 0.2)
-        g1 = to_modal_ss(dec, model, 0.8)
+        g0, g1 = two_mass_local(0.2), two_mass_local(0.8)
         np.testing.assert_array_equal(g0.B, g1.B)  # Phi_a constant
 
-    def test_matches_second_order_oracle(self):
-        model = make_two_mass()
-        dec = modal_decompose(model)
-        p = 0.3
-        f = np.logspace(0, 2.5, 40)
-        got = freq_response(to_modal_ss(dec, model, p), f).values
-        want = freq_response(physical_ss(model, p), f).values
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
     def test_outside_domain(self):
-        model = make_two_mass()
-        dec = modal_decompose(model)
         with pytest.raises(ModelError):
-            to_modal_ss(dec, model, 2.0)
+            two_mass_local(2.0)
 
 
 class TestGroupAndPartition:
-    def test_transform_is_permutation(self):
-        for n in (1, 3, 5):
-            T = mode_grouping_transform(n)
-            np.testing.assert_array_equal(T @ T.T, np.eye(2 * n))
-            assert np.all(np.sum(T == 1.0, axis=0) == 1)
-            assert np.all(np.sum(T == 1.0, axis=1) == 1)
-
     def test_two_mass_toy_blocks(self):
         K = np.array([[1.0, -1.0], [-1.0, 1.0]])
         zeta = 0.05
@@ -183,14 +166,20 @@ class TestGroupAndPartition:
             group_and_partition(dec, model, retain={0})
 
     def test_partition_preserves_transfer(self):
-        model = make_two_mass()
-        dec = modal_decompose(model)
-        pm = group_and_partition(dec, model, retain={1})
-        f = np.logspace(0, 2.5, 30)
-        for p in (0.0, 0.3, 0.7):
-            got = freq_response(evaluate_local(pm, p), f).values
-            want = freq_response(to_modal_ss(dec, model, p), f).values
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        """The grouped model has the response of the second-order form, for
+        every split of the flexible modes, a later mode retained with an
+        earlier one discarded too: the state coordinates differ, the transfer
+        does not."""
+        f = np.logspace(0, 2.5, 40)
+        for spec in (two_mass_spec(), mmpa_lite_spec()):
+            dec = modal_decompose(spec.model)
+            flexible = range(dec.n_rb, dec.n_modes)
+            for retain in ((), flexible[:1], flexible[1:], flexible):
+                pm = group_and_partition(dec, spec.model, retain)
+                for p in spec.grid[::5]:
+                    got = freq_response(evaluate_local(pm, p), f).values
+                    want = freq_response(physical_ss(spec.model, p), f).values
+                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 class TestEvaluateLocal:

@@ -3,15 +3,7 @@ import pytest
 import scipy.linalg as la
 
 from modalsyn.benchplant import make_mmpa_lite, make_two_mass
-from modalsyn.decoupling import (
-    apply_decoupling_partitioned,
-    extended_input_decoupling,
-)
-from modalsyn.mechanics import (
-    evaluate_local,
-    group_and_partition,
-    modal_decompose,
-)
+from modalsyn.mechanics import evaluate_local
 from modalsyn.observer import (
     discarded_static_gain,
     error_design_model,
@@ -20,7 +12,6 @@ from modalsyn.observer import (
     selection_matrix,
     truncate_with_compliance,
 )
-from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     Interconnection,
     ModelError,
@@ -33,18 +24,9 @@ from modalsyn.statespace import (
     is_hurwitz,
     simulate,
 )
-from modalsyn.synthesis import (
-    ClosedLoopMap,
-    StructuredControllerParams,
-    initial_params,
-)
-
-
-def partitioned(model, retain=None):
-    dec = modal_decompose(model)
-    if retain is None:
-        retain = range(dec.n_rb, dec.n_modes)
-    return group_and_partition(dec, model, retain)
+from modalsyn.synthesis import StructuredControllerParams, initial_params
+from test_decoupling import decoupled_two_mass, partitioned
+from test_synthesis import two_mass_map
 
 
 def _joint_system(plant, obs):
@@ -57,12 +39,6 @@ def _joint_system(plant, obs):
         [("P.u", "u", 1), ("O.u", "u", 1), ("O.y", "P.y", 1),
          ("eta", "O.eta", 1)],
         inputs=[("u", n_u)], outputs=[("eta", n_eta)]).close()
-
-
-def decoupled_two_mass(p=0.3):
-    pm = partitioned(make_two_mass())
-    pair = extended_input_decoupling(pm, p, 1)
-    return apply_decoupling_partitioned(pm, pair)
 
 
 class TestCompliance:
@@ -250,20 +226,15 @@ class TestErrorObserver:
 
 
 class TestSigmaSubsystem:
-    def build(self, xi=2.0, Q=10.0):
+    def build(self):
         """Observer, the sections of K_FM and the physical Sigma that the
         error-based problem closes for them."""
-        pm = decoupled_two_mass()
-        g = evaluate_local(pm, 0.3)
-        w = pm.omega[list(pm.retained)][0]
-        cl = ClosedLoopMap("4block", pm, 0.3,
-                           compute_scalings(g, [10.0], [1e-4]),
-                           design_weights([10.0], [w / (2 * np.pi)]),
-                           [1], Q=Q, f_bw=[10.0])
+        cl = two_mass_map("4block")
+        pm, w = cl.pm, cl.omega_ctrl[0]
         _, L = care_solve(pm.A[pm.fm_r, pm.fm_r], -pm.C(0.3)[:, pm.fm_r],
                           np.eye(2), np.eye(1))
         init = initial_params(cl)
-        params = StructuredControllerParams(init.krb, L, [xi], [w], Q)
+        params = StructuredControllerParams(init.krb, L, [2.0], [w], cl.Q)
         return (cl.observer(params), params.kfm_sections(),
                 cl._realize(params)[1]["Sigma"])
 

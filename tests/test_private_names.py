@@ -7,15 +7,16 @@ Two rules share one walker.  The private rule covers module-level
 module-level functions and classes and the public methods and properties of
 the package's classes.  A name counts as referenced when a name or attribute
 outside its own definition spells it, so a recursive call does not count
-and tests do not count as users.  ``REFERENCES`` lists the public names kept
-for the tests alone: independent oracles of the package's fast paths, and
-the flexible channel of M that the acceptance criteria read.
+and tests do not count as users.  The independent oracles of the package's
+fast paths live in ``tests/reference.py``: every function there must be used
+by the tests, and none may share its name with a function, class or method
+of the package, so no oracle lives in both places.
 
 The name rules see spellings only, so a method that shares its name with a
 used one passes them.  ``test_every_function_runs`` closes that gap: it runs
 the commands of ``test_threads.py`` and ``decouple`` on a model file under a
 profiler and requires every function and method the package defines to be
-entered, apart from ``REFERENCES`` and ``UNREACHED``."""
+entered, apart from ``UNREACHED``."""
 
 import ast
 import importlib
@@ -31,19 +32,8 @@ from modalsyn.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "modalsyn").glob("*.py"))
 
-REFERENCES = {
-    "StateSpaceModel.from_tf",        # section realization, for diagonal_ss
-    "series",                         # cascade, for diagonal_ss
-    "blockdiag",                      # stacking, for diagonal_ss
-    "to_modal_ss",                    # modal form at a frozen point
-    "physical_ss",                    # second-order form at a frozen point
-    "apply_decoupling",               # T_y G T_u of a local model
-    "ClosedLoopMap.flexible_column",  # the flexible channel of M
-}
-
-# functions and methods that no command enters, besides REFERENCES
+# functions and methods that no command enters
 UNREACHED = {
-    "_tf_section_realization",        # the realization behind from_tf
     "hinf_norm_grid",                 # the dense-grid fallback of hinf_norm
     "_default_freq_grid",             # and its frequency grid
     "MechanicalModel.to_dict",        # the model-file writer
@@ -121,10 +111,21 @@ def test_every_private_helper_is_used():
 
 def test_every_public_name_is_used():
     sources = {path.stem: path.read_text() for path in PACKAGE}
-    orphans = unreferenced(sources, public=True)
-    assert [o for o in orphans if o[2] not in REFERENCES] == []
-    # an exemption whose name is gone or used again is stale
-    assert sorted(REFERENCES) == sorted(o[2] for o in orphans)
+    assert unreferenced(sources, public=True) == []
+
+
+def test_every_oracle_is_used():
+    sources = {path.stem: path.read_text() for path in (ROOT / "tests").glob("*.py")}
+    orphans = unreferenced(sources) + unreferenced(sources, public=True)
+    assert [o for o in orphans if o[0] == "reference"] == []
+
+
+def test_no_oracle_is_also_in_the_package():
+    def names(path):
+        return {node.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    oracles = names(ROOT / "tests" / "reference.py")
+    assert oracles and oracles.isdisjoint(set().union(*map(names, PACKAGE)))
 
 
 def defined_functions():
@@ -169,6 +170,6 @@ def test_every_function_runs(tmp_path, monkeypatch):
     defined = defined_functions()
     missed = sorted(label for code, label in defined.items()
                     if code not in entered)
-    assert [m for m in missed if m not in REFERENCES | UNREACHED] == []
+    assert [m for m in missed if m not in UNREACHED] == []
     # an exemption whose function is gone or now runs is stale
-    assert sorted(REFERENCES | UNREACHED) == missed
+    assert sorted(UNREACHED) == missed

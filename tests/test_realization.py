@@ -7,6 +7,7 @@ byte, what the section-by-section cascade of ``from_tf`` and ``series`` and a
 fresh solve of the routing formula give."""
 
 import argparse
+import copy
 import json
 from functools import reduce
 from pathlib import Path
@@ -19,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 
 from modalsyn import cli, synthesis
 from modalsyn.mechanics import evaluate_local
-from modalsyn.shaping import ScalingSet
 from modalsyn.statespace import (
     Interconnection,
     ModelError,
@@ -27,23 +27,21 @@ from modalsyn.statespace import (
     RationalDiagonalFilter,
     StateSpaceModel,
     _lower,
-    blockdiag,
     diagonal_response,
     diagonal_ss,
     freq_response,
     lmul,
     rmul,
-    series,
 )
 from modalsyn.synthesis import (
     PENALTY_BASE,
     StructuredControllerParams,
     _objective,
-    _rb_unscaling,
     close_full_loop,
     initial_params,
     rb_crossover,
 )
+from reference import blockdiag, from_tf, series, with_gains
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PLANTS = ("two_mass", "mmpa_lite")
@@ -85,7 +83,7 @@ def cascade_ss(channels):
     sections realized by ``from_tf`` and chained by ``series``, the channels
     stacked by ``blockdiag``."""
     return blockdiag(
-        reduce(lambda g, section: series(g, StateSpaceModel.from_tf(*section)),
+        reduce(lambda g, section: series(g, from_tf(*section)),
                sections, StateSpaceModel([], [], [], np.eye(1)))
         for sections in channels)
 
@@ -93,8 +91,8 @@ def cascade_ss(channels):
 def reference_blocks(cl, params):
     """The blocks of M and of the full loop as the reference realizations
     give them, each loop closed by :func:`route`."""
-    gains = _rb_unscaling(cl.scalings, cl.n_rb)
-    loop = {"K_RB": cascade_ss(params.krb_sections(gains)),
+    gains = cl.scalings.ww1 * cl.scalings.wz
+    loop = {"K_RB": cascade_ss(with_gains(params.krb_sections(), gains)),
             "O": cl.observer(params),
             "K_FM": cascade_ss(params.kfm_sections())}
     name, left, right = cl._slot
@@ -102,6 +100,15 @@ def reference_blocks(cl, params):
     scaled = {"G": cl._g_plant, name: lmul(left, rmul(loop[name], right)),
               "K_RB": cascade_ss(params.krb_sections())}
     return scaled, loop
+
+
+def physical_krb(cl, params, gains):
+    """K_RB as ``cl`` realizes it for the full loop, with the unscaling
+    ``gains`` in place of the problem's."""
+    view = copy.copy(cl)
+    view._unscaling = np.asarray(gains, dtype=float)[:, None]
+    view._realized = (None, {}, {})
+    return view._realize(params)[1]["K_RB"]
 
 
 def outcome(fn):
@@ -163,20 +170,20 @@ class TestClosedFormRealization:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rows=krb_rows, data=st.data())
-    def test_krb_is_byte_equal_to_the_filter(self, rows, data):
-        """K_RB as M takes it, and with the gains that unscale it to
-        physical units, each as its sections' cascade."""
+    def test_krb_is_byte_equal_to_the_filter(self, problems, rows, data):
+        """K_RB as M takes it, and as the full loop takes it, unscaled to
+        physical units, each as its sections' cascade, the second with a
+        last section ``(gain, 1)`` per channel."""
         n = len(rows)
-        params = StructuredControllerParams(np.array(rows), np.zeros((1, 1)),
-                                            [], [], 1.0)
+        cl = problems("two_mass", "6block").cl
+        init = initial_params(cl)
+        params = StructuredControllerParams(np.array(rows), init.L, init.xi,
+                                            init.omega, init.Q)
         sections = params.krb_sections()
-        assert_same_bytes(diagonal_ss(sections), cascade_ss(sections))
-        wz, ww1 = (data.draw(st.lists(positive, min_size=n, max_size=n))
-                   for _ in range(2))
-        gains = _rb_unscaling(ScalingSet(wz, ww1), n)
-        scaled = params.krb_sections(gains)
-        assert [chan[-1] for chan in scaled] == [(k, 1.0) for k in gains]
-        assert_same_bytes(diagonal_ss(scaled), cascade_ss(scaled))
+        assert_same_bytes(cl._realize(params)[0]["K_RB"], cascade_ss(sections))
+        gains = data.draw(st.lists(positive, min_size=n, max_size=n))
+        assert_same_bytes(physical_krb(cl, params, gains),
+                          cascade_ss(with_gains(sections, gains)))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(modes=st.lists(st.tuples(signed, positive), min_size=0, max_size=3),
@@ -214,16 +221,24 @@ class TestClosedFormRealization:
         (4, 1e-170),   # w_lp^2 underflows to zero
         (3, 1e-310),   # 1 / w_pole overflows
     ])
-    def test_out_of_pattern_corners_realize_as_the_filter_does(self, column,
-                                                               value):
+    def test_out_of_pattern_corners_realize_as_the_filter_does(
+            self, problems, column, value):
+        """Also with a negative gain, which the problems' scalings never
+        give."""
+        cl = problems("two_mass", "6block").cl
+        init = initial_params(cl)
         krb = np.ones((2, 6))
         krb[1, column] = value
-        params = StructuredControllerParams(krb, np.zeros((1, 1)), [], [], 1.0)
+        params = StructuredControllerParams(krb, init.L, init.xi, init.omega,
+                                            init.Q)
         with np.errstate(all="ignore"):
-            for gains in (None, [2.0, -0.5]):
-                sections = params.krb_sections(gains)
-                want = outcome(lambda: cascade_ss(sections))
-                assert_same_outcome(outcome(lambda: diagonal_ss(sections)), want)
+            sections = params.krb_sections()
+            want = outcome(lambda: cascade_ss(sections))
+            assert_same_outcome(outcome(lambda: diagonal_ss(sections)), want)
+            gains = [2.0, -0.5]
+            assert_same_outcome(
+                outcome(lambda: physical_krb(cl, params, gains)),
+                outcome(lambda: cascade_ss(with_gains(sections, gains))))
         if value == 1e160:
             assert want.n_states == 7
 
@@ -290,6 +305,7 @@ class TestCompiledClose:
                 assert got is want
                 return
             scaled, loop = want
+            assert_same_bytes(got[1]["K_RB"], loop["K_RB"])
             assert_same_bytes(got[1][name], loop[name])
             assert_same_outcome(outcome(lambda: cl.evaluate(params)),
                                 outcome(lambda: route_declaration(cl._map, scaled)))

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from modalsyn.benchplant import make_two_mass
-from modalsyn.decoupling import (
-    apply_decoupling,
-    apply_decoupling_partitioned,
-    extended_input_decoupling,
-)
-from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
+from modalsyn.mechanics import evaluate_local
 from modalsyn.shaping import (
     ScalingSet,
     compute_scalings,
@@ -20,7 +14,9 @@ from modalsyn.statespace import (
     freq_response,
     hinf_norm,
 )
-from modalsyn.synthesis import ClosedLoopMap, StructuredControllerParams
+from modalsyn.synthesis import StructuredControllerParams
+from test_decoupling import decoupled_two_mass
+from test_synthesis import two_mass_map
 
 
 def mag(filt, f_hz):
@@ -28,30 +24,10 @@ def mag(filt, f_hz):
     return np.abs(diagonal_response(filt.channels, s))
 
 
-def decoupled_plant(p=0.3):
-    model = make_two_mass()
-    dec = modal_decompose(model)
-    pm = group_and_partition(dec, model, [1])
-    pair = extended_input_decoupling(pm, p, 1)
-    return apply_decoupling(evaluate_local(pm, p), pair)
-
-
-def two_mass_map(kind, f_bw=10.0, p=0.3):
-    """The ``kind`` map of the decoupled two-mass plant."""
-    model = make_two_mass()
-    dec = modal_decompose(model)
-    pm = group_and_partition(dec, model, [1])
-    dpm = apply_decoupling_partitioned(pm, extended_input_decoupling(pm, p, 1))
-    sc = compute_scalings(evaluate_local(dpm, p), [f_bw], [1e-4])
-    f_flex = float(dpm.omega[1]) / (2 * np.pi)
-    return ClosedLoopMap(kind, dpm, p, sc, design_weights([f_bw], [f_flex]),
-                         [1], Q=10.0, f_bw=[f_bw])
-
-
-def weight_layout(kind, f_bw=10.0, p=0.3):
+def weight_layout(kind):
     """The role of each weight block that a ``kind`` map places on M, found
     by matching each block's transfer against the roles' realizations."""
-    cl = two_mass_map(kind, f_bw, p)
+    cl = two_mass_map(kind)
     f_flex = float(cl.omega_ctrl[0]) / (2 * np.pi)
     points = 2j * np.pi * np.array([0.7, 7.0, f_flex, 300.0])
     layout = {}
@@ -225,7 +201,7 @@ class TestScalings:
             ScalingSet([0.0], [1.0])
 
     def test_scaled_plant_crosses_unity_at_bandwidth(self):
-        g = decoupled_plant()
+        g = evaluate_local(decoupled_two_mass(), 0.3)
         f_bw = 10.0
         sc = compute_scalings(g, [f_bw], [1e-4])
         np.testing.assert_allclose(sc.wz, [1e4])

@@ -13,7 +13,6 @@ from modalsyn.statespace import (
     NumericError,
     RationalDiagonalFilter,
     StateSpaceModel,
-    blockdiag,
     care_solve,
     diagonal_response,
     discretize_zoh,
@@ -22,12 +21,12 @@ from modalsyn.statespace import (
     hinf_norm,
     hinf_norm_grid,
     is_hurwitz,
-    series,
     simulate,
     spectral_abscissa,
 )
 from modalsyn import statespace
 from modalsyn.statespace import _CHUNK_ENTRIES, _CHUNK_ROWS
+from reference import blockdiag, series
 
 
 def random_stable(rng, n, m=1, p=1):

@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modalsyn import synthesis
-from modalsyn.benchplant import make_two_mass
-from modalsyn.decoupling import (
-    apply_decoupling_partitioned,
-    extended_input_decoupling,
-)
-from modalsyn.mechanics import evaluate_local, group_and_partition, modal_decompose
+from modalsyn.mechanics import evaluate_local
 from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     ModelError,
@@ -34,28 +29,22 @@ from modalsyn.synthesis import (
     StructuredControllerParams,
     _compass_search,
     _objective,
-    _rb_unscaling,
     close_full_loop,
     grid_stability_check,
     initial_params,
     rb_crossover,
     synthesize,
 )
+from reference import flexible_column, with_gains
+from test_decoupling import decoupled_two_mass
 
 F_BW = [10.0]
 EXPECTED_ERROR = [1e-4]
 
 
-def _decoupled_two_mass(p_star):
-    model = make_two_mass()
-    dec = modal_decompose(model)
-    pm = group_and_partition(dec, model, [1])
-    pair = extended_input_decoupling(pm, p_star, 1)
-    return apply_decoupling_partitioned(pm, pair)
-
-
-def _make_cl(kind, p_star=0.3, controlled=(1,)):
-    dpm = _decoupled_two_mass(p_star)
+def two_mass_map(kind, p_star=0.3, controlled=(1,)):
+    """The ``kind`` map of the two-mass model decoupled at ``p_star``."""
+    dpm = decoupled_two_mass(p_star)
     g_nom = evaluate_local(dpm, p_star)
     sc = compute_scalings(g_nom, F_BW, EXPECTED_ERROR)
     f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
@@ -66,12 +55,12 @@ def _make_cl(kind, p_star=0.3, controlled=(1,)):
 
 @pytest.fixture(scope="module")
 def cl6():
-    return _make_cl("6block")
+    return two_mass_map("6block")
 
 
 @pytest.fixture(scope="module")
 def cl4():
-    return _make_cl("4block")
+    return two_mass_map("4block")
 
 
 def _active_params(cl, xi=2.0):
@@ -191,7 +180,7 @@ class TestClosedLoopFormulas:
     def test_flexible_column_is_last_input(self, cl6):
         params = _active_params(cl6)
         M = cl6.evaluate(params)
-        col = cl6.flexible_column(params)
+        col = flexible_column(cl6, params)
         assert col.n_inputs == 1
         s = 2j * np.pi * 42.0
         np.testing.assert_allclose(col.transfer_at(s),
@@ -210,14 +199,14 @@ class TestClosedLoopFormulas:
 
 def test_unknown_kind_is_refused_by_name():
     with pytest.raises(ModelError, match="unknown interconnection kind '8block'"):
-        _make_cl("8block")
+        two_mass_map("8block")
 
 
 @pytest.mark.parametrize("mode", [0, 7])
 def test_controlled_mode_that_is_not_retained_is_refused_by_name(mode):
     with pytest.raises(ModelError, match=rf"mode {mode} is not in the "
                                          r"retained set \(1,\)"):
-        _make_cl("6block", controlled=[mode])
+        two_mass_map("6block", controlled=[mode])
 
 
 class TestStructuredParams:
@@ -281,14 +270,13 @@ class TestStructuredParams:
 
 class TestPhysicalController:
     def test_unscaling_gains(self, cl6):
+        """The full loop's K_RB is M's times W_w1_sc W_z_sc per channel."""
         params = initial_params(cl6)
-        kp = params.krb_sections(_rb_unscaling(cl6.scalings, cl6.n_rb))
         s = 2j * np.pi * 3.0
         expect = (cl6.scalings.ww1[0] * cl6.scalings.wz[0]
                   * diagonal_response(params.krb_sections(), [s])[0, 0])
-        assert _diag_eval(kp, s)[0] == pytest.approx(expect, rel=1e-12)
-        assert diagonal_ss(kp).transfer_at(s)[0, 0] == pytest.approx(expect,
-                                                                      rel=1e-9)
+        physical = cl6._realize(params)[1]["K_RB"]
+        assert physical.transfer_at(s)[0, 0] == pytest.approx(expect, rel=1e-9)
 
     def test_full_loop_dc_disturbance_rejection(self, cl6):
         """The loop reports the tracking error: integral action rejects a
@@ -310,7 +298,7 @@ class TestPhysicalController:
         params = _active_params(cl)
         g = evaluate_local(cl.pm, 0.8)
         closed = close_full_loop(g, cl, params)
-        kp = params.krb_sections(_rb_unscaling(cl.scalings, cl.n_rb))
+        kp = with_gains(params.krb_sections(), cl.scalings.ww1 * cl.scalings.wz)
         nrb, nfl, nc = cl.n_rb, cl.n_flex, cl.n_ctrl
         ny = g.n_outputs
         for f in np.logspace(-1, 3, 60):
@@ -405,8 +393,8 @@ class TestObjective:
             seen.append(dict(counts))
             assert val == hinf_norm(cl.evaluate(initial_params(cl).with_vector(x)),
                                     rel_tol=1e-5)
-        # K_RB scaled for M, K_RB physical and K_FM for the full loop
-        assert seen[0] == seen[1] == {"diagonal_ss": 3, "observer": 1}
+        # K_RB once, scaled for M and physical for the full loop, and K_FM
+        assert seen[0] == seen[1] == {"diagonal_ss": 2, "observer": 1}
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_crossover_after_evaluate_builds_nothing(self, cl6, cl4, kind,
