@@ -146,11 +146,24 @@ def _setting(key, config, args, default):
     return value
 
 
+def _point(pm, value, what):
+    """``value`` as a point of ``pm``'s scheduling box: numbers, as many as
+    the box has coordinates, each within its range."""
+    try:
+        p = np.atleast_1d(np.asarray(value, float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} {value!r} is not a list of numbers: {exc}")
+    if not pm.C.contains(p):
+        raise ConfigError(f"{what} {p.tolist()} is not in the model's "
+                          f"scheduling box {pm.C.domain.tolist()}")
+    return p
+
+
 def decoupled_model(config, args) -> DecoupledModel:
     """The model that ``--model`` or the config names, a benchmark or a
     model JSON file, decoupled at its design point; the design point comes
     from its flag, else the config, else the benchmark (a model file brings
-    none)."""
+    none), and must lie in the model's scheduling box."""
     name = getattr(args, "model", None) or config.get("model")
     if name is None:
         raise ConfigError("no model given (use --model or the 'model' key)")
@@ -163,12 +176,12 @@ def decoupled_model(config, args) -> DecoupledModel:
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"model file {name} is not a mechanical model: {exc!r}")
         name, p_star, grid = os.path.basename(name), None, None
-    p_star = np.atleast_1d(np.asarray(_setting("p_star", config, args, p_star),
-                                      float))
+    p_star = _setting("p_star", config, args, p_star)
     dec = modal_decompose(model)
     flexible = list(range(dec.n_rb, dec.n_modes))
     retain = _modes("retain", config.get("retain", flexible), flexible)
     pm = group_and_partition(dec, model, retain)
+    p_star = _point(pm, p_star, "the design point")
     # by default as many retained modes as the spare actuators can decouple
     n_flex_dec = _typed(int, "n_flex_decouple", config.get(
         "n_flex_decouple", max(0, min(pm.n_flex, pm.n_u - pm.n_rb))),
@@ -180,13 +193,15 @@ def decoupled_model(config, args) -> DecoupledModel:
 
 def build_problem(config, args, kind) -> DesignProblem:
     """The ``kind`` design problem on the decoupled model; the scheduling
-    grid comes from its flag, else the config, else the benchmark."""
+    grid comes from its flag, else the config, else the benchmark, and each
+    of its points must lie in the model's scheduling box."""
     model = decoupled_model(config, args)
     points = _setting("grid", config, args, model.bench_grid)
     try:
-        grid = [np.atleast_1d(np.asarray(p, float)) for p in points]
-    except (TypeError, ValueError) as exc:
+        points = list(points)
+    except TypeError as exc:
         raise ConfigError(f"the grid must be a list of scheduling points: {exc}")
+    grid = [_point(model.pm, p, "the scheduling point") for p in points]
     if not grid:
         raise ConfigError("the grid has no scheduling points")
     dpm, p_star = model.pm, model.p_star
@@ -279,22 +294,23 @@ def _run_synth(args, kind):
     band = ((1 - tol) * min(cl.f_bw), (1 + tol) * max(cl.f_bw))
     init = initial_params(cl, **_given(config, float, "q_weight", "v_weight"))
     starts = _given(config, int, "n_starts")
-    designs = {}
-    for label, view in DESIGNS:
-        res = synthesize(view(cl), init, budget=budget, seed=seed,
-                         grid_points=prob.grid, crossover_band=band, **starts)
-        designs[label] = res, grid_stability_check(cl, res.params, prob.grid)
+    designs = {label: synthesize(view(cl), init, budget=budget, seed=seed,
+                                 grid_points=prob.grid, crossover_band=band,
+                                 **starts)
+               for label, view in DESIGNS}
     out = _out_dir(args)
     doc = {"kind": kind, "model": prob.model.name, "seed": seed,
            "budget": budget, "config": config}
-    for label, (res, cert) in designs.items():
-        doc[label], doc[f"certificate_{label}"] = res.to_dict(), cert.to_dict()
+    for label, res in designs.items():
+        doc[label] = res.to_dict()
+        doc[f"certificate_{label}"] = res.certificate.to_dict()
         _channel_csv(os.path.join(out, f"{label}_channels.csv"),
                      cl.evaluate(res.params))
     _write_json(os.path.join(out, "results.json"), doc)
-    (res, cert), (conv, _) = designs.values()
+    res, conv = designs.values()
     print(f"{kind}: gamma {res.gamma:.4g} (conventional {conv.gamma:.4g}), "
-          f"{'certified' if cert.all_stable else 'NOT grid-stable'}; results in {out}")
+          f"{'certified' if res.certificate.all_stable else 'NOT grid-stable'}; "
+          f"results in {out}")
     return 0
 
 

@@ -628,14 +628,19 @@ def hinf_lower_bound(g: StateSpaceModel, poles=None):
     return lo, False, peak_hz
 
 
-def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6, lower=None) -> float:
+def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6, lower=None,
+              bar: float = math.inf) -> float:
     """H-infinity norm by bisection on a Hamiltonian imaginary-eigenvalue test.
 
     The bisection starts from ``lower``, what :func:`hinf_lower_bound`
     returns for ``g``, which is computed here when not given.  Every return
     is at least that bound, so a caller that only asks whether the norm is
-    below some threshold may stop at the bound.  Falls
-    back to a dense frequency grid, never below the bound, if the
+    below some threshold may stop at the bound.  A caller that asks only
+    whether the norm is below ``bar`` gets, as soon as the tests prove the
+    norm at or above ``bar``, that proven value ``lo >= bar``; the full
+    bisection, which never lowers ``lo``, would also have returned a value
+    at or above ``bar``, and below ``bar`` the two agree.  Falls back to a
+    dense frequency grid, never below what the tests have proven, if the
     Hamiltonian solve misbehaves.  Raises :class:`NumericError` as
     :func:`hinf_lower_bound` does and when the norm cannot be bracketed.
     """
@@ -646,23 +651,23 @@ def hinf_norm(g: StateSpaceModel, rel_tol: float = 1e-6, lower=None) -> float:
     try:
         hi = lo * (1 + 1e-3)
         for _ in range(80):
-            if not _hamiltonian_has_imag_eig(g, hi):
+            if lo >= bar or not _hamiltonian_has_imag_eig(g, hi):
                 break
             lo = hi
             hi *= 2.0
         else:
             raise NumericError("H-infinity bisection failed to bracket the norm")
-        while hi - lo > rel_tol * lo:
+        while lo < bar and hi - lo > rel_tol * lo:
             mid = 0.5 * (lo + hi)
             if _hamiltonian_has_imag_eig(g, mid):
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+        return lo if lo >= bar else 0.5 * (lo + hi)
     except la.LinAlgError:
         # ill-conditioned Hamiltonian solve: certified less tightly by dense
         # grid, which can miss a sharp peak that the bound's candidates hit
-        return max(bound, hinf_norm_grid(g, 100_000))
+        return max(lo, hinf_norm_grid(g, 100_000))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,14 @@ class StructuredControllerParams:
                    float(doc["Q"]))
 
 
+def _block_keys(params):
+    """The keys of K_RB, the observer O and K_FM: the bytes of the fields
+    each reads, ``krb``, ``L`` and ``xi``, ``omega`` and ``Q``.  Together
+    they key the whole parameter set."""
+    return (params.krb.tobytes(), params.L.tobytes(),
+            (params.xi.tobytes(), params.omega.tobytes(), params.Q))
+
+
 def initial_params(cl: "ClosedLoopMap", q_weight: float = 1e4,
                    v_weight: float = 1.0) -> StructuredControllerParams:
     """Default starting point: Riccati observer gain, xi = 0, and a classical
@@ -284,10 +292,12 @@ class ClosedLoopMap:
     ``kind`` names the declaration of :func:`_interconnections`, which fixes
     the observer design model at the design point ``p_star`` and places the
     shaping ``weights`` (a filter per role, as ``design_weights`` returns
-    them) on M's weight blocks; ``self.weights`` keeps them by role.  The
-    blocks that depend on the parameters are realized once for the last
-    ``params`` object seen and shared by M, the grid closure and the
-    crossover check, so a parameter set must not be mutated in place.
+    them) on M's weight blocks; ``self.weights`` keeps them by role.  Each
+    block that depends on the parameters is realized once per value of the
+    fields it reads, compared by their bytes (:func:`_block_keys`), and is
+    shared by M, the grid closure and the crossover check: a probe that
+    moves only K_RB realizes only K_RB, and keeps the inner loop and so the
+    identity of :meth:`g_delta`.
     """
 
     def __init__(self, kind, pm, p_star, scalings, weights, controlled_modes,
@@ -323,7 +333,9 @@ class ClosedLoopMap:
             embed, left, right)
         self.Psi = selection_matrix(pm, positions, self.observer_model.n_states)
         self._columns = None              # columns of M kept by evaluate
-        self._realized = (None, {}, {})
+        # block name -> (key, realization) of its last value; a
+        # ConventionalView shares this dict with its map
+        self._blocks = {}
         # (g_delta, n_points, response) of the last crossover sweep: the
         # scaled plant of the error-based problem does not depend on params
         self._gd_response = (None, 0, None)
@@ -333,25 +345,40 @@ class ClosedLoopMap:
         """Modal observer realization for the gain ``params.L``."""
         return modal_observer(self.observer_model, params.L, self.Psi)
 
+    def _block(self, name, key, build):
+        """``build()``, called only when the last key of ``name`` differs."""
+        seen = self._blocks.get(name)
+        if seen is None or seen[0] != key:
+            seen = self._blocks[name] = (key, build())
+        return seen[1]
+
     def _realize(self, params):
         """Blocks of M (scaled) and of the full loop (physical) for
-        ``params``, realized only when ``params`` is not the object seen last;
-        the entry holds that object, so its id stays taken.  The full loop
-        always takes its plant ``G`` from the caller.  K_RB is realized once:
-        the full loop's copy has each output row times its unscaling gain,
-        the arithmetic of a last section ``(gain, 1)`` in :func:`diagonal_ss`."""
-        if self._realized[0] is not params:
+        ``params``.  K_RB, the observer O and K_FM are each realized again
+        only when the fields they read change, and the inner loop only when
+        O or K_FM does.  The full loop always takes its plant ``G`` from the
+        caller.  K_RB is realized once: the full loop's copy has each output
+        row times its unscaling gain, the arithmetic of a last section
+        ``(gain, 1)`` in :func:`diagonal_ss`."""
+        keys = _block_keys(params)
+        return self._block("M", keys, lambda: self._assemble(params, *keys))
+
+    def _assemble(self, params, key_rb, key_o, key_fm):
+        def krb():
             K, k = diagonal_ss(params.krb_sections()), self._unscaling
-            loop = {"K_RB": StateSpaceModel._built(K.A, K.B, 0.0 + k * K.C,
-                                                   0.0 + k * K.D),
-                    "O": self.observer(params),
-                    "K_FM": diagonal_ss(params.kfm_sections())}
-            name, left, right = self._slot
-            loop[name] = self._inner.close(loop)
-            scaled = {"G": self._g_plant,
-                      name: lmul(left, rmul(loop[name], right)), "K_RB": K}
-            self._realized = (params, scaled, loop)
-        return self._realized[1:]
+            return K, StateSpaceModel._built(K.A, K.B, 0.0 + k * K.C, 0.0 + k * K.D)
+
+        def inner():
+            closed = self._inner.close(loop)
+            return closed, lmul(left, rmul(closed, right))
+        K, physical = self._block("K_RB", key_rb, krb)
+        loop = {"K_RB": physical,
+                "O": self._block("O", key_o, lambda: self.observer(params)),
+                "K_FM": self._block("K_FM", key_fm,
+                                    lambda: diagonal_ss(params.kfm_sections()))}
+        name, left, right = self._slot
+        loop[name], scaled = self._block(name, (key_o, key_fm), inner)
+        return {"G": self._g_plant, name: scaled, "K_RB": K}, loop
 
     def g_delta(self, params) -> StateSpaceModel:
         """Scaled plant seen by the synthesis loop.
@@ -443,17 +470,23 @@ class GridCertificate:
                 "abscissa": list(self.abscissa)}
 
 
+def _certificate(grid_points, abscissa) -> GridCertificate:
+    """The certificate of a full loop whose slowest pole at each of
+    ``grid_points`` has the real part in ``abscissa``."""
+    return GridCertificate(
+        tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in grid_points),
+        tuple(bool(a < 0) for a in abscissa), tuple(float(a) for a in abscissa))
+
+
+def _grid_abscissa(cl, params, grid_local):
+    """Spectral abscissa of the full loop closed around each frozen plant."""
+    return [spectral_abscissa(close_full_loop(g, cl, params)) for g in grid_local]
+
+
 def grid_stability_check(cl: ClosedLoopMap, params, grid_points) -> GridCertificate:
     """Close the full structured loop at every frozen point of the grid."""
-    points, flags, absc = [], [], []
-    for p in grid_points:
-        g = evaluate_local(cl.pm, p)
-        closed = close_full_loop(g, cl, params)
-        a = spectral_abscissa(closed)
-        points.append(np.atleast_1d(np.asarray(p, dtype=float)))
-        flags.append(bool(a < 0))
-        absc.append(float(a))
-    return GridCertificate(tuple(points), tuple(flags), tuple(absc))
+    return _certificate(grid_points, _grid_abscissa(
+        cl, params, [evaluate_local(cl.pm, p) for p in grid_points]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +495,17 @@ def grid_stability_check(cl: ClosedLoopMap, params, grid_points) -> GridCertific
 
 @dataclass
 class SynthesisResult:
+    """What :func:`synthesize` returns.  ``certificate`` is the grid
+    certificate of ``params``, as :func:`grid_stability_check` gives it,
+    taken from the search's own grid closure (None without a grid); it is
+    not part of :meth:`to_dict`."""
+
     params: StructuredControllerParams
     gamma: float
     log: list                # (n_evals, gamma): x0, then each improvement
     n_evals: int
     stable: bool
+    certificate: GridCertificate | None = None
 
     def to_dict(self):
         return {"params": self.params.to_dict(), "gamma": self.gamma,
@@ -485,7 +524,8 @@ def _penalty(base, excess):
     return base * (1.0 + excess / (1.0 + excess))
 
 
-def _objective(cl, template, grid_points=None, crossover_band=None):
+def _objective(cl, template, grid_points=None, crossover_band=None,
+               certified=None):
     """Objective ``f(vec, bar=inf) -> value``.
 
     The value is ||M||_inf for a vector that passes every constraint and a
@@ -505,9 +545,12 @@ def _objective(cl, template, grid_points=None, crossover_band=None):
       bound already reaches ``bar`` returns that bound, which is at most
       its value, without the grid closure, the crossover check or the norm.
 
-    The poles of M serve both the stability test and the bound, so M is
-    eigensolved once.  A bound or norm that cannot be computed scores
-    ``PENALTY_BASE`` whatever the ``bar``.
+    The same ``bar`` stops the norm's bisection once it has proven the norm
+    at or above it.  The poles of M serve both the stability test and the
+    bound, so M is eigensolved once.  A bound or norm that cannot be
+    computed scores ``PENALTY_BASE`` whatever the ``bar``.  For each exact
+    value below ``bar`` with a grid, the dict ``certified`` gets the grid
+    closure's abscissa per point under the parameters' :func:`_block_keys`.
     """
     grid_local = ([evaluate_local(cl.pm, p) for p in grid_points]
                   if grid_points is not None else None)
@@ -537,8 +580,8 @@ def _objective(cl, template, grid_points=None, crossover_band=None):
             if lower[0] >= bar <= PENALTY_BASE / 10:
                 return lower[0]
             if grid_local is not None:
-                worst = max(spectral_abscissa(close_full_loop(g, cl, params))
-                            for g in grid_local)
+                abscissa = _grid_abscissa(cl, params, grid_local)
+                worst = max(abscissa)
                 if not worst < 0:
                     return _penalty(PENALTY_BASE / 10, worst)
             if crossover_band is not None:
@@ -550,11 +593,14 @@ def _objective(cl, template, grid_points=None, crossover_band=None):
                 if miss.max() > 0:
                     return PENALTY_BASE / 10 + float(miss.max())
             try:
-                value = hinf_norm(M, rel_tol=NORM_TOL, lower=lower)
+                value = hinf_norm(M, rel_tol=NORM_TOL, lower=lower,
+                                  bar=bar if bar <= PENALTY_BASE / 10 else math.inf)
             except NumericError:
                 return PENALTY_BASE
             if value < bar:
                 peak_hz = lower[2]
+                if certified is not None and grid_local is not None:
+                    certified[_block_keys(params)] = abscissa
             return value
         except (NumericError, ModelError, FloatingPointError, la.LinAlgError):
             # a stage that cannot compute scores as a realization failure
@@ -621,16 +667,29 @@ def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
     loop's unity-gain crossing inside the band, preserving the target
     bandwidth while the flexible channel is shaped.  For a
     :class:`ConventionalView` the flexible-mode gains xi stay at ``init``'s.
+    With ``grid_points``, a sequence, the result's certificate is the one
+    the search computed for the returned parameters; the grid is closed
+    again only for parameters the search never certified (``budget`` 0
+    from a penalized ``init``).
     """
-    f = _objective(cl, init, grid_points, crossover_band)
+    certified = {}
+    f = _objective(cl, init, grid_points, crossover_band, certified)
+
+    def result(params, gamma, log, n_evals, stable):
+        cert = None
+        if grid_points is not None:
+            abscissa = certified.get(_block_keys(params))
+            cert = (grid_stability_check(cl, params, grid_points) if abscissa is None
+                    else _certificate(grid_points, abscissa))
+        return SynthesisResult(params, float(gamma), log, n_evals, stable, cert)
+
     x0 = init.to_vector()
     frozen = np.zeros(x0.size, bool)
     if isinstance(cl, ConventionalView):
         frozen[x0.size - init.xi.size:] = True
     g0 = f(x0)
     if budget <= 0:
-        return SynthesisResult(init, float(g0), [(1, float(g0))], n_evals=1,
-                               stable=bool(g0 < PENALTY_BASE / 10))
+        return result(init, g0, [(1, float(g0))], 1, bool(g0 < PENALTY_BASE / 10))
     rng = np.random.default_rng(seed)
     starts = [x0]
     for _ in range(max(n_starts - 1, 0)):
@@ -653,5 +712,4 @@ def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
     if not best_val < PENALTY_BASE / 10:
         raise NumericError("no stabilizing parameters found within budget; "
                            f"best penalized objective {best_val:.6g}")
-    return SynthesisResult(init.with_vector(best_x), float(best_val), log,
-                           n_evals=used, stable=True)
+    return result(init.with_vector(best_x), best_val, log, used, True)

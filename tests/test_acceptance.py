@@ -6,6 +6,7 @@ The co-design runs are shared module-scoped fixtures; every numeric target
 is checked at the stated tolerance.
 """
 
+import argparse
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import scipy.linalg as la
 
 from modalsyn.benchplant import by_name
+from modalsyn.cli import build_problem
 from modalsyn.decoupling import (
     apply_decoupling_partitioned,
     extended_input_decoupling,
@@ -25,7 +27,6 @@ from modalsyn.mechanics import (
     modal_decompose,
 )
 from modalsyn.observer import truncate_with_compliance
-from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     StateSpaceModel,
     care_solve,
@@ -36,7 +37,6 @@ from modalsyn.statespace import (
     simulate,
 )
 from modalsyn.synthesis import (
-    ClosedLoopMap,
     ConventionalView,
     StructuredControllerParams,
     close_full_loop,
@@ -62,35 +62,22 @@ def report(num, ok, text):
 # shared problem setups and co-design runs
 # ---------------------------------------------------------------------------
 
-def two_mass_problem(kind, **weight_kw):
-    spec = by_name("two_mass")
-    dec = modal_decompose(spec.model)
-    pm = group_and_partition(dec, spec.model, [1])
-    pair = extended_input_decoupling(pm, spec.p_star, 1)
-    dpm = apply_decoupling_partitioned(pm, pair)
-    g_nom = evaluate_local(dpm, spec.p_star)
-    sc = compute_scalings(g_nom, [10.0], [1e-4])
-    f_flex = [float(dpm.omega[1]) / (2 * np.pi)]
-    kw = dict(eps=EPS_DAMP)
-    kw.update(weight_kw)
-    ws = design_weights([10.0], f_flex, **kw)
-    return ClosedLoopMap(kind, dpm, spec.p_star, sc, ws, [1], Q=10.0,
-                         f_bw=[10.0])
+def _problem(kind, model, n_rb, mode, **weights):
+    """The ``kind`` map of ``model`` as the CLI builds it: ``n_rb`` channels
+    at 10 Hz, and the flexible ``mode`` retained, decoupled and controlled."""
+    config = {"model": model, "f_bw": [10.0] * n_rb,
+              "expected_error": [1e-4] * n_rb, "retain": [mode],
+              "controlled": [mode], "n_flex_decouple": 1,
+              "weights": {"eps": EPS_DAMP, **weights}}
+    return build_problem(config, argparse.Namespace(), kind).cl
+
+
+def two_mass_problem(kind, **weights):
+    return _problem(kind, "two_mass", 1, 1, **weights)
 
 
 def mmpa_problem(kind="6block"):
-    spec = by_name("mmpa_lite")
-    dec = modal_decompose(spec.model)
-    pm = group_and_partition(dec, spec.model, [3])
-    pair = extended_input_decoupling(pm, spec.p_star, 1)
-    dpm = apply_decoupling_partitioned(pm, pair)
-    g_nom = evaluate_local(dpm, spec.p_star)
-    f_bw = [10.0, 10.0, 10.0]
-    sc = compute_scalings(g_nom, f_bw, [1e-4] * 3)
-    f_flex = [float(dpm.omega[3]) / (2 * np.pi)]
-    ws = design_weights(f_bw, f_flex, eps=EPS_DAMP)
-    return ClosedLoopMap(kind, dpm, spec.p_star, sc, ws, [3], Q=10.0,
-                         f_bw=f_bw)
+    return _problem(kind, "mmpa_lite", 3, 3)
 
 
 def flexible_peak_db(cl, params, f_lo=-1, f_hi=4, n=3000):

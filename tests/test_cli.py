@@ -257,6 +257,37 @@ class TestErrors:
         assert main(["synth6", "--config", cfg, "--grid", "[]",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--grid", "[2.5]"], "the scheduling point [2.5]"),
+        (["--grid", "[[0.1, 0.2]]"], "the scheduling point [0.1, 0.2]"),
+        (["--p-star", "2.5"], "the design point [2.5]")])
+    def test_point_outside_the_box_is_usage_error(self, tmp_path, capsys,
+                                                  flags, named):
+        """A design or grid point outside the scheduling box, or of another
+        dimension, is named with the box before any search runs."""
+        cfg = write_config(tmp_path / "config.json")
+        assert main(["synth6", "--config", cfg, *flags,
+                     "--out", str(tmp_path)]) == 2
+        assert (f"{named} is not in the model's scheduling box [[0.0, 1.0]]"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [["--p-star", '"a"'],
+                                       ["--p-star", "[[0.1], [0.2, 0.3]]"],
+                                       ["--grid", '[["a"]]'], ["--grid", "2.5"]])
+    def test_point_that_is_not_numbers_is_usage_error(self, tmp_path, flags):
+        """A design point that numpy cannot read as numbers exits 2, as a
+        grid that is not a list of such points does."""
+        cfg = write_config(tmp_path / "config.json")
+        assert main(["synth6", "--config", cfg, *flags,
+                     "--out", str(tmp_path)]) == 2
+
+    def test_gridcheck_point_outside_the_box_is_usage_error(self, synth_run,
+                                                            tmp_path, capsys):
+        _, out = synth_run
+        assert main(["gridcheck", os.path.join(out, "results.json"), "--grid",
+                     "[2.5]", "--out", str(tmp_path)]) == 2
+        assert "[2.5] is not in the model's scheduling box" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sim", [{"dt": 0}, {"dt": -1e-3},
                                      {"duration": 0}, {"duration": -1.0},
                                      {"dt": 0.1, "duration": 0.1},

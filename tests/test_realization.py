@@ -107,7 +107,7 @@ def physical_krb(cl, params, gains):
     ``gains`` in place of the problem's."""
     view = copy.copy(cl)
     view._unscaling = np.asarray(gains, dtype=float)[:, None]
-    view._realized = (None, {}, {})
+    view._blocks = {}                 # a copy shares its map's cache
     return view._realize(params)[1]["K_RB"]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modalsyn import synthesis
+from modalsyn import cli, statespace, synthesis
 from modalsyn.mechanics import evaluate_local
 from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
@@ -37,6 +38,7 @@ from modalsyn.synthesis import (
 )
 from reference import flexible_column, with_gains
 from test_decoupling import decoupled_two_mass
+from test_realization import assert_same_bytes
 
 F_BW = [10.0]
 EXPECTED_ERROR = [1e-4]
@@ -356,10 +358,10 @@ class TestGridCertificate:
         assert not cert.all_stable
 
 
-def _count_realizations(monkeypatch):
-    """Count the realizations of the controller's rational diagonals and the
-    observer builds."""
-    counts = dict.fromkeys(("diagonal_ss", "observer"), 0)
+def _count_calls(monkeypatch, targets):
+    """Count the calls of package functions: ``targets`` maps each key to
+    the ``(module, name)`` attributes whose calls it counts."""
+    counts = dict.fromkeys(targets, 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -367,11 +369,17 @@ def _count_realizations(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(synthesis, "diagonal_ss",
-                        counting("diagonal_ss", synthesis.diagonal_ss))
-    monkeypatch.setattr(synthesis, "modal_observer",
-                        counting("observer", synthesis.modal_observer))
+    for key, attrs in targets.items():
+        for module, name in attrs:
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     return counts
+
+
+def _count_realizations(monkeypatch):
+    """Count the realizations of the controller's rational diagonals and the
+    observer builds."""
+    return _count_calls(monkeypatch, {"diagonal_ss": [(synthesis, "diagonal_ss")],
+                                      "observer": [(synthesis, "modal_observer")]})
 
 
 class TestObjective:
@@ -383,6 +391,7 @@ class TestObjective:
                                                      monkeypatch):
         cl = cl6 if kind == "6block" else cl4
         x = _active_params(cl).to_vector()
+        cl._blocks.clear()
         counts = _count_realizations(monkeypatch)
         seen = []
         for n in (1, 11):
@@ -393,8 +402,10 @@ class TestObjective:
             seen.append(dict(counts))
             assert val == hinf_norm(cl.evaluate(initial_params(cl).with_vector(x)),
                                     rel_tol=1e-5)
-        # K_RB once, scaled for M and physical for the full loop, and K_FM
-        assert seen[0] == seen[1] == {"diagonal_ss": 2, "observer": 1}
+        # K_RB once, scaled for M and physical for the full loop, and K_FM;
+        # the second objective finds every block realized for x
+        assert seen == [{"diagonal_ss": 2, "observer": 1},
+                        {"diagonal_ss": 0, "observer": 0}]
 
     @pytest.mark.parametrize("kind", ["6block", "4block"])
     def test_crossover_after_evaluate_builds_nothing(self, cl6, cl4, kind,
@@ -565,6 +576,148 @@ class TestObjective:
             want = (PENALTY_BASE if (stage, exc) == ("hinf_norm", NumericError)
                     else 10 * PENALTY_BASE)
             assert val == want, exc
+
+
+class TestReuse:
+    """The map realizes each block once per value of the fields it reads,
+    the search's grid closure is the certificate, and the norm stops at the
+    bar; every output stays what a fresh computation gives."""
+
+    GRID = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_a_krb_probe_realizes_krb_alone(self, cl6, cl4, kind, monkeypatch):
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x = _active_params(cl).to_vector()
+        before = cl._realize(init.with_vector(x))[0]
+        gd = cl.g_delta(init.with_vector(x))
+        x[0] += 0.1                               # log10 of K_RB's gain
+        counts = _count_calls(monkeypatch, {
+            "diagonal_ss": [(synthesis, "diagonal_ss")],
+            "observer": [(synthesis, "modal_observer")],
+            "inner": [(cl._inner, "close")]})
+        probe = init.with_vector(x)
+        after = cl._realize(probe)[0]
+        assert counts == {"diagonal_ss": 1, "observer": 0, "inner": 0}
+        assert cl.g_delta(probe) is gd
+        name = cl._slot[0]
+        assert after[name] is before[name] and after["K_RB"] is not before["K_RB"]
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_a_second_crossover_solves_no_response(self, cl6, cl4, kind,
+                                                    monkeypatch):
+        """After one crossover check, another for the same parameters or a
+        probe that moves only K_RB computes no frequency response."""
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x = _active_params(cl).to_vector()
+        first = rb_crossover(cl, init.with_vector(x))
+        counts = _count_calls(monkeypatch,
+                              {"freq_response": [(synthesis, "freq_response")]})
+        np.testing.assert_array_equal(rb_crossover(cl, init.with_vector(x)), first)
+        x[0] += 0.1
+        rb_crossover(cl, init.with_vector(x))
+        assert counts == {"freq_response": 0}
+
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    @pytest.mark.parametrize("field", ["krb", "L", "xi", "omega", "Q"])
+    def test_a_field_changed_in_place_is_realized_again(self, kind, field):
+        """Each block's key covers every field it reads: a parameter set
+        changed in place after an evaluation gives what a fresh realization
+        gives, for M and for the full loop."""
+        cl = two_mass_map(kind)
+        params = StructuredControllerParams.from_dict(_active_params(cl).to_dict())
+        cl.evaluate(params)
+        close_full_loop(cl.plant, cl, params)
+        if field == "Q":
+            object.__setattr__(params, "Q", 1.1 * params.Q)
+        else:
+            getattr(params, field)[...] *= 1.1
+        got = cl.evaluate(params), close_full_loop(cl.plant, cl, params)
+        cl._blocks.clear()
+        want = cl.evaluate(params), close_full_loop(cl.plant, cl, params)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+
+    @pytest.mark.parametrize("case", ["6block", "4block", "conventional",
+                                      "later start", "budget 0"])
+    def test_certificate_is_the_grid_check_of_the_result(self, cl6, cl4, case,
+                                                         monkeypatch):
+        """The result's certificate equals a fresh grid check of the
+        returned parameters; the search's own closure gives it, except for a
+        penalized initialization at budget 0, which no search certified."""
+        cl = cl4 if case == "4block" else cl6
+        init = initial_params(cl)
+        run = dict(budget=20, seed=0, n_starts=1)
+        if case == "later start":
+            run.update(budget=45, n_starts=3)
+        elif case == "budget 0":
+            init = StructuredControllerParams(init.krb * np.array([1e4, 1, 1, 1, 1, 1]),
+                                              init.L, init.xi, init.omega, init.Q)
+            run.update(budget=0)
+        checks = _count_calls(monkeypatch, {
+            "grid": [(synthesis, "grid_stability_check")]})
+        view = ConventionalView(cl) if case == "conventional" else cl
+        res = synthesize(view, init, grid_points=self.GRID,
+                         crossover_band=TestObjective.BAND, **run)
+        if case == "later start":
+            assert res.log[-1][0] == res.n_evals      # not the first start's
+        assert res.stable == (case != "budget 0")
+        assert checks == {"grid": int(case == "budget 0")}
+        want = grid_stability_check(cl, res.params, self.GRID)
+        assert res.certificate.to_dict() == want.to_dict()
+
+    def test_no_grid_gives_no_certificate(self, cl6):
+        assert synthesize(cl6, initial_params(cl6), budget=5,
+                          n_starts=1).certificate is None
+
+    def test_the_norm_stops_at_the_bar(self):
+        """On the random systems of acceptance criterion 4, the norm given a
+        bar is at or above it exactly when the full bisection is, and the
+        same value otherwise."""
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            A = rng.standard_normal((n, n))
+            A -= (np.max(la.eigvals(A).real) + 0.5) * np.eye(n)
+            g = StateSpaceModel(A, rng.standard_normal((n, 2)),
+                                rng.standard_normal((2, n)),
+                                0.1 * rng.standard_normal((2, 2)))
+            full = hinf_norm(g)
+            bound = hinf_lower_bound(g)[0]
+            for b in (0.5 * bound, bound, 0.5 * (bound + full),
+                      full * (1 - 1e-7), full, full * (1 + 1e-7), 2 * full):
+                got = hinf_norm(g, bar=b)
+                assert (got >= b) == (full >= b), b
+                assert got >= b or got == full, b
+
+
+def test_synth6_on_mmpa_lite_does_each_job_once(tmp_path, monkeypatch):
+    """A small synth6 run on mmpa_lite counts the work it repeats.  Its
+    budget-12 probes move only K_RB, so one observer and one crossover sweep
+    serve both designs (the other two responses are the channel CSVs), and
+    the certificates come from the search's grid closures (6 x 25 points)."""
+    counts = _count_calls(monkeypatch, {
+        "freq_response": [(synthesis, "freq_response"), (cli, "freq_response")],
+        "modal_observer": [(synthesis, "modal_observer")],
+        "close_full_loop": [(synthesis, "close_full_loop"),
+                            (cli, "close_full_loop")],
+        "grid_stability_check": [(synthesis, "grid_stability_check"),
+                                 (cli, "grid_stability_check")],
+        "hamiltonian_test": [(statespace, "_hamiltonian_has_imag_eig")],
+        "dense_grid_fallback": [(statespace, "hinf_norm_grid")]})
+    config = {"model": "mmpa_lite", "f_bw": [10.0] * 3,
+              "expected_error": [1e-4] * 3, "retain": [3], "controlled": [3],
+              "n_flex_decouple": 1, "budget": 12, "n_starts": 1,
+              "weights": {"eps": 0.05}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["synth6", "--config", str(path), "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    assert counts == {"freq_response": 3, "modal_observer": 1,
+                      "close_full_loop": 150, "grid_stability_check": 0,
+                      "hamiltonian_test": 48, "dense_grid_fallback": 0}
 
 
 class TestOptimizer:
