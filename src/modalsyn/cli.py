@@ -386,9 +386,14 @@ def cmd_simulate(args):
     out = _out_dir(args)
     rows = {"t": np.arange(n) * dt}
     rms = {}
-    for label, params in _designs(doc).items():
-        closed = close_full_loop(cl.plant, cl, params)
-        _, _, y = simulate(closed, w, dt)
+    designs = _designs(doc)
+    if not designs:
+        raise ConfigError("results file has no design to simulate")
+    # every design's loop has one shape, so all step in one recurrence
+    _, _, ys = simulate([close_full_loop(cl.plant, cl, params)
+                         for params in designs.values()], w, dt)
+    for i, label in enumerate(designs):
+        y = ys[:, i]
         for j in range(y.shape[1]):
             rows[f"{label}_y{j}"] = y[:, j]
         rms[label] = float(np.sqrt(np.mean(y ** 2)))

@@ -737,18 +737,41 @@ def discretize_zoh(g: StateSpaceModel, dt: float):
     return E[:n, :n], E[:n, n:]
 
 
-def simulate(g: StateSpaceModel, inputs, dt: float, x0=None):
+def simulate(systems, inputs, dt: float, x0=None):
     """Fixed-step ZOH simulation; returns (t, states, outputs).
 
-    ``inputs`` has shape (n_samples, n_inputs); the input is held constant
-    over each step.  Outputs are y[k] = C x[k] + D u[k].
+    ``systems`` is one :class:`StateSpaceModel`, or a non-empty sequence of
+    models of one shape (n states, m inputs, p outputs) that are all driven
+    by the same ``inputs``.  ``inputs`` has shape (n_samples, m); the input
+    is held constant over each step.  Outputs are y[k] = C x[k] + D u[k].
+    One model gives states (n_samples, n) and outputs (n_samples, p), with
+    ``x0`` of n entries; a sequence of n_sys models gives
+    (n_samples, n_sys, n) and (n_samples, n_sys, p), with ``x0`` of shape
+    (n_sys, n), one row per system.  ``x0`` defaults to zero.
 
-    The samples are processed in blocks of at most ``_CHUNK_ROWS`` rows: the
-    input terms Bd u[k] and the outputs of a block are each one stacked
-    ``np.matvec``, so only x[k+1] = Ad x[k] + Bd u[k] runs step by step and
-    the temporaries beyond the returned arrays stay bounded.  The result is
-    bit-identical to evaluating every term one step at a time.
+    Every system advances in one recurrence, a model alone as a stack of
+    one: the samples are processed in blocks of at most ``_CHUNK_ROWS``
+    rows, the input terms Bd u[k] and the outputs of a block are each one
+    stacked ``np.matvec``, and only x[k+1] = Ad x[k] + Bd u[k] runs step
+    by step, one ``np.matvec`` and one add over the whole stack per step.
+    So n_sys systems cost about one system's Python overhead, and the
+    temporaries beyond the returned arrays stay bounded.  The stacked
+    ``np.matvec`` forms each system's product from that system's operands
+    with the summation of the product alone, and the add is elementwise,
+    so each system's slice is bit-identical to simulating it by itself,
+    one term and one step at a time.
     """
+    single = isinstance(systems, StateSpaceModel)
+    gs = [systems] if single else list(systems)
+    if not gs:
+        raise ModelError("simulate needs at least one system")
+    g = gs[0]
+    shape = (g.n_states, g.n_inputs, g.n_outputs)
+    for i, h in enumerate(gs):
+        if (h.n_states, h.n_inputs, h.n_outputs) != shape:
+            raise ModelError(
+                f"system {i} has (n, m, p) = "
+                f"{(h.n_states, h.n_inputs, h.n_outputs)}, system 0 {shape}")
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
     if u.shape[1] != g.n_inputs and u.shape[0] == g.n_inputs:
         u = u.T
@@ -758,19 +781,39 @@ def simulate(g: StateSpaceModel, inputs, dt: float, x0=None):
         raise ModelError("need at least 2 input samples")
     if not np.all(np.isfinite(u)):
         raise ModelError("non-finite input samples")
-    Ad, Bd = discretize_zoh(g, dt)
-    n = g.n_states
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-    if x.size != n:
-        raise ModelError("x0 has wrong dimension")
+    n, n_sys = g.n_states, len(gs)
+    x = np.zeros((n_sys, n)) if x0 is None else np.asarray(x0, dtype=float)
+    if single and x.size == n:
+        x = x.reshape(1, n)
+    if x.shape != (n_sys, n):
+        raise ModelError(f"x0 has shape {x.shape}, not " + (
+            f"{n} entries" if single else f"{(n_sys, n)}: one row per system"))
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ModelError(f"non-finite x0 of system {bad[0]}")
+    Ad, Bd = (np.stack(mats) for mats in zip(*(discretize_zoh(h, dt) for h in gs)))
+    X, Y = _zoh_recurrence(Ad, Bd, np.stack([h.C for h in gs]),
+                           np.stack([h.D for h in gs]), u, x)
+    t = np.arange(u.shape[0]) * dt
+    return (t, X[:, 0], Y[:, 0]) if single else (t, X, Y)
+
+
+def _zoh_recurrence(Ad, Bd, C, D, u, x0):
+    """States (n_samples, n_sys, n) and outputs (n_samples, n_sys, p) of
+    x[k+1] = Ad x[k] + Bd u[k], y[k] = C x[k] + D u[k] for the stacked
+    matrices of n_sys systems from x[0] = ``x0`` (n_sys, n), in blocks of
+    ``_CHUNK_ROWS`` samples; each step writes into the next row of the
+    states in place."""
     n_s = u.shape[0]
-    X = np.empty((n_s, n))
-    Y = np.empty((n_s, g.n_outputs))
+    X = np.empty((n_s, *x0.shape))
+    Y = np.empty((n_s, x0.shape[0], C.shape[1]))
+    X[0] = x0
     for s in range(0, n_s, _CHUNK_ROWS):
         rows = slice(s, s + _CHUNK_ROWS)
-        for k, bu in enumerate(np.matvec(Bd, u[rows]), start=s):
-            X[k] = x
-            x = Ad @ x + bu
-        Y[rows] = np.matvec(g.C, X[rows]) + np.matvec(g.D, u[rows])
-    t = np.arange(n_s) * dt
-    return t, X, Y
+        us = u[rows, None, :]
+        xs = list(X[s:s + _CHUNK_ROWS + 1])   # and the next block's first row
+        for cur, nxt, bu in zip(xs, xs[1:], np.matvec(Bd, us)):
+            np.matvec(Ad, cur, out=nxt)
+            np.add(nxt, bu, out=nxt)
+        Y[rows] = np.matvec(C, X[rows]) + np.matvec(D, us)
+    return X, Y

@@ -657,7 +657,9 @@ def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
     (``init`` itself, then seeded perturbations of it) runs a compass search
     on an equal share of ``budget``, at least one evaluation, so ``n_evals``
     is 1 plus the sum of the starts' counts, which ``budget`` does not cap.
-    ``budget`` 0 returns the initialization unchanged.  The log holds
+    ``budget`` 0 returns the initialization as the search evaluated it,
+    ``init.with_vector(init.to_vector())``, whose K_RB may differ from
+    ``init``'s in the last bit, so that γ is that θ's.  The log holds
     the initial value, the first start's moves and, when another start ends
     lower, its best value.  Unstable candidates are scored by a
     penalty on the spectral abscissa, which doubles as the stabilization
@@ -689,7 +691,8 @@ def synthesize(cl: ClosedLoopMap, init: StructuredControllerParams,
         frozen[x0.size - init.xi.size:] = True
     g0 = f(x0)
     if budget <= 0:
-        return result(init, g0, [(1, float(g0))], 1, bool(g0 < PENALTY_BASE / 10))
+        return result(init.with_vector(x0), g0, [(1, float(g0))], 1,
+                      bool(g0 < PENALTY_BASE / 10))
     rng = np.random.default_rng(seed)
     starts = [x0]
     for _ in range(max(n_starts - 1, 0)):

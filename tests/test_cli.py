@@ -321,6 +321,18 @@ class TestErrors:
         assert main([command, str(path), "--out", str(tmp_path)]) == 2
         assert "'proposed' design" in capsys.readouterr().err
 
+    def test_results_without_a_design_cannot_be_simulated(self, synth_run,
+                                                          tmp_path, capsys):
+        _, out = synth_run
+        with open(os.path.join(out, "results.json")) as fh:
+            doc = json.load(fh)
+        for label in ("proposed", "conventional"):
+            doc.pop(label, None)
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+        assert "no design to simulate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         pytest.param(key, "abc", id=key) for key in ("budget", "seed", "n_starts")
     ] + [("Q", "abc"), ("Q", [10.0]), ("q_weight", "abc"), ("v_weight", [1.0]),

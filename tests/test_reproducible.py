@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from modalsyn import cli
+from modalsyn import cli, statespace
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -73,6 +73,30 @@ def test_validate_outputs_match_recorded_digests(tmp_path, plant):
                for p in tmp_path.iterdir()}
     assert digests == VALIDATE_SHA256[plant]
 
+
+
+@pytest.mark.parametrize("plant", ["two_mass", "mmpa_lite"])
+def test_simulate_steps_both_designs_in_one_recurrence(tmp_path, plant,
+                                                       monkeypatch):
+    """``simulate`` on a two-design results file runs two stepping loops,
+    the band-pass of the disturbance and one stack of both closed loops,
+    and still writes the recorded bytes."""
+    stacks = []
+
+    def recurrence(Ad, *args):
+        stacks.append(Ad.shape[0])
+        return kernel(Ad, *args)
+
+    kernel = statespace._zoh_recurrence
+    monkeypatch.setattr(statespace, "_zoh_recurrence", recurrence)
+    results = str(BENCH / "fixtures" / plant / "results.json")
+    assert cli.main(["simulate", results, "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    assert stacks == [1, 2]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == {name: VALIDATE_SHA256[plant][name]
+                       for name in ("simulation.json", "timeseries.csv")}
 
 # synth6 on two_mass with three starts, seed 3, budget 36: the second random
 # start wins (gamma 8.36 against 11.25 from the initial design), so the

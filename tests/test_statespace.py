@@ -496,6 +496,9 @@ class TestSimulate:
         assert amp == pytest.approx(gain, rel=0.01)
 
     def test_matches_step_by_step_loop(self):
+        """One model and stacks of 1, 2 and 3 models of one shape, each
+        from its own nonzero x0, over two full blocks and a partial one:
+        every system's states and outputs equal its own step-by-step loop."""
         def stepwise(g, u, dt, x0):
             Ad, Bd = discretize_zoh(g, dt)
             x = np.asarray(x0, dtype=float)
@@ -507,21 +510,32 @@ class TestSimulate:
                 x = Ad @ x + Bd @ u[k]
             return X, Y
 
+        def model(n, m):
+            if n == 0:
+                return StateSpaceModel([], [], [], rng.standard_normal((3, m)))
+            g = random_stable(rng, n, m, 3)
+            return StateSpaceModel(g.A, g.B, g.C, rng.standard_normal((3, m)))
+
         rng = np.random.default_rng(12)
         n_s = 2 * _CHUNK_ROWS + 7  # two full blocks and a partial one
-        cases = [StateSpaceModel([], [], [], rng.standard_normal((2, 3)))]
-        for n in (1, 5, 32):
+        for n in (0, 1, 5, 32):
             for m in (1, 4):
-                g = random_stable(rng, n, m, 3)
-                cases.append(StateSpaceModel(g.A, g.B, g.C,
-                                             rng.standard_normal((3, m))))
-        for g in cases:
-            u = rng.standard_normal((n_s, g.n_inputs))
-            x0 = rng.standard_normal(g.n_states)
-            _, X, Y = simulate(g, u, 1e-3, x0)
-            X_ref, Y_ref = stepwise(g, u, 1e-3, x0)
-            assert np.array_equal(X, X_ref), g.n_states
-            assert np.array_equal(Y, Y_ref), g.n_states
+                u = rng.standard_normal((n_s, m))
+                g = model(n, m)
+                x0 = rng.standard_normal(n)
+                _, X, Y = simulate(g, u, 1e-3, x0)
+                X_ref, Y_ref = stepwise(g, u, 1e-3, x0)
+                assert np.array_equal(X, X_ref), n
+                assert np.array_equal(Y, Y_ref), n
+                for n_sys in (1, 2, 3):
+                    gs = [model(n, m) for _ in range(n_sys)]
+                    x0 = rng.standard_normal((n_sys, n))
+                    _, X, Y = simulate(gs, u, 1e-3, x0)
+                    assert X.shape == (n_s, n_sys, n) and Y.shape == (n_s, n_sys, 3)
+                    for i, g in enumerate(gs):
+                        X_ref, Y_ref = stepwise(g, u, 1e-3, x0[i])
+                        assert np.array_equal(X[:, i], X_ref), (n, n_sys, i)
+                        assert np.array_equal(Y[:, i], Y_ref), (n, n_sys, i)
 
     def test_bad_inputs(self):
         g = first_order()
@@ -531,6 +545,35 @@ class TestSimulate:
             simulate(g, np.array([[1.0], [np.inf]]), dt=0.01)
         with pytest.raises(ModelError):
             simulate(g, np.ones((10, 1)), dt=0.0)
+
+    def test_stack_needs_a_system(self):
+        with pytest.raises(ModelError, match="at least one system"):
+            simulate([], np.ones((10, 1)), dt=0.01)
+
+    @pytest.mark.parametrize("other", [
+        StateSpaceModel([[-2.0, 0], [0, -3]], [[1.0], [1]], [[1.0, 1]], [[0.0]]),
+        StateSpaceModel([[-2.0]], [[1.0, 1]], [[1.0]], [[0.0, 0]]),
+        StateSpaceModel([[-2.0]], [[1.0]], [[1.0], [2]], [[0.0], [0]]),
+    ], ids=["n", "m", "p"])
+    def test_stack_refuses_another_shape(self, other):
+        g = first_order()
+        with pytest.raises(ModelError, match="system 2 has"):
+            simulate([g, g, other], np.ones((10, 1)), dt=0.01)
+
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros((3, 1)),
+                                    np.zeros((2, 2))],
+                             ids=["flat", "rows", "columns"])
+    def test_stack_refuses_an_x0_of_another_shape(self, x0):
+        g = first_order()
+        with pytest.raises(ModelError, match=r"not \(2, 1\): one row per system"):
+            simulate([g, g], np.ones((10, 1)), dt=0.01, x0=x0)
+
+    def test_refuses_a_nonfinite_x0(self):
+        g = first_order()
+        with pytest.raises(ModelError, match="non-finite x0 of system 0"):
+            simulate(g, np.ones((10, 1)), dt=0.01, x0=[np.nan])
+        with pytest.raises(ModelError, match="non-finite x0 of system 1"):
+            simulate([g, g], np.ones((10, 1)), dt=0.01, x0=[[0.0], [np.inf]])
 
 
 class TestRationalFilter:

@@ -641,12 +641,14 @@ class TestReuse:
             assert_same_bytes(g, w)
 
     @pytest.mark.parametrize("case", ["6block", "4block", "conventional",
-                                      "later start", "budget 0"])
+                                      "later start", "budget 0",
+                                      "certified budget 0"])
     def test_certificate_is_the_grid_check_of_the_result(self, cl6, cl4, case,
                                                          monkeypatch):
         """The result's certificate equals a fresh grid check of the
-        returned parameters; the search's own closure gives it, except for a
-        penalized initialization at budget 0, which no search certified."""
+        returned parameters; the search's own closure gives it, at budget 0
+        too, except for a penalized initialization, which no search
+        certified."""
         cl = cl4 if case == "4block" else cl6
         init = initial_params(cl)
         run = dict(budget=20, seed=0, n_starts=1)
@@ -655,6 +657,8 @@ class TestReuse:
         elif case == "budget 0":
             init = StructuredControllerParams(init.krb * np.array([1e4, 1, 1, 1, 1, 1]),
                                               init.L, init.xi, init.omega, init.Q)
+            run.update(budget=0)
+        elif case == "certified budget 0":
             run.update(budget=0)
         checks = _count_calls(monkeypatch, {
             "grid": [(synthesis, "grid_stability_check")]})
@@ -769,9 +773,16 @@ class TestOptimizer:
         assert runs[0] == runs[1]
 
     def test_budget_zero_returns_initialization(self, cl6):
+        """At budget 0 the result is, byte for byte, the θ whose norm γ is:
+        the initialization as the objective evaluates it."""
         init = initial_params(cl6)
         res = synthesize(cl6, init, budget=0)
-        np.testing.assert_array_equal(res.params.to_vector(), init.to_vector())
+        evaluated = init.with_vector(init.to_vector())
+        for field in ("krb", "L", "xi", "omega"):
+            got, want = getattr(res.params, field), getattr(evaluated, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+        assert res.params.Q == init.Q
+        assert res.gamma == _objective(cl6, init)(init.to_vector())
         assert res.gamma > 0 and res.stable
         assert res.log == [(1, res.gamma)]
 
