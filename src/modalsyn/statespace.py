@@ -509,7 +509,10 @@ def _responses(g: StateSpaceModel, s):
         if n == 0:
             yield np.tile(g.D.astype(complex), (sk.size, 1, 1))
             continue
-        M = sk * np.eye(n) - g.A
+        # 0 - A, not -A: a zero of A stays +0 as in s*I - A
+        M = np.subtract(0.0, g.A, out=np.empty((sk.size, n, n), complex))
+        np.subtract(sk[:, 0], np.diag(g.A),
+                    out=M.reshape(sk.size, n * n)[:, ::n + 1])
         try:
             X = solve(M, g.B)
         except la.LinAlgError as exc:
@@ -808,12 +811,13 @@ def _zoh_recurrence(Ad, Bd, C, D, u, x0):
     X = np.empty((n_s, *x0.shape))
     Y = np.empty((n_s, x0.shape[0], C.shape[1]))
     X[0] = x0
+    matvec, add = np.matvec, np.add       # the per-step calls, bound once
     for s in range(0, n_s, _CHUNK_ROWS):
         rows = slice(s, s + _CHUNK_ROWS)
         us = u[rows, None, :]
         xs = list(X[s:s + _CHUNK_ROWS + 1])   # and the next block's first row
         for cur, nxt, bu in zip(xs, xs[1:], np.matvec(Bd, us)):
-            np.matvec(Ad, cur, out=nxt)
-            np.add(nxt, bu, out=nxt)
+            matvec(Ad, cur, nxt)
+            add(nxt, bu, nxt)
         Y[rows] = np.matvec(C, X[rows]) + np.matvec(D, us)
     return X, Y

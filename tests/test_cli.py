@@ -1,11 +1,14 @@
 import json
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modalsyn.benchplant import make_two_mass
-from modalsyn.cli import main
+from modalsyn.cli import _format_e18, _write_table, main
+from modalsyn.statespace import _CHUNK_ROWS
 
 CONFIG = {
     "model": "two_mass",
@@ -112,6 +115,83 @@ class TestDownstream:
             cert = json.load(fh)
         assert len(cert["stable"]) == 11
         assert all(cert["stable"])
+
+
+def exact_ties():
+    """Doubles m 2**-n parsed from the 20 significant digits of m 5**n, which
+    end in 5: exact ties at 19 digits, which Python rounds to even."""
+    ties = []
+    for n in range(5, 29):
+        lo = -(-10 ** 19 // 5 ** n)
+        hi = min((10 ** 20 - 1) // 5 ** n, 2 ** 53 - 1)
+        for m in {lo | 1, (lo + hi) // 2 | 1, (hi - 1) | 1}:
+            digits = str(m * 5 ** n)
+            assert len(digits) == 20 and digits[-1] == "5"
+            ties.append(float(f"{digits[0]}.{digits[1:]}e{19 - n}"))
+            assert ties[-1] == m * 2.0 ** -n
+    return ties
+
+
+def is_exact_tie(x):
+    """Whether the exact decimal of ``x`` has 20 significant digits, the
+    last of them 5."""
+    digits = "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0")
+    return len(digits) == 20 and digits[-1] == "5"
+
+
+def e18_texts(values):
+    """``_format_e18`` of ``values``, one string per value."""
+    out = np.zeros((len(values), 27), np.uint8)
+    fallback = _format_e18(np.asarray(values, dtype=float), out)
+    texts = [row.tobytes().replace(b"\0", b"").decode() for row in out[:, :26]]
+    return texts, fallback
+
+
+class TestTimeseriesText:
+    def test_table_is_the_text_of_savetxt(self, tmp_path):
+        """Two full blocks and a partial one, with the values Python
+        formats: signed zeros, infinities, nan, the least subnormal, 1e±300
+        and exact ties, some of them in the partial block; and powers of
+        ten and their neighbours below, where ``log10`` can miss the
+        exponent by one."""
+        rng = np.random.default_rng(7)
+        n = 2 * _CHUNK_ROWS + 7
+        data = np.column_stack([
+            np.arange(n) * 1e-4,
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n),
+            rng.standard_normal(n)])
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   1e300, -1e300, 1e-300, -1e-300, *exact_ties()]
+        powers = 10.0 ** np.arange(-270, 271, 10)
+        powers = [*powers, *np.nextafter(powers, 0), 1e153, -1e-278]
+        spots = rng.choice(np.arange(3, data.size), len(special) + len(powers),
+                           replace=False)
+        spots[:4] = data.size - np.arange(1, 5)       # in the partial block
+        data.flat[spots] = special + powers
+        spots = spots[:len(special)]
+        names = ["t", "a", "b"]
+        _write_table(tmp_path / "table.csv", dict(zip(names, data.T)))
+        np.savetxt(tmp_path / "savetxt.csv", data, fmt="%.18e", delimiter=",",
+                   header=",".join(names), comments="")
+        assert ((tmp_path / "table.csv").read_bytes()
+                == (tmp_path / "savetxt.csv").read_bytes())
+        # Python formats t = 0, the special values and any random value
+        # that is an exact tie too (one here, of order 1e11), no other
+        _, fallback = e18_texts(data.ravel())
+        ties = [i for i, x in enumerate(data.flat)
+                if np.isfinite(x) and is_exact_tie(x)]
+        assert set(fallback) == {0, *spots, *ties}
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.integers(0, 2 ** 64 - 1).map(
+            lambda bits: float(np.uint64(bits).view(np.float64)))),
+        min_size=1, max_size=20))
+    def test_any_float_is_python_percent(self, values):
+        """Any doubles, subnormals, inf and nan among them."""
+        texts, _ = e18_texts(values)
+        assert texts == ["%.18e" % x for x in values]
 
 
 class TestDecouple:
