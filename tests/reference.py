@@ -4,7 +4,15 @@ constructions of what the package computes some other way."""
 import numpy as np
 import scipy.linalg as la
 
-from modalsyn.statespace import ModelError, StateSpaceModel, _block_diag, _stacked
+from modalsyn.statespace import (
+    ModelError,
+    NumericError,
+    StateSpaceModel,
+    _block_diag,
+    _stacked,
+    is_hurwitz,
+    sigma_max,
+)
 
 
 def _tf_section_realization(num, den):
@@ -85,3 +93,21 @@ def with_gains(sections, gains):
     channel."""
     return tuple(chan + ((np.array([k]), np.array([1.0])),)
                  for chan, k in zip(sections, gains))
+
+
+def _default_freq_grid(g: StateSpaceModel, n_points: int):
+    pole_f = np.abs(g.poles()) / (2 * np.pi)
+    pole_f = pole_f[pole_f > 0]
+    lo = min(pole_f.min() / 100 if pole_f.size else 1e-3, 1e-3)
+    hi = max(pole_f.max() * 100 if pole_f.size else 1e3, 1e3)
+    return np.logspace(np.log10(lo), np.log10(hi), n_points)
+
+
+def hinf_norm_grid(g: StateSpaceModel, n_points: int = 100_000) -> float:
+    """Dense log-grid oracle: max over the grid of the largest singular value."""
+    if not is_hurwitz(g):
+        raise NumericError("H-infinity norm undefined: system is not Hurwitz")
+    if min(g.n_inputs, g.n_outputs) == 0:
+        return 0.0
+    freqs = np.concatenate([[0.0], _default_freq_grid(g, n_points)])
+    return sigma_max(g, freqs)[0]

@@ -33,7 +33,6 @@ from modalsyn.statespace import (
     diagonal_response,
     freq_response,
     hinf_norm,
-    hinf_norm_grid,
     simulate,
 )
 from modalsyn.synthesis import (
@@ -45,7 +44,7 @@ from modalsyn.synthesis import (
     rb_crossover,
     synthesize,
 )
-from reference import flexible_column, from_tf
+from reference import flexible_column, from_tf, hinf_norm_grid
 
 GRID_1D = [np.array([p]) for p in np.linspace(0.0, 1.0, 11)]
 BAND = (9.4, 10.6)          # Hz, rigid-body crossover window around 10 Hz

@@ -34,8 +34,6 @@ PACKAGE = sorted((ROOT / "src" / "modalsyn").glob("*.py"))
 
 # functions and methods that no command enters
 UNREACHED = {
-    "hinf_norm_grid",                 # the dense-grid fallback of hinf_norm
-    "_default_freq_grid",             # and its frequency grid
     "MechanicalModel.to_dict",        # the model-file writer
     "PositionMap.to_dict",            # and its position maps
 }

@@ -19,14 +19,13 @@ from modalsyn.statespace import (
     freq_response,
     hinf_lower_bound,
     hinf_norm,
-    hinf_norm_grid,
     is_hurwitz,
     simulate,
     spectral_abscissa,
 )
 from modalsyn import statespace
 from modalsyn.statespace import _CHUNK_ENTRIES, _CHUNK_ROWS
-from reference import blockdiag, series
+from reference import blockdiag, hinf_norm_grid, series
 
 
 def random_stable(rng, n, m=1, p=1):
@@ -412,10 +411,11 @@ class TestHinfNorm:
         g = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[-5.0]])
         assert hinf_lower_bound(g) == (5.0, False, math.inf)
 
-    def test_fallback_never_returns_below_the_bound(self, monkeypatch):
+    def test_failed_eigensolve_raises_instead_of_sampling(self, monkeypatch):
         """A 1 Hz pole with damping 1e-6 falls halfway between two points
-        of the fallback's log grid, which then sees about 1/70 of the peak;
-        the candidate frequencies hit it, so the fallback keeps the bound."""
+        of the oracle's log grid, which then sees about 1/70 of the peak;
+        the bound's candidate frequencies hit it.  No sampled value stands
+        in for the norm: a failed Hamiltonian eigensolve raises."""
         w, zeta = 2 * np.pi, 1e-6
         g = StateSpaceModel([[0.0, 1.0], [-w * w, -2 * zeta * w]],
                             [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
@@ -423,17 +423,17 @@ class TestHinfNorm:
         bound, _, peak_hz = hinf_lower_bound(g)
         assert peak_hz == pytest.approx(w * np.sqrt(1 - 2 * zeta ** 2) / (2 * np.pi),
                                         rel=1e-6)
-        grid = hinf_norm_grid(g)
-        assert grid < 0.1 * peak <= bound
+        assert hinf_norm_grid(g) < 0.1 * peak <= bound
+        assert hinf_norm(g) >= bound
 
         def ill_conditioned(*args):
             raise la.LinAlgError("singular matrix")
 
         monkeypatch.setattr(statespace, "_hamiltonian_has_imag_eig",
                             ill_conditioned)
-        norm = hinf_norm(g)
-        assert norm >= bound and norm >= grid
-        assert norm == pytest.approx(peak, rel=1e-6)
+        with pytest.raises(NumericError, match="eigensolve") as info:
+            hinf_norm(g)
+        assert isinstance(info.value.__cause__, la.LinAlgError)
 
 
 class TestCare:
@@ -545,6 +545,15 @@ class TestSimulate:
             simulate(g, np.array([[1.0], [np.inf]]), dt=0.01)
         with pytest.raises(ModelError):
             simulate(g, np.ones((10, 1)), dt=0.0)
+
+    @pytest.mark.parametrize("u", [np.ones((1, 10)), np.ones(10),
+                                   np.ones((10, 1, 1))],
+                             ids=["transposed", "flat", "3d"])
+    def test_refuses_inputs_not_samples_by_channels(self, u):
+        """Inputs are (n_samples, m), taken as given: a transposed, 1-D or
+        3-D array is refused, not reshaped."""
+        with pytest.raises(ModelError, match=r"not \(n_samples, 1\)"):
+            simulate(first_order(), u, dt=0.01)
 
     def test_stack_needs_a_system(self):
         with pytest.raises(ModelError, match="at least one system"):

@@ -534,6 +534,24 @@ class TestObjective:
                             lambda *args: unstable)
         assert f(x) == f(x, 10.0) == PENALTY_BASE
 
+    @pytest.mark.parametrize("kind", ["6block", "4block"])
+    def test_failed_eigensolve_scores_the_same_whatever_the_bar(
+            self, cl6, cl4, kind, monkeypatch):
+        """A Hamiltonian eigensolve that fails makes the norm a
+        NumericError, which scores PENALTY_BASE with or without a bar above
+        the bound: no sampled value stands in for the norm."""
+        cl = cl6 if kind == "6block" else cl4
+        init = initial_params(cl)
+        x = _active_params(cl).to_vector()
+        grid = [np.array([p]) for p in (0.0, 0.5, 1.0)]
+        f = _objective(cl, init, grid, self.BAND)
+        bound = hinf_lower_bound(cl.evaluate(init.with_vector(x)))[0]
+
+        def fail(*args, **kwargs):
+            raise la.LinAlgError("singular matrix")
+        monkeypatch.setattr(statespace, "_hamiltonian_has_imag_eig", fail)
+        assert f(x) == f(x, 2 * bound) == PENALTY_BASE
+
     @pytest.mark.parametrize("kind, sweeps", [("6block", 2), ("4block", 1)])
     def test_crossover_reuses_an_unchanged_plant_response(self, cl6, cl4, kind,
                                                           sweeps, monkeypatch):
@@ -709,8 +727,7 @@ def test_synth6_on_mmpa_lite_does_each_job_once(tmp_path, monkeypatch):
                             (cli, "close_full_loop")],
         "grid_stability_check": [(synthesis, "grid_stability_check"),
                                  (cli, "grid_stability_check")],
-        "hamiltonian_test": [(statespace, "_hamiltonian_has_imag_eig")],
-        "dense_grid_fallback": [(statespace, "hinf_norm_grid")]})
+        "hamiltonian_test": [(statespace, "_hamiltonian_has_imag_eig")]})
     config = {"model": "mmpa_lite", "f_bw": [10.0] * 3,
               "expected_error": [1e-4] * 3, "retain": [3], "controlled": [3],
               "n_flex_decouple": 1, "budget": 12, "n_starts": 1,
@@ -721,7 +738,7 @@ def test_synth6_on_mmpa_lite_does_each_job_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 0
     assert counts == {"freq_response": 3, "modal_observer": 1,
                       "close_full_loop": 150, "grid_stability_check": 0,
-                      "hamiltonian_test": 48, "dense_grid_fallback": 0}
+                      "hamiltonian_test": 48}
 
 
 class TestOptimizer:
