@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from modalsyn.mechanics import (
 from modalsyn.shaping import compute_scalings, design_weights
 from modalsyn.statespace import (
     _CHUNK_ROWS,
+    _E18_WIDTH,
+    _format_e18,
+    _write_cells,
     ModelError,
     NumericError,
     diagonal_ss,
@@ -240,126 +243,6 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-_E18_WIDTH = 26          # the widest "%.18e" text, "-4.940656458412465442e-324"
-_E18_EXACT = (1e-280, 1e280)   # |x| whose digits are computed in arrays
-_E18_TIE = 1e-9          # remainders closer to 1/2 are left to Python's "%"
-_E18_E = 282             # the tables hold exponents -282 .. 282
-
-
-def _veltkamp(a):
-    """``a`` as the sum of two halves of at most 26 significant bits each,
-    so that the product of two halves is exact (Dekker 1971)."""
-    t = 134217729.0 * a                    # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-@cache
-def _e18_tables():
-    """Read-only tables of the ``%.18e`` formatter, built once from Python
-    ints.  ``powers[:, j]`` is 10**k for k = 18 - e, e = j - _E18_E, as the
-    double-double hi + lo: hi the correctly rounded 10**k and lo the
-    correctly rounded rest.  ``quads[i]`` is the ASCII of ``"%04d" % i`` as
-    a little-endian uint32, and ``exponents[j]`` that of the exponent
-    e = j - _E18_E after its ``e``: the sign and three digits, a NUL in place
-    of a leading zero."""
-    powers = np.empty((2, 2 * _E18_E + 1))
-    for j, e in enumerate(range(-_E18_E, _E18_E + 1)):
-        p, q = (10 ** (18 - e), 1) if e <= 18 else (1, 10 ** (e - 18))
-        hi = p / q                                 # both correctly rounded
-        num, den = hi.as_integer_ratio()
-        powers[:, j] = hi, (p * den - num * q) / (q * den)
-    powers.flags.writeable = False
-    i = np.arange(10 ** 4, dtype="<u4")
-    quads = sum((i // 10 ** (3 - j) % 10 + ord("0")) << 8 * j for j in range(4))
-    quads.flags.writeable = False
-    exponents = np.frombuffer(b"".join(
-        (b"-" if e < 0 else b"+") + (b"%03d" if abs(e) > 99 else b"\0%02d") % abs(e)
-        for e in range(-_E18_E, _E18_E + 1)), "<u4")
-    return powers, quads, exponents
-
-
-def _two_product(a, b):
-    """p = fl(a b) and err with p + err = a b exactly (Dekker 1971), for
-    a, b and their product far enough inside the normal range."""
-    p = a * b
-    a_hi, a_lo = _veltkamp(a)
-    b_hi, b_lo = _veltkamp(b)
-    err = a_hi * b_hi
-    err -= p
-    err += a_hi * b_lo
-    err += a_lo * b_hi
-    err += a_lo * b_lo
-    return p, err
-
-
-def _e18_digits(a, e, powers):
-    """y = a 10**(18 - e) for the positive ``a``, as the integer D nearest
-    to it (uint64), floor(y) and y - floor(y)."""
-    hi, lo = powers.take(e + _E18_E, axis=1)
-    p, r = _two_product(a, hi)         # p >= 2**53, so an integer
-    r += a * lo
-    whole = np.floor(r)
-    r -= whole
-    floor = p.astype(np.uint64)
-    floor += whole.astype(np.int64).view(np.uint64)
-    return floor + (r > 0.5), floor, r
-
-
-def _format_e18(v, out):
-    """Write ``"%.18e" % x`` for each float x of ``v`` into the first
-    ``_E18_WIDTH`` bytes of its row of ``out`` (uint8), NUL bytes in the
-    places the text leaves empty, so that deleting them gives the text;
-    returns the indices of the values formatted by Python.
-
-    For |x| in ``_E18_EXACT`` the 19 digits are the integer D nearest to
-    y = |x| 10**k, k = 18 - e, with the decimal exponent e from ``log10``;
-    where that misses by one, next to a power of ten, floor(y) has 18
-    digits or D has 20, and e moves by one.  The table's hi + lo is 10**k
-    to within 2**-106 relative, ``|x| hi = p + err`` exactly (Dekker's
-    product, no FMA), and r = err + |x| lo, rounded twice, loses at most
-    2**-106 y + 2**-53 (|err| + |x lo|) <= 2**-106 y + 2**-53 * 3072.  So
-    p + r is within 1e-12 of y < 2**64, every remainder more than
-    ``_E18_TIE`` from 1/2 rounds as y does, and D holds the correctly
-    rounded digits that Python's ``"%"`` prints (Gay 1990).  The other
-    values go through Python: 0, inf, nan, |x| outside ``_E18_EXACT``
-    (where 10**k, a Veltkamp half or a partial product could leave the
-    normal range) and the near-ties, among them every exact tie, which
-    Python rounds to even.
-    """
-    powers, quads, exponents = _e18_tables()
-    a = np.abs(v)
-    exact = (a >= _E18_EXACT[0]) & (a <= _E18_EXACT[1])
-    a[~exact] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    d, floor, frac = _e18_digits(a, e, powers)
-    python = ~exact
-    moved = np.flatnonzero((d >= 10 ** 19) | (floor < 10 ** 18))
-    if moved.size:
-        e[moved] += np.where(d[moved] >= 10 ** 19, 1, -1)
-        d[moved], _, frac[moved] = _e18_digits(a[moved], e[moved], powers)
-        python[moved] |= (d[moved] >= 10 ** 19) | (d[moved] < 10 ** 18)
-    python |= np.abs(frac - 0.5) < _E18_TIE
-    lead = d // 10 ** 18
-    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
-    out[:, 1] = lead + ord("0")
-    out[:, 2] = ord(".")
-    rest = (d - lead * 10 ** 18).view(np.int64)
-    quad = out[:, 5:21].view("<u4")            # four groups of four digits
-    for j in range(3, -1, -1):
-        q = rest // 10 ** 4
-        quad[:, j] = quads.take(rest - q * 10 ** 4)
-        rest = q
-    out[:, 3:5].view("<u2")[:, 0] = quads.take(rest) >> 16   # "00dd"
-    out[:, 21] = ord("e")
-    out[:, 22:26].view("<u4")[:, 0] = exponents.take(e + _E18_E)
-    fallback = np.flatnonzero(python)
-    for i, x in zip(fallback.tolist(), v[fallback].tolist()):
-        out[i, :_E18_WIDTH] = np.frombuffer(
-            ("%.18e" % x).encode().rjust(_E18_WIDTH, b"\0"), np.uint8)
-    return fallback
-
-
 def _write_table(path, columns):
     """CSV of equal-length float columns, a header of their names and every
     value as ``%.18e`` (the text of ``np.savetxt``), written in blocks of at
@@ -378,7 +261,7 @@ def _write_table(path, columns):
             block = np.column_stack([c[k:k + _CHUNK_ROWS] for c in cols])
             rows = cells[:block.shape[0]]
             _format_e18(block.ravel(), rows.reshape(-1, _E18_WIDTH + 1))
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            _write_cells(fh, rows)
 
 
 def _channel_csv(path, M):

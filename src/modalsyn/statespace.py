@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg as la
@@ -113,6 +114,243 @@ class StateSpaceModel:
 _CHUNK_ROWS = 1024
 
 
+# ---------------------------------------------------------------------------
+# exact decimal text of floats, formatted in arrays
+# ---------------------------------------------------------------------------
+
+_E18_WIDTH = 26          # the widest "%.18e" text, "-4.940656458412465442e-324"
+_G12_WIDTH = 24          # a "%.12g" field: the widest text, "-4.94065645841e-324",
+                         # takes 19 bytes, and the layout's exponent word ends at 24
+_E18_EXACT = (1e-280, 1e280)   # |x| whose digits are computed in arrays
+_E18_TIE = 1e-9          # remainders closer to 1/2 are left to Python's "%"
+_E18_E = 282             # the tables hold exponents -282 .. 282
+
+
+def _veltkamp(a):
+    """``a`` as the sum of two halves of at most 26 significant bits each,
+    so that the product of two halves is exact (Dekker 1971)."""
+    t = 134217729.0 * a                    # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@cache
+def _e18_tables():
+    """Read-only tables of the exact formatters, built once from Python
+    ints.  ``powers[:, j]`` is 10**k for k = 18 - e, e = j - _E18_E, as the
+    double-double hi + lo: hi the correctly rounded 10**k and lo the
+    correctly rounded rest.  ``quads[i]`` is the ASCII of ``"%04d" % i`` as
+    a little-endian uint32, and ``exponents[j]`` that of the exponent
+    e = j - _E18_E after its ``e``: the sign and three digits, a NUL in place
+    of a leading zero."""
+    powers = np.empty((2, 2 * _E18_E + 1))
+    for j, e in enumerate(range(-_E18_E, _E18_E + 1)):
+        p, q = (10 ** (18 - e), 1) if e <= 18 else (1, 10 ** (e - 18))
+        hi = p / q                                 # both correctly rounded
+        num, den = hi.as_integer_ratio()
+        powers[:, j] = hi, (p * den - num * q) / (q * den)
+    powers.flags.writeable = False
+    i = np.arange(10 ** 4, dtype="<u4")
+    quads = sum((i // 10 ** (3 - j) % 10 + ord("0")) << 8 * j for j in range(4))
+    quads.flags.writeable = False
+    exponents = np.frombuffer(b"".join(
+        (b"-" if e < 0 else b"+") + (b"%03d" if abs(e) > 99 else b"\0%02d") % abs(e)
+        for e in range(-_E18_E, _E18_E + 1)), "<u4")
+    return powers, quads, exponents
+
+
+def _two_product(a, b):
+    """p = fl(a b) and err with p + err = a b exactly (Dekker 1971), for
+    a, b and their product far enough inside the normal range."""
+    p = a * b
+    a_hi, a_lo = _veltkamp(a)
+    b_hi, b_lo = _veltkamp(b)
+    err = a_hi * b_hi
+    err -= p
+    err += a_hi * b_lo
+    err += a_lo * b_hi
+    err += a_lo * b_lo
+    return p, err
+
+
+def _e18_digits(a, e, powers):
+    """y = a 10**(18 - e) for the positive ``a``, as the integer D nearest
+    to it (uint64), floor(y) and y - floor(y)."""
+    hi, lo = powers.take(e + _E18_E, axis=1)
+    p, r = _two_product(a, hi)         # p >= 2**53, so an integer
+    r += a * lo
+    whole = np.floor(r)
+    r -= whole
+    floor = p.astype(np.uint64)
+    floor += whole.astype(np.int64).view(np.uint64)
+    return floor + (r > 0.5), floor, r
+
+
+@cache
+def _g12_tables():
+    """Read-only tables of the ``%.12g`` layout.  ``trailing[i]`` is the
+    number of trailing zeros of ``"%04d" % i`` (4 for 0).  Column
+    ``13 c + n`` of ``layouts`` lays out n significant digits in class c:
+    c = 4 + X for the fixed notation of a decimal exponent X in -4 .. 11,
+    and c = 16 for the exponent form, laid out as X = 0 with an ``e``.  Its
+    seven uint64 words are the text's bytes 0-7 with a NUL for the sign
+    (``0.000`` after it for X < 0), then three little-endian pairs over the
+    16-byte mantissa field that follows: the mask of the digits kept in
+    place, the mask of the digits kept one byte further on (after the
+    point) and the constant point and ``e``."""
+    i = np.arange(10 ** 4)
+    trailing = sum(i % 10 ** j == 0 for j in range(1, 5)).astype(np.uint8)
+    trailing.flags.writeable = False
+    layouts = np.zeros((7, 17 * 13), np.uint64)
+    for c in range(17):
+        x = c - 4 if c < 16 else 0
+        for n in range(1, 13):
+            pre, keep, shift, const = map(bytearray, (8, 16, 16, 16))
+            if x < 0:
+                pre[1:2 - x] = b"0." + b"0" * (-x - 1)
+                keep[:n] = b"\xff" * n
+            else:
+                keep[:x + 1] = b"\xff" * (x + 1)
+                shift[x + 2:n + 1] = b"\xff" * (n - x - 1)
+                if n > x + 1:
+                    const[x + 1] = ord(".")
+            if c == 16:
+                const[13] = ord("e")
+            layouts[:, 13 * c + n] = np.frombuffer(pre + keep + shift + const, "<u8")
+    layouts.flags.writeable = False
+    return trailing, layouts
+
+
+def _digits19(v):
+    """(D, e, python) for the floats ``v``: D the integer nearest to
+    |x| 10**(18 - e) (uint64), e the decimal exponent and ``python`` the
+    mask of the values whose text only Python's ``"%"`` gets right, as
+    :func:`_format_e18` explains.  Every D has 19 digits, those of Python's
+    values too, so that the layouts can index tables with it."""
+    powers = _e18_tables()[0]
+    a = np.abs(v)
+    exact = (a >= _E18_EXACT[0]) & (a <= _E18_EXACT[1])
+    a[~exact] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    d, floor, frac = _e18_digits(a, e, powers)
+    python = ~exact
+    moved = (d >= 10 ** 19) | (floor < 10 ** 18)
+    if moved.any():
+        e[moved] += np.where(d[moved] >= 10 ** 19, 1, -1)
+        d[moved], _, frac[moved] = _e18_digits(a[moved], e[moved], powers)
+        python |= (d >= 10 ** 19) | (d < 10 ** 18)
+        d[python] = 10 ** 18
+    python |= np.abs(frac - 0.5) < _E18_TIE
+    return d, e, python
+
+
+def _python_text(fmt, v, python, out):
+    """Write ``fmt % x`` for each float x of ``v`` marked in ``python`` into
+    its row of ``out`` (v.shape + (width,), uint8), right-aligned after NUL
+    bytes; returns the flat indices of those values."""
+    fallback = np.flatnonzero(python)
+    rows = zip(*np.unravel_index(fallback, v.shape))
+    for i, x in zip(rows, v[python].tolist()):
+        out[i] = np.frombuffer((fmt % x).encode().rjust(out.shape[-1], b"\0"),
+                               np.uint8)
+    return fallback
+
+
+def _format_e18(v, out):
+    """Write ``"%.18e" % x`` for each float x of ``v`` into the first
+    ``_E18_WIDTH`` bytes of its row of ``out`` (uint8), NUL bytes in the
+    places the text leaves empty, so that deleting them gives the text;
+    returns the indices of the values formatted by Python.
+
+    For |x| in ``_E18_EXACT`` the 19 digits are the integer D nearest to
+    y = |x| 10**k, k = 18 - e, with the decimal exponent e from ``log10``;
+    where that misses by one, next to a power of ten, floor(y) has 18
+    digits or D has 20, and e moves by one.  The table's hi + lo is 10**k
+    to within 2**-106 relative, ``|x| hi = p + err`` exactly (Dekker's
+    product, no FMA), and r = err + |x| lo, rounded twice, loses at most
+    2**-106 y + 2**-53 (|err| + |x lo|) <= 2**-106 y + 2**-53 * 3072.  So
+    p + r is within 1e-12 of y < 2**64, every remainder more than
+    ``_E18_TIE`` from 1/2 rounds as y does, and D holds the correctly
+    rounded digits that Python's ``"%"`` prints (Gay 1990).  The other
+    values go through Python: 0, inf, nan, |x| outside ``_E18_EXACT``
+    (where 10**k, a Veltkamp half or a partial product could leave the
+    normal range) and the near-ties, among them every exact tie, which
+    Python rounds to even.
+    """
+    _, quads, exponents = _e18_tables()
+    d, e, python = _digits19(v)
+    lead = d // 10 ** 18
+    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    out[:, 1] = lead + ord("0")
+    out[:, 2] = ord(".")
+    rest = (d - lead * 10 ** 18).view(np.int64)
+    quad = out[:, 5:21].view("<u4")            # four groups of four digits
+    for j in range(3, -1, -1):
+        q = rest // 10 ** 4
+        quad[:, j] = quads.take(rest - q * 10 ** 4)
+        rest = q
+    out[:, 3:5].view("<u2")[:, 0] = quads.take(rest) >> 16   # "00dd"
+    out[:, 21] = ord("e")
+    out[:, 22:26].view("<u4")[:, 0] = exponents.take(e + _E18_E)
+    return _python_text("%.18e", v, python, out[:, :_E18_WIDTH])
+
+
+def _format_g12(v, out):
+    """Write ``"%.12g" % x`` for each float x of ``v`` into the first
+    ``_G12_WIDTH`` bytes of its row of ``out`` (uint8, of shape
+    v.shape + (width,)), NUL bytes in the places the text leaves empty;
+    returns the flat indices of the values formatted by Python.
+
+    The 12 digits are :func:`_digits19`'s D rounded at its 7th digit, a
+    carry to 10**12 moving the exponent up by one; this is exact unless
+    D's last 7 digits are 5000000 (see :meth:`FrequencyResponse.to_csv`),
+    and those values go to Python with the ones :func:`_digits19` leaves to
+    it.  Each value's layout, ``%g``'s fixed notation for exponents -4 ..
+    11 and ``d.ddde+XX`` otherwise, with no trailing zero after the point
+    and no bare point, is one column of ``_g12_tables``' ``layouts``,
+    picked by the exponent's class and the number of digits kept.  It masks
+    the digits, once in place and once shifted one byte on to leave room
+    for the point, and adds the constant bytes.
+    """
+    _, quads, exponents = _e18_tables()
+    trailing, layouts = _g12_tables()
+    d, e, python = _digits19(v)
+    q = d // 10 ** 7
+    d -= q * 10 ** 7                     # D's last 7 digits
+    python |= d == 5 * 10 ** 6
+    q += d > 5 * 10 ** 6
+    carry = q == 10 ** 12
+    q[carry] = 10 ** 11
+    e += carry
+    lead = q // 10 ** 8                  # the digits in groups of four
+    mid = q // 10 ** 4
+    last = q - mid * 10 ** 4
+    mid -= lead * 10 ** 4
+    zeros = trailing.take(last) + (last == 0) * (
+        trailing.take(mid) + (mid == 0) * trailing.take(lead))
+    cls = np.where((e >= -4) & (e < 12), e + 4, 16)
+    layout = 13 * cls + 12 - zeros
+    pre, keep_lo, keep_hi, shift_lo, shift_hi, const_lo, const_hi = layouts
+    lo = quads.take(lead).astype(np.uint64) | quads.take(mid).astype(np.uint64) << 32
+    hi = quads.take(last).astype(np.uint64)
+    out[..., :8].view("<u8")[..., 0] = (pre.take(layout)
+                                        | np.signbit(v) * np.uint64(ord("-")))
+    out[..., 6:14].view("<u8")[..., 0] = ((lo & keep_lo.take(layout))
+                                          | (lo << 8 & shift_lo.take(layout))
+                                          | const_lo.take(layout))
+    out[..., 14:22].view("<u8")[..., 0] = ((hi & keep_hi.take(layout))
+                                           | ((hi << 8 | lo >> 56) & shift_hi.take(layout))
+                                           | const_hi.take(layout))
+    out[..., 20:24].view("<u4")[..., 0] = np.where(
+        cls == 16, exponents.take(e + _E18_E), 0)
+    return _python_text("%.12g", v, python, out[..., :_G12_WIDTH])
+
+
+def _write_cells(fh, cells):
+    """Write the text matrix ``cells`` (uint8) without its NUL bytes."""
+    fh.write(cells.tobytes().translate(None, b"\0"))
+
+
 @dataclass(frozen=True)
 class FrequencyResponse:
     """Sampled transfer matrix on an ascending frequency grid in Hz."""
@@ -136,30 +374,50 @@ class FrequencyResponse:
 
         Magnitude, dB and phase are evaluated as arrays over blocks of whole
         grid points, at most ``_CHUNK_ROWS`` rows unless one point has more
-        channels.  Each block's frequencies and each channel's ``out,in``
-        prefix are formatted once and joined into the block's row template,
-        which formats the four values of every row at once; the text is the
-        same as formatting every entry on its own (``np.hypot`` is the scalar
-        ``abs`` of a complex number, where a vectorized ``np.abs`` may differ
-        in the last bit).
+        channels (``np.hypot`` is the scalar ``abs`` of a complex number,
+        where a vectorized ``np.abs`` may differ in the last bit).  A block
+        is one NUL-padded byte matrix: each frequency is formatted once and
+        copied to its channels' rows, the ``out,in,`` prefixes are constant
+        bytes, and :func:`_format_g12` writes the four values of every row.
+
+        The text is that of Python's ``"%.12g"``.  For y = |x| 10**(18 - e)
+        :func:`_digits19` gives D, the integer nearest to y, so |y - D| <=
+        1/2.  Write D = 10**7 Q + r with 0 <= r < 10**7.  If r > 5 10**6,
+        then r >= 5 10**6 + 1 and y >= 10**7 Q + 5 10**6 + 1/2 lies above the
+        half-way point between 10**7 Q and 10**7 (Q + 1), so the correctly
+        rounded 12 digits are Q + 1; if r < 5 10**6, y lies below it and
+        they are Q.  Only r = 5 10**6 leaves the side of y undecided, and
+        Python formats those values (it rounds an exact tie to even).
         """
         n_f, n_y, n_u = self.values.shape
-        cells = [f"{o},{i},%.12g,%.12g,%.12g,%.12g\n"
-                 for o in range(n_y) for i in range(n_u)]
-        step = max(1, _CHUNK_ROWS // max(1, n_y * n_u))
-        with open(path, "w") as fh:
-            fh.write("freq_hz,out,in,re,im,mag_db,phase_deg\n")
+        n_ch = n_y * n_u
+        step = max(1, _CHUNK_ROWS // max(1, n_ch))
+        width = _G12_WIDTH + 1                   # a number and its separator
+        heads = [f"{o},{i},".encode() for o in range(n_y) for i in range(n_u)]
+        head = max(map(len, heads), default=0)
+        cells = np.empty((step, n_ch, 5 * width + head), np.uint8)
+        cells[:, :, width - 1] = ord(",")
+        cells[:, :, width:width + head] = np.frombuffer(
+            b"".join(h.rjust(head, b"\0") for h in heads), np.uint8
+        ).reshape(n_ch, head)
+        values = cells[:, :, width + head:].reshape(step, n_ch, 4, width)
+        values[..., -1] = ord(",")
+        values[:, :, -1, -1] = ord("\n")
+        freqs = np.empty((n_f, _G12_WIDTH), np.uint8)
+        _format_g12(self.freqs_hz, freqs)
+        with open(path, "wb") as fh:
+            fh.write(b"freq_hz,out,in,re,im,mag_db,phase_deg\n")
             for k in range(0, n_f, step):
-                f = self.freqs_hz[k:k + step].tolist()
-                v = self.values[k:k + step].reshape(len(f), n_y * n_u)
+                f = freqs[k:k + step]
+                v = self.values[k:k + step].reshape(len(f), n_ch)
                 mag = np.hypot(v.real, v.imag)
                 with np.errstate(divide="ignore"):
                     mag_db = np.where(mag > 0, 20 * np.log10(mag), -np.inf)
                 table = np.stack((v.real, v.imag, mag_db,
                                   np.degrees(np.angle(v))), axis=-1)
-                heads = ["%.12g," % x for x in f]
-                rows = "".join([head + cell for head in heads for cell in cells])
-                fh.write(rows % tuple(table.ravel().tolist()))
+                cells[:len(f), :, :_G12_WIDTH] = f[:, None]
+                _format_g12(table, values[:len(f)])
+                _write_cells(fh, cells[:len(f)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modalsyn.benchplant import make_two_mass
-from modalsyn.cli import _format_e18, _write_table, main
-from modalsyn.statespace import _CHUNK_ROWS
+from modalsyn.cli import _write_table, main
+from modalsyn.statespace import _CHUNK_ROWS, _format_e18
 
 CONFIG = {
     "model": "two_mass",
@@ -192,6 +195,21 @@ class TestTimeseriesText:
         """Any doubles, subnormals, inf and nan among them."""
         texts, _ = e18_texts(values)
         assert texts == ["%.18e" % x for x in values]
+
+
+def test_import_builds_no_text_table():
+    """The formatters' tables are built on first use, not when the CLI is
+    imported, so starting a command costs nothing for them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import modalsyn.cli\n"
+             "from modalsyn.statespace import _e18_tables, _g12_tables\n"
+             "print(_e18_tables.cache_info().currsize,"
+             " _g12_tables.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "0"]
 
 
 class TestDecouple:

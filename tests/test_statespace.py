@@ -26,6 +26,7 @@ from modalsyn.statespace import (
 from modalsyn import statespace
 from modalsyn.statespace import _CHUNK_ENTRIES, _CHUNK_ROWS
 from reference import blockdiag, hinf_norm_grid, series
+from test_cli import is_exact_tie
 
 
 def random_stable(rng, n, m=1, p=1):
@@ -245,24 +246,88 @@ class TestFreqResponse:
                             fh.write(f"{f:.12g},{i},{j},{v.real:.12g},{v.imag:.12g},"
                                      f"{mag_db:.12g},{np.degrees(np.angle(v)):.12g}\n")
 
+        def both_texts(fr, name):
+            fr.to_csv(tmp_path / f"{name}.csv")
+            scalar_writer(fr, tmp_path / f"{name}_scalar.csv")
+            text = (tmp_path / f"{name}.csv").read_bytes()
+            assert text == (tmp_path / f"{name}_scalar.csv").read_bytes()
+            return text
+
+        def complex_normal(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
         rng = np.random.default_rng(8)
         n_y, n_u = 3, 4
         # more than two blocks of rows, the last one partial
         n_f = 2 * (_CHUNK_ROWS // (n_y * n_u)) + 5
         shape = (n_f, n_y, n_u)
-        v = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-             * 10.0 ** rng.uniform(-6, 6, shape))
+        v = complex_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
         v[0, 0, 0] = 0.0                       # the -inf dB row
         v[1, 1, 2] = complex(-2.5, 0.0)        # phase +180
         v[2, 2, 3] = complex(-2.5, -0.0)       # phase -180
         v[3, 0, 1] = complex(-1.0, 1e-300)     # phase next to +180
         fr = FrequencyResponse(np.logspace(-1, 4, n_f), v)
         assert (fr.values.real < 0).sum() > fr.values.size // 3
-        fr.to_csv(tmp_path / "block.csv")
-        scalar_writer(fr, tmp_path / "scalar.csv")
-        text = (tmp_path / "block.csv").read_bytes()
-        assert text == (tmp_path / "scalar.csv").read_bytes()
-        assert b",-inf," in text
+        assert b",-inf," in both_texts(fr, "block")
+        # no channel or no grid point: the header alone
+        for shape in ((3, 0, 2), (3, 2, 0), (0, 2, 2)):
+            fr = FrequencyResponse(np.arange(shape[0]) + 1.0, np.zeros(shape))
+            assert both_texts(fr, "empty") == b"freq_hz,out,in,re,im,mag_db,phase_deg\n"
+        # one grid point with more channels than a block has rows
+        assert 40 * 40 > _CHUNK_ROWS
+        fr = FrequencyResponse([2.5], complex_normal((1, 40, 40)))
+        assert both_texts(fr, "wide").count(b"\n") == 1 + 40 * 40
+        # frequencies printed in exponent form, 0 and 1e-4 in fixed notation
+        low = [0.0, 1e-300, 3e-9, 5e-5, 9.9999999999995e-05, 1e-4]
+        text = both_texts(FrequencyResponse(low, complex_normal((6, 2, 1))), "low")
+        assert b"\n3e-09,1,0," in text and b"\n0.0001,0,0," in text
+
+
+def g12_texts(values):
+    """``_format_g12`` of ``values``, one string per value, and the indices
+    it hands to Python."""
+    v = np.asarray(values, dtype=float)
+    out = np.zeros((v.size, statespace._G12_WIDTH + 1), np.uint8)
+    fallback = statespace._format_g12(v, out)
+    texts = [row.tobytes().replace(b"\0", b"").decode() for row in out]
+    return texts, fallback
+
+
+class TestChannelText:
+    def test_edge_values_are_python_percent(self):
+        """Zeros, infinities, nan, the least subnormal and 1e±300, which
+        Python formats; 12-digit rounding that carries into the next power
+        of ten, across the fixed notation's ends; an exact 12-digit tie,
+        which Python rounds to even; and powers of ten and their neighbours
+        below, where ``log10`` can miss the exponent by one."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   1e300, -1e300, 1e-300, -1e-300]
+        rounded = [1e-5, 9.9999999999995e-05, 999999999999.5, 999999999999.6,
+                   -99999999999.95, 123456789012.0, 1234567890125.0,
+                   1234567890135.0, 0.5, 1200.0, 0.1]
+        powers = 10.0 ** np.arange(-270, 271)
+        values = special + rounded + [*powers, *np.nextafter(powers, 0)]
+        texts, fallback = g12_texts(values)
+        assert texts == ["%.12g" % x for x in values]
+        assert texts[12] == "0.0001" and texts[14] == "1e+12"
+        # Python formats the special values and the ties: an exact tie at 19
+        # digits, or 19 digits ending in 5000000, no other value
+        ties = [i for i, x in enumerate(values) if np.isfinite(x) and (
+            is_exact_tie(x) or ("%.18e" % x).split("e")[0].endswith("5000000"))]
+        assert set(fallback) == {*range(len(special)), *ties}
+        assert {999999999999.5, 1234567890125.0, 1234567890135.0} <= {
+            values[i] for i in ties}
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.integers(0, 2 ** 64 - 1).map(
+            lambda bits: float(np.uint64(bits).view(np.float64)))),
+        min_size=1, max_size=20))
+    def test_any_float_is_python_percent(self, values):
+        """Any doubles, subnormals, inf and nan among them."""
+        texts, _ = g12_texts(values)
+        assert texts == ["%.12g" % x for x in values]
 
 
 def _pattern_systems(rng):
